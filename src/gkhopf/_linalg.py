@@ -3,6 +3,13 @@
 Rows are dicts mapping a column key to a nonzero Cyclo.  Systems in this
 package are small (at most a few hundred columns), so plain reduced row
 echelon form is enough.
+
+Every pivot row is normalised (its pivot entry is 1) and holds no other
+pivot column, so a pivot row with a single entry is exactly ``{c: 1}``.
+Reducing a row against it only drops column ``c``; ``_eliminate`` does
+that with a deletion instead of Cyclo arithmetic.  Back-substitution only
+removes columns, so a single-entry pivot row stays single-entry.  In the
+skew-primitive systems nearly every row and pivot row has one entry.
 """
 
 from __future__ import annotations
@@ -21,6 +28,14 @@ def _subtract(row: dict, factor: Cyclo, other: dict) -> None:
             row[col] = new
 
 
+def _eliminate(row: dict, col: Hashable, prow: dict) -> None:
+    """Clear ``col`` from ``row`` using the pivot row ``prow`` of ``col``."""
+    if len(prow) == 1:
+        del row[col]  # prow is {col: 1}
+    else:
+        _subtract(row, row[col], prow)
+
+
 def rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
     """Reduced row echelon form; returns {pivot column: normalized row}."""
     pivots: dict[Hashable, dict] = {}
@@ -30,15 +45,19 @@ def rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
             hit = next((c for c in row if c in pivots), None)
             if hit is None:
                 break
-            _subtract(row, row[hit], pivots[hit])
+            _eliminate(row, hit, pivots[hit])
         if not row:
             continue
-        piv = min(row, key=_col_key)
-        inv = row[piv].inv()
-        row = {c: v * inv for c, v in row.items()}
+        if len(row) == 1:
+            piv = next(iter(row))
+            row = {piv: Cyclo.one()}
+        else:
+            piv = min(row, key=_col_key)
+            inv = row[piv].inv()
+            row = {c: v * inv for c, v in row.items()}
         for prow in pivots.values():
             if piv in prow:
-                _subtract(prow, prow[piv], row)
+                _eliminate(prow, piv, row)
         pivots[piv] = row
     return pivots
 

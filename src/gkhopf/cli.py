@@ -316,6 +316,13 @@ def _build_from_args(pres: HopfPresentation, args) -> BuiltPresentation:
     return build(pres, step_budget=args.budget)
 
 
+def _check_window_args(args) -> None:
+    for name in ("cap", "window"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise InputError(f"--{name} must be non-negative, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -368,6 +375,7 @@ def _cmd_pbw_check(args) -> int:
 
 def _cmd_hopf_check(args) -> int:
     started = time.monotonic()
+    _check_window_args(args)
     data, pres = _load(args.file)
     built = _build_from_args(pres, args)
     report = hopfops.check_hopf_axioms(built, args.cap, args.window)
@@ -383,6 +391,7 @@ def _cmd_hopf_check(args) -> int:
 
 def _cmd_primitives(args) -> int:
     started = time.monotonic()
+    _check_window_args(args)
     data, pres = _load(args.file)
     built = _build_from_args(pres, args)
     report = hopfops.skew_primitives(built, args.weight, args.cap, args.window)
@@ -485,6 +494,8 @@ def _cmd_nichols(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from exc
     items = data["data"] if isinstance(data, dict) and "data" in data else [data]
+    if not isinstance(items, list):
+        raise InputError(f"{args.file}: 'data' must be a list of diagonal data")
     verdicts = []
     for obj in items:
         datum = _datum_from_json(obj)
@@ -505,6 +516,7 @@ def _cmd_nichols(args) -> int:
 
 def _cmd_zerodiv(args) -> int:
     started = time.monotonic()
+    _check_window_args(args)
     data, pres = _load(args.file)
     built = _build_from_args(pres, args)
     report = hopfops.find_zero_divisors(built, args.cap, budget=args.budget)

@@ -452,15 +452,19 @@ def qbinom(w: int, j: int, q: Cyclo) -> Cyclo:
 
 
 def _int_nth_root(x: int, n: int) -> Optional[int]:
+    """The exact n-th root of ``x`` if ``x`` is a perfect n-th power, else None."""
     if x < 0:
         return None
     if x in (0, 1):
         return x
-    r = round(x ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** n == x:
-            return cand
-    return None
+    # integer Newton iteration from 2**ceil(bits/n) >= x**(1/n), decreasing to the floor root
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    return r if r ** n == x else None
 
 
 def nth_root_in_cyclotomics(value: ScalarLike, p: int) -> Optional[Cyclo]:

@@ -206,6 +206,35 @@ def test_cli_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("hopf-check", "--cap", "-1"),
+    ("hopf-check", "--window", "-1"),
+    ("primitives", "--weight", "0", "--cap", "-1"),
+    ("primitives", "--weight", "0", "--window", "-2"),
+    ("zerodiv", "--cap", "-1"),
+])
+def test_cli_rejects_negative_cap_and_window(tmp_path, capsys, monkeypatch, argv):
+    import gkhopf.cli as cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "_load", no_work)
+    path = _write(tmp_path, "b.json", B23)
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("data", [5, "N5", {"n1": 1}, None])
+def test_cli_nichols_rejects_non_list_data(tmp_path, capsys, data):
+    code = main(["nichols", _write(tmp_path, "n.json", {"data": data})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "must be a list" in captured.err
+
+
 def _random_ast_text(rng, depth=0):
     roll = rng.random()
     if roll < 0.25 or depth > 2:

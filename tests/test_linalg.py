@@ -1,0 +1,202 @@
+"""Differential test of ``_linalg`` against the plain row reduction.
+
+``reference_rref`` and ``reference_nullspace`` are the textbook reduction
+that ``_linalg`` started from, without its shortcuts for single-entry pivot
+rows.  The shortcuts must give the same pivots, the same rows and the same
+bases, in the same dict order, since reports print bases in that order.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Hashable, Iterable
+
+import pytest
+
+from gkhopf import _linalg, hopfops
+from gkhopf.hopfops import find_zero_divisors, skew_primitives
+from gkhopf.scalars import Cyclo, make_root
+
+
+# -- reference ----------------------------------------------------------------
+
+
+def _subtract(row: dict, factor: Cyclo, other: dict) -> None:
+    for col, val in other.items():
+        new = row.get(col, Cyclo.zero()) - factor * val
+        if new.is_zero():
+            row.pop(col, None)
+        else:
+            row[col] = new
+
+
+def reference_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
+    """Reduced row echelon form; returns {pivot column: normalized row}."""
+    pivots: dict[Hashable, dict] = {}
+    for row in rows:
+        row = dict(row)
+        while True:
+            hit = next((c for c in row if c in pivots), None)
+            if hit is None:
+                break
+            _subtract(row, row[hit], pivots[hit])
+        if not row:
+            continue
+        piv = min(row, key=_col_key)
+        inv = row[piv].inv()
+        row = {c: v * inv for c, v in row.items()}
+        for prow in pivots.values():
+            if piv in prow:
+                _subtract(prow, prow[piv], row)
+        pivots[piv] = row
+    return pivots
+
+
+def _col_key(col):
+    return (repr(type(col)), repr(col))
+
+
+def reference_nullspace(rows: Iterable[dict], columns: list) -> list[dict]:
+    """Basis of the solution space of ``rows * x = 0`` over ``columns``."""
+    pivots = reference_rref(rows)
+    free = [c for c in columns if c not in pivots]
+    basis = []
+    for f in free:
+        vec = {f: Cyclo.one()}
+        for piv, row in pivots.items():
+            coef = row.get(f)
+            if coef is not None and not coef.is_zero():
+                vec[piv] = -coef
+        basis.append(vec)
+    return basis
+
+
+# -- comparison ---------------------------------------------------------------
+
+
+def _ordered(pivots: dict) -> list:
+    return [(piv, list(row.items())) for piv, row in pivots.items()]
+
+
+def assert_same_as_reference(rows: list[dict], columns: list) -> None:
+    before = [list(r.items()) for r in rows]
+    assert _ordered(_linalg.rref(iter(rows))) == _ordered(reference_rref(rows))
+    got = _linalg.nullspace(iter(rows), columns)
+    want = reference_nullspace(rows, columns)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    assert _linalg.rank(rows) == len(reference_rref(rows))
+    assert [list(r.items()) for r in rows] == before, "rows must not be modified"
+
+
+# -- random systems -----------------------------------------------------------
+
+COLUMN_KEYS = [0, 1, 2, 7, -3, "a", "b", "zz", (0, 1), (1, 0), ("a", 2), None, frozenset({1})]
+SCALARS = [Cyclo.from_rational(Fraction(n, d)) for n, d in ((1, 1), (-1, 1), (2, 1), (-3, 2), (5, 7))]
+SCALARS += [make_root(L, k) for L, k in ((3, 1), (4, 1), (6, 5), (12, 7))]
+SCALARS += [make_root(3, 1) + Cyclo.from_rational(2), make_root(4, 1) - make_root(12, 1)]
+
+
+def _scalar(rng: random.Random) -> Cyclo:
+    return rng.choice(SCALARS)
+
+
+def _combine(rng: random.Random, rows: list[dict]) -> dict:
+    """a*r1 + b*r2 for two earlier rows: the reduction cancels it to zero."""
+    r1, r2 = rng.choice(rows), rng.choice(rows)
+    a, b = _scalar(rng), _scalar(rng)
+    out: dict = {}
+    for factor, src in ((a, r1), (b, r2)):
+        for c, v in src.items():
+            acc = out.get(c, Cyclo.zero()) + factor * v
+            if acc.is_zero():
+                out.pop(c, None)
+            else:
+                out[c] = acc
+    return out
+
+
+def random_system(rng: random.Random) -> tuple[list[dict], list]:
+    columns = rng.sample(COLUMN_KEYS, rng.randint(2, len(COLUMN_KEYS)))
+    rows: list[dict] = []
+    for _ in range(rng.randint(1, 14)):
+        kind = rng.random()
+        if kind < 0.35 or not rows:
+            row = {rng.choice(columns): _scalar(rng)}
+        elif kind < 0.5:
+            row = dict(rng.choice(rows))
+        elif kind < 0.6:
+            factor = _scalar(rng)
+            row = {c: factor * v for c, v in rng.choice(rows).items()}
+        elif kind < 0.7:
+            row = _combine(rng, rows)
+        elif kind < 0.8:
+            wide = rng.sample(columns, max(1, len(columns) - rng.randint(0, 1)))
+            row = {c: _scalar(rng) for c in wide}
+        else:
+            row = {c: _scalar(rng) for c in rng.sample(columns, min(len(columns), rng.randint(2, 3)))}
+        if row:
+            rows.append(row)
+    return rows, columns
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_systems_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        rows, columns = random_system(rng)
+        assert_same_as_reference(rows, columns)
+
+
+def test_single_entry_rows_and_back_substitution():
+    one, two, z = Cyclo.one(), Cyclo.from_rational(2), make_root(6, 1)
+    cases = [
+        [{"a": two}],
+        [{"a": z, "b": two, 3: one}, {"b": z}, {3: two}, {"a": one}],
+        [{0: z}, {0: two}, {0: z, 1: one}, {1: two, 2: z}, {2: one}],
+        [{(1, 0): z, None: one}, {None: two}, {(1, 0): one}],
+    ]
+    for rows in cases:
+        assert_same_as_reference(rows, ["a", "b", 3, 0, 1, 2, (1, 0), None])
+    pivots = _linalg.rref([{"a": z, "b": two}, {"b": z}])
+    assert pivots == {"a": {"a": Cyclo.one()}, "b": {"b": Cyclo.one()}}
+
+
+# -- the systems the Hopf computations build ----------------------------------
+
+
+def _recorded_systems(monkeypatch, run) -> list[tuple[list[dict], list]]:
+    systems = []
+    real = _linalg.nullspace
+
+    def recording(rows, columns):
+        rows = [dict(r) for r in rows]
+        systems.append((rows, list(columns)))
+        return real(rows, columns)
+
+    monkeypatch.setattr(_linalg, "nullspace", recording)
+    run()
+    monkeypatch.undo()
+    assert systems
+    return systems
+
+
+def test_skew_primitive_systems_match_reference(monkeypatch, b23):
+    def run():
+        for g in range(-12, 13):
+            skew_primitives(b23, g, 6)
+
+    systems = _recorded_systems(monkeypatch, run)
+    assert any(len(r) > 1 for rows, _ in systems for r in rows)
+    for rows, columns in systems:
+        assert_same_as_reference(rows, columns)
+
+
+def test_zero_divisor_systems_match_reference(monkeypatch, k22):
+    # withhold the seeded witness so that the search goes on to its linear systems
+    seeded = hopfops._seeded_zero_divisors
+    monkeypatch.setattr(hopfops, "_seeded_zero_divisors",
+                        lambda built, notes: (None, seeded(built, notes)[1]))
+    systems = _recorded_systems(monkeypatch, lambda: find_zero_divisors(k22, 4, budget=10 ** 6))
+    for rows, columns in systems:
+        assert_same_as_reference(rows, columns)

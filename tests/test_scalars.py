@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gkhopf.scalars import (Cyclo, RootOfUnity, euler_phi, is_primitive_pth_root,
                             make_root, nth_root_in_cyclotomics, order_of, qbinom)
+from gkhopf.scalars import _int_nth_root
 
 ONE = Cyclo.one()
 ZERO = Cyclo.zero()
@@ -140,6 +141,24 @@ def test_nth_root_search():
     # rational-times-root-of-unity family
     assert nth_root_in_cyclotomics(rat(2), 2) is None
     assert nth_root_in_cyclotomics(ZERO, 5) == ZERO
+
+
+def test_nth_root_of_large_rationals_is_exact():
+    # a float root loses the last digits of a 21-digit root and overflows past 1e308
+    big = 10 ** 20 + 7
+    assert nth_root_in_cyclotomics(rat(big ** 2), 2) == rat(big)
+    assert _int_nth_root(10 ** 400, 2) == 10 ** 200
+    assert _int_nth_root(10 ** 400 + 1, 2) is None
+    assert _int_nth_root(big ** 7, 7) == big
+    assert _int_nth_root(big ** 7 - 1, 7) is None
+
+
+def test_int_nth_root_small_values():
+    for n in range(1, 7):
+        for x in range(300):
+            expected = next((r for r in range(x + 1) if r ** n == x), None)
+            assert _int_nth_root(x, n) == expected, (x, n)
+    assert _int_nth_root(-4, 2) is None
 
 
 def test_root_of_unity_canonical_pairs():
