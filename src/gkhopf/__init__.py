@@ -19,8 +19,8 @@ from .hopfops import (AxiomReport, PrimitiveSpaceReport, SkewPrimitiveRecord, Te
 from .ncpoly import (Ambiguity, ConfluenceReport, NCPoly, NFMonomial, RewriteSystem, Rule,
                      certify_confluence, enumerate_ambiguities, multiply, normal_form, power)
 from .presentations import (AParams, BFormResult, BParams, BuiltPresentation, CParams,
-                            HopfPresentation, KParams, ValidationReport, build,
-                            build_rewrite_system, to_b_form, validate)
+                            HopfPresentation, KParams, ValidationReport, build, to_b_form,
+                            validate)
 from .scalars import (Cyclo, RootOfUnity, is_primitive_pth_root, make_root,
                       nth_root_in_cyclotomics, order_of, qbinom)
 

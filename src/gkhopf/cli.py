@@ -35,7 +35,7 @@ from .heckenberger import DiagonalDatum, lemma41_case, prop42_case, remark43_fin
 from .ncpoly import BudgetExceeded, NCPoly, certify_confluence, normal_form
 from .presentations import (BuiltPresentation, HopfPresentation, build,
                             presentation_from_json, to_b_form, validate)
-from .scalars import Cyclo, make_root
+from .scalars import CONDUCTOR_LIMIT, Cyclo, make_root
 
 SCHEMA_VERSION = 1
 
@@ -199,6 +199,8 @@ class _Parser:
                 self.expect(")")
                 if order < 1:
                     raise self.error("zeta needs a positive order")
+                if order > CONDUCTOR_LIMIT:
+                    raise self.error(f"zeta order {order} exceeds CONDUCTOR_LIMIT={CONDUCTOR_LIMIT}")
                 return ENum(make_root(order, exponent))
             return EGen(self._resolve_generator(name, start))
         raise self.error("expected an atom")
@@ -599,6 +601,8 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
+        if args.budget < 0:
+            raise InputError(f"--budget must be non-negative, got {args.budget}")
         return args.func(args)
     except (InputError, BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

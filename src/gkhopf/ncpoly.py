@@ -46,9 +46,6 @@ class NFMonomial:
     def is_group_power(self) -> bool:
         return all(e == 0 for e in self.w)
 
-    def is_unit(self) -> bool:
-        return self.w0 == 0 and self.is_group_power()
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -229,9 +226,6 @@ class RewriteSystem:
 
     def unit_monomial(self) -> NFMonomial:
         return NFMonomial(0, (0,) * self.num_free)
-
-    def weighted_degree(self, m: NFMonomial) -> int:
-        return sum(e * self.letter_weights[i + 2] for i, e in enumerate(m.w))
 
     # -- rewriting -------------------------------------------------------
 

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .ncpoly import NCPoly, NFMonomial, RewriteSystem, Rule, normal_form
-from .scalars import Cyclo, ScalarLike, is_primitive_pth_root, make_root
+from .scalars import CONDUCTOR_LIMIT, Cyclo, ScalarLike, is_primitive_pth_root, make_root
 
 # validation flags, in reporting order; the starred ones are informational
 CONDITION_NAMES = (
@@ -256,7 +256,6 @@ class BuiltPresentation:
     counits: tuple[Cyclo, ...]          # per letter
     antipodes: tuple[NCPoly, ...]       # per letter
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
-    diagonal_conjugation: Optional[tuple[Cyclo, ...]]  # chi per free letter
     central_exponent: Optional[int]     # group-letter power that is central
 
     @property
@@ -277,19 +276,6 @@ class BuiltPresentation:
         w = [0] * self.num_free
         w[i] = e
         return NFMonomial(0, tuple(w))
-
-    def monomial(self, w0: int, w: Sequence[int]) -> NFMonomial:
-        return NFMonomial(w0, tuple(w))
-
-    def conjugation_character(self, m: NFMonomial) -> Cyclo:
-        """Eigenvalue of g^{-1} m g on a basis monomial (diagonal families)."""
-        if self.diagonal_conjugation is None:
-            raise ValueError("conjugation by the grouplike is not diagonal here")
-        out = Cyclo.one()
-        for i, e in enumerate(m.w):
-            if e:
-                out = out * self.diagonal_conjugation[i] ** e
-        return out
 
     def nf_monomials(self, degree_cap: int, x_window: int):
         """All basis monomials with weighted degree <= cap, |w0| <= window."""
@@ -334,10 +320,6 @@ def build(pres: HopfPresentation, step_budget: int = 1_000_000) -> BuiltPresenta
     if pres.family == "C":
         return _build_c(pres, step_budget)
     raise ValueError(f"unknown family {pres.family}")
-
-
-def build_rewrite_system(pres: HopfPresentation, step_budget: int = 1_000_000) -> RewriteSystem:
-    return build(pres, step_budget).rs
 
 
 def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
@@ -396,7 +378,6 @@ def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
         counits=tuple(eps),
         antipodes=tuple(antis),
         skew_weights=tuple(params.n),
-        diagonal_conjugation=tuple(params.q),
         central_exponent=params.M,
     )
 
@@ -426,7 +407,6 @@ def _build_a(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     )
     return BuiltPresentation(pres, rs, cops, eps, antis,
                              skew_weights=(params.n,),
-                             diagonal_conjugation=(params.q,),
                              central_exponent=None)
 
 
@@ -453,7 +433,6 @@ def _build_c(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     antis = (NCPoly.monomial(y1), NCPoly.monomial(ym1), s_of_x)
     return BuiltPresentation(pres, rs, cops, eps, antis,
                              skew_weights=(1 - n,),
-                             diagonal_conjugation=None,
                              central_exponent=None)
 
 
@@ -471,13 +450,14 @@ def scalar_from_json(obj) -> Cyclo:
         return Cyclo.from_rational(Fraction(obj))
     if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(isinstance(v, int) for v in obj):
         return Cyclo.from_rational(Fraction(obj[0], obj[1]))
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and ("poly" in obj or "k" in obj):
+        L = int(obj["L"])
+        if not 1 <= L <= CONDUCTOR_LIMIT:
+            raise ValueError(f"conductor L={L} outside 1..{CONDUCTOR_LIMIT}")
         if "poly" in obj:
-            L = int(obj["L"])
             coeffs = {e: Fraction(num, den) for e, (num, den) in enumerate(obj["poly"])}
             return Cyclo(L, coeffs)
-        if "k" in obj:
-            return make_root(int(obj["L"]), int(obj["k"]))
+        return make_root(L, int(obj["k"]))
     raise ValueError(f"cannot read a scalar from {obj!r}")
 
 

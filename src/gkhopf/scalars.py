@@ -9,6 +9,17 @@ lowest terms by ``fractions.Fraction``.
 Mixed-conductor arithmetic lifts both operands into Q(zeta_lcm) and reduces
 the result back down, so roots of unity of any order can be combined freely
 ("the field is enlarged on demand").
+
+The arithmetic skips work whose result is known in advance, which relies on
+three invariants:
+
+- values are immutable: nothing writes to a ``Cyclo``'s ``coeffs`` after
+  construction, so ``x + 0``, ``x * 1`` and ``1 * x`` return ``x`` itself;
+- row ``e - phi(L)`` of ``_power_table(L)`` is x^e mod Phi_L for
+  phi(L) <= e < L, so reduction mod Phi_L is a sparse sum of rows;
+- every root of unity in Q(zeta_c) is +-zeta_c^j, so a root is recognised
+  from its coefficients at its own conductor c, without powering it and
+  without any field larger than Q(zeta_c).
 """
 
 from __future__ import annotations
@@ -99,22 +110,42 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _power_table(L: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row ``e - phi(L)`` holds x^e mod Phi_L for phi(L) <= e < L, as sparse (i, c) pairs."""
+    phi_poly = cyclotomic_polynomial(L)
+    phi = len(phi_poly) - 1
+    low = [-int(c) for c in phi_poly[:phi]]  # x^phi == sum(low[i] * x^i) mod Phi_L
+    rows = []
+    row = low
+    for _ in range(phi, L):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r + top * v for r, v in zip(row, low)]
+    return tuple(rows)
+
+
 def _reduce_mod_phi(L: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
     """Reduce a zeta_L-polynomial with arbitrary integer exponents."""
-    folded: dict[int, Fraction] = {}
+    phi = euler_phi(L)
+    out: dict[int, Fraction] = {}
+    table = None
     for e, c in raw.items():
         if c == 0:
             continue
         e %= L
-        folded[e] = folded.get(e, _ZERO) + c
-    phi = euler_phi(L)
-    if all(e < phi for e in folded):
-        return {e: c for e, c in folded.items() if c != 0}
-    dense = [_ZERO] * L
-    for e, c in folded.items():
-        dense[e] = c
-    _, rem = _poly_divmod(dense, list(cyclotomic_polynomial(L)))
-    return {e: c for e, c in enumerate(rem) if c != 0}
+        if e < phi:
+            out[e] = out.get(e, _ZERO) + c
+            continue
+        if table is None:
+            table = _power_table(L)
+        for i, v in table[e - phi]:
+            out[i] = out.get(i, _ZERO) + c * v
+    if table is None:
+        return {e: c for e, c in out.items() if c != 0}
+    return {e: out[e] for e in sorted(out) if out[e] != 0}
 
 
 @lru_cache(maxsize=None)
@@ -263,6 +294,10 @@ class Cyclo:
 
     def __add__(self, other: ScalarLike) -> "Cyclo":
         other = Cyclo.promote(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         L = math.lcm(self.conductor, other.conductor)
         a = self._lift(L) if L != self.conductor else dict(self.coeffs)
         b = other._lift(L) if L != other.conductor else other.coeffs
@@ -289,12 +324,16 @@ class Cyclo:
             r = self.coeffs.get(0, _ZERO)
             if not r:
                 return _CYCLO_ZERO
+            if r == 1:
+                return other
+            if r == -1:
+                return -other
             return Cyclo(other.conductor, {e: c * r for e, c in other.coeffs.items()}, _canonical=True)
         if other.conductor == 1:
             return other * self
         L = math.lcm(self.conductor, other.conductor)
-        a = self._lift(L)
-        b = other._lift(L)
+        a = self._lift(L) if L != self.conductor else self.coeffs
+        b = other._lift(L) if L != other.conductor else other.coeffs
         raw: dict[int, Fraction] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -412,21 +451,41 @@ def make_root(L: int, k: int) -> Cyclo:
     return Cyclo(L, {k % L: _ONE})
 
 
+@lru_cache(maxsize=None)
+def _root_exponents(c: int) -> dict[tuple[tuple[int, int], ...], int]:
+    """Sorted coefficient items of each root of unity in Q(zeta_c) -> its exponent k.
+
+    The root is zeta_N^k with N = lcm(2, c): the roots of unity in Q(zeta_c)
+    are exactly the +-zeta_c^j, and zeta_c^j is the single term x^j for
+    j < phi(c) and a row of ``_power_table(c)`` otherwise.
+    """
+    N = math.lcm(2, c)
+    phi = euler_phi(c)
+    table = _power_table(c)
+    out = {}
+    for j in range(c):
+        row = ((j, 1),) if j < phi else table[j - phi]
+        k = j * (N // c)
+        out[row] = k
+        out[tuple((i, -v) for i, v in row)] = (k + N // 2) % N
+    return out
+
+
+def _root_exponent(a: Cyclo) -> Optional[int]:
+    """k with a == zeta_N^k, N = lcm(2, a.conductor); None if a is no root of unity."""
+    if a.is_zero():
+        raise ValueError("0 has no multiplicative order")
+    return _root_exponents(a.conductor).get(tuple(sorted(a.coeffs.items())))
+
+
 def order_of(a: ScalarLike) -> Optional[int]:
     """Multiplicative order of ``a`` if it is a root of unity, else None."""
     a = Cyclo.promote(a)
-    if a.is_zero():
-        raise ValueError("0 has no multiplicative order")
-    if a == _CYCLO_ONE:
-        return 1
-    # the roots of unity inside Q(zeta_c) form the cyclic group of order lcm(2, c)
-    bound = math.lcm(2, a.conductor)
-    if a ** bound != _CYCLO_ONE:
+    k = _root_exponent(a)
+    if k is None:
         return None
-    for d in _divisors(bound):
-        if a ** d == _CYCLO_ONE:
-            return d
-    return bound
+    N = math.lcm(2, a.conductor)
+    return N // math.gcd(N, k)
 
 
 def is_primitive_pth_root(a: ScalarLike, p: int) -> bool:
@@ -480,13 +539,10 @@ def nth_root_in_cyclotomics(value: ScalarLike, p: int) -> Optional[Cyclo]:
         raise ValueError("root index must be positive")
     if value.is_zero():
         return _CYCLO_ZERO
-    n = order_of(value)
-    if n is not None:
-        for k in range(n):
-            if math.gcd(k, n) == 1 or (k == 0 and n == 1):
-                if value == make_root(n, k):
-                    return make_root(n * p, k)
-        raise AssertionError("root of unity must match one primitive power")
+    k = _root_exponent(value)
+    if k is not None:
+        root = RootOfUnity(math.lcm(2, value.conductor), k)
+        return make_root(root.order * p, root.exponent)
     n0 = math.lcm(2, value.conductor)
     big = value ** n0
     if not big.is_rational():
@@ -539,13 +595,10 @@ class RootOfUnity:
     @staticmethod
     def from_cyclo(z: ScalarLike) -> "RootOfUnity":
         z = Cyclo.promote(z)
-        n = order_of(z)
-        if n is None:
+        k = _root_exponent(z)
+        if k is None:
             raise ValueError(f"{z} is not a root of unity")
-        for k in range(n):
-            if (math.gcd(k, n) == 1 or n == 1) and z == make_root(n, k):
-                return RootOfUnity(n, k)
-        raise AssertionError("unreachable: order was certified")
+        return RootOfUnity(math.lcm(2, z.conductor), k)
 
     def to_cyclo(self) -> Cyclo:
         return make_root(self.order, self.exponent)

@@ -227,6 +227,69 @@ def test_cli_rejects_negative_cap_and_window(tmp_path, capsys, monkeypatch, argv
     assert captured.err.count("error:") == 1 and "must be non-negative" in captured.err
 
 
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+@pytest.mark.parametrize("argv", [
+    ("nf", "y1*y2"),
+    ("hopf-check",),
+    ("pbw-check",),
+    ("primitives", "--weight", "0"),
+    ("zerodiv",),
+    ("classify",),
+])
+def test_cli_rejects_negative_budget(tmp_path, capsys, monkeypatch, argv, budget):
+    import gkhopf.cli as cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "_load", no_work)
+    path = _write(tmp_path, "b.json", B23)
+    code = main(["--budget", budget, argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "--budget must be non-negative" in captured.err
+
+
+@pytest.fixture
+def time_bound():
+    """Fail a test that runs past five seconds instead of letting it run on."""
+    import signal
+
+    def expire(*_args):
+        raise TimeoutError("ran past the time bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("order", [257, 100000])
+def test_cli_nf_rejects_zeta_past_conductor_limit(tmp_path, capsys, time_bound, order):
+    code = main(["nf", _write(tmp_path, "b.json", B23), f"zeta({order},1)"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "CONDUCTOR_LIMIT" in captured.err
+
+
+@pytest.mark.parametrize("q1", [
+    {"L": 100000, "k": 1},
+    {"L": 257, "k": 1},
+    {"L": 100000, "poly": [[0, 1], [1, 1]]},
+    {"L": 0, "poly": [[1, 1]]},
+])
+def test_cli_rejects_json_scalar_past_conductor_limit(tmp_path, capsys, time_bound, q1):
+    code = main(["nichols", _write(tmp_path, "n.json", {"data": [dict(N5, q1=q1)]})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "conductor" in captured.err
+    code = main(["validate", _write(tmp_path, "b.json", dict(B23, q=q1))])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "conductor" in captured.err
+
+
 @pytest.mark.parametrize("data", [5, "N5", {"n1": 1}, None])
 def test_cli_nichols_rejects_non_list_data(tmp_path, capsys, data):
     code = main(["nichols", _write(tmp_path, "n.json", {"data": data})])

@@ -1,15 +1,20 @@
 """Cyclotomic arithmetic, root-of-unity predicates, Gaussian binomials."""
 
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkhopf.scalars import (Cyclo, RootOfUnity, euler_phi, is_primitive_pth_root,
-                            make_root, nth_root_in_cyclotomics, order_of, qbinom)
-from gkhopf.scalars import _int_nth_root
+from gkhopf import scalars
+from gkhopf.scalars import (CONDUCTOR_LIMIT, Cyclo, RootOfUnity, cyclotomic_polynomial, euler_phi,
+                            is_primitive_pth_root, make_root, nth_root_in_cyclotomics, order_of,
+                            qbinom)
+from gkhopf.scalars import (_ONE, _ZERO, _canonicalize, _divisors, _int_nth_root, _poly_divmod,
+                            _reduce_mod_phi)
 
 ONE = Cyclo.one()
 ZERO = Cyclo.zero()
@@ -143,6 +148,17 @@ def test_nth_root_search():
     assert nth_root_in_cyclotomics(ZERO, 5) == ZERO
 
 
+def test_nth_root_of_roots_of_unity():
+    # zeta_n^k with gcd(k, n) = 1 has the p-th root zeta_{np}^k
+    for n in range(1, 31):
+        for k in range(n):
+            if math.gcd(k, n) == 1 or n == 1:
+                for p in (1, 2, 3):
+                    z = make_root(n, k)
+                    assert nth_root_in_cyclotomics(z, p) == make_root(n * p, k), (n, k, p)
+                    assert nth_root_in_cyclotomics(-z, p) ** p == -z, (n, k, p)
+
+
 def test_nth_root_of_large_rationals_is_exact():
     # a float root loses the last digits of a 21-digit root and overflows past 1e308
     big = 10 ** 20 + 7
@@ -179,3 +195,231 @@ def test_root_of_unity_arithmetic():
     assert RootOfUnity(5, 2).to_cyclo() == make_root(5, 2)
     with pytest.raises(ValueError):
         RootOfUnity.from_cyclo(rat(2))
+
+
+# -- differential oracle for the exact shortcuts ---------------------------------
+#
+# ``reference_reduce_mod_phi`` reduces by dense division by Phi_L, and
+# ``reference_order_of`` / ``reference_from_cyclo`` find a root's order by
+# powering and its exponent by scanning ``make_root``; ``slow_add`` and
+# ``slow_mul`` have no identity-operand shortcut.  The power table, the
+# identity operands and the root recognition in ``gkhopf.scalars`` must give
+# the same value, or raise the same exception type.
+
+
+def reference_reduce_mod_phi(L, raw):
+    """Reduce a zeta_L-polynomial with arbitrary integer exponents."""
+    folded = {}
+    for e, c in raw.items():
+        if c == 0:
+            continue
+        e %= L
+        folded[e] = folded.get(e, _ZERO) + c
+    phi = euler_phi(L)
+    if all(e < phi for e in folded):
+        return {e: c for e, c in folded.items() if c != 0}
+    dense = [_ZERO] * L
+    for e, c in folded.items():
+        dense[e] = c
+    _, rem = _poly_divmod(dense, list(cyclotomic_polynomial(L)))
+    return {e: c for e, c in enumerate(rem) if c != 0}
+
+
+@lru_cache(maxsize=None)  # reference_from_cyclo asks again for the same value
+def reference_order_of(a):
+    """Multiplicative order of ``a`` if it is a root of unity, else None."""
+    a = Cyclo.promote(a)
+    if a.is_zero():
+        raise ValueError("0 has no multiplicative order")
+    if a == ONE:
+        return 1
+    # the roots of unity inside Q(zeta_c) form the cyclic group of order lcm(2, c)
+    bound = math.lcm(2, a.conductor)
+    if a ** bound != ONE:
+        return None
+    for d in _divisors(bound):
+        if a ** d == ONE:
+            return d
+    return bound
+
+
+def reference_from_cyclo(z):
+    z = Cyclo.promote(z)
+    n = reference_order_of(z)
+    if n is None:
+        raise ValueError(f"{z} is not a root of unity")
+    for k in range(n):
+        if (math.gcd(k, n) == 1 or n == 1) and z == make_root(n, k):
+            return RootOfUnity(n, k)
+    raise AssertionError("unreachable: order was certified")
+
+
+def slow_add(a, b):
+    """``Cyclo.__add__`` without the zero-operand shortcut."""
+    L = math.lcm(a.conductor, b.conductor)
+    x = a._lift(L) if L != a.conductor else dict(a.coeffs)
+    y = b._lift(L) if L != b.conductor else b.coeffs
+    for e, c in y.items():
+        x[e] = x.get(e, _ZERO) + c
+        if x[e] == 0:
+            del x[e]
+    return Cyclo(*_canonicalize(L, x), _canonical=True)
+
+
+def slow_mul(a, b):
+    """``Cyclo.__mul__`` without the +-1 shortcut and the same-conductor lift skip."""
+    if a.conductor == 1:
+        r = a.coeffs.get(0, _ZERO)
+        if not r:
+            return ZERO
+        return Cyclo(b.conductor, {e: c * r for e, c in b.coeffs.items()}, _canonical=True)
+    if b.conductor == 1:
+        return slow_mul(b, a)
+    L = math.lcm(a.conductor, b.conductor)
+    x, y = a._lift(L), b._lift(L)
+    raw = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = (e1 + e2) % L
+            raw[e] = raw.get(e, _ZERO) + c1 * c2
+    return Cyclo(*_canonicalize(L, reference_reduce_mod_phi(L, raw)), _canonical=True)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the oracle compares exception types too
+        return "raises", type(exc)
+
+
+@pytest.fixture
+def reference_arithmetic(monkeypatch):
+    """Run a callable with dense division in place of the power table."""
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "_reduce_mod_phi", reference_reduce_mod_phi)
+            return _outcome(fn, *args)
+    return run
+
+
+def _root_value(r):
+    """zeta_n^k of a RootOfUnity without building a field of conductor n."""
+    n, k = r.order, r.exponent
+    if n <= CONDUCTOR_LIMIT:
+        return make_root(n, k)
+    # n = 2m with m odd: zeta_{2m} = -zeta_m^{(m+1)/2}
+    assert n % 4 == 2
+    m = n // 2
+    return rat((-1) ** k) * make_root(m, k * (m + 1) // 2)
+
+
+def _check_roots(values, reference_arithmetic):
+    for z in values:
+        assert _outcome(order_of, z) == reference_arithmetic(reference_order_of, z), z
+        got = _outcome(RootOfUnity.from_cyclo, z)
+        want = reference_arithmetic(reference_from_cyclo, z)
+        if want == ("raises", ValueError) and got[0] == "value":
+            # the reference scan raises once it reaches make_root(n, k) with
+            # n > CONDUCTOR_LIMIT; the order must still agree and the root match
+            assert got[1].order == reference_arithmetic(reference_order_of, z)[1] > CONDUCTOR_LIMIT, z
+            assert _root_value(got[1]) == z
+        else:
+            assert got == want, z
+
+
+def test_reduce_mod_phi_matches_dense_division():
+    rng = random.Random(3)
+    for L in range(1, 121):
+        for _ in range(6):
+            raw = {}
+            for _ in range(rng.randrange(1, 12)):
+                raw[rng.randrange(-3 * L, 3 * L)] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+            got = _reduce_mod_phi(L, raw)
+            want = reference_reduce_mod_phi(L, raw)
+            assert list(got.items()) == list(want.items()), (L, raw)
+        # every single power x^e, 0 <= e < L: each row of the power table
+        for e in range(L):
+            assert _reduce_mod_phi(L, {e: _ONE}) == reference_reduce_mod_phi(L, {e: _ONE}), (L, e)
+    with pytest.raises(ValueError):
+        _reduce_mod_phi(2 * CONDUCTOR_LIMIT + 2, {CONDUCTOR_LIMIT + 1: _ONE})
+
+
+def test_random_cyclos_match_reference_arithmetic(reference_arithmetic):
+    rng = random.Random(5)
+    values = []
+    for _ in range(150):
+        L = rng.randrange(1, 61)
+        raw = {rng.randrange(-2 * L, 2 * L): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+               for _ in range(rng.randrange(1, 5))}
+        got = _outcome(Cyclo, L, raw)
+        assert got == reference_arithmetic(Cyclo, L, raw), (L, raw)
+        if got[1]:
+            values.append(got[1])
+    _check_roots(values, reference_arithmetic)
+
+
+def test_roots_and_sums_of_roots_match_reference(reference_arithmetic):
+    rng = random.Random(7)
+    for L in range(1, 61):
+        values = []
+        # every k up to L = 24, then k = 0, 1, L - 1 and five more: with the
+        # reference's powering, every k up to 60 takes minutes
+        ks = range(L) if L <= 24 else [0, 1, L - 1] + rng.sample(range(2, L - 1), 5)
+        for k in ks:
+            z = make_root(L, k)
+            values += [z, -z]
+        values += [rat(2) * make_root(L, k) for k in rng.sample(range(L), min(L, 3))]
+        partners = [M for M in range(1, 61) if math.lcm(L, M) <= 60]
+        for _ in range(3):
+            z, w = make_root(L, rng.randrange(L)), make_root(rng.choice(partners), rng.randrange(60))
+            values.append(z + w)
+            assert reference_arithmetic(slow_add, z, w) == ("value", z + w)
+            assert reference_arithmetic(slow_mul, z, w) == ("value", z * w)
+        _check_roots(values, reference_arithmetic)
+
+
+@pytest.mark.parametrize("L", [129, 160, 210, 255])
+def test_large_conductor_roots_match_reference(L, reference_arithmetic):
+    values = []
+    for k in (1, 2):
+        z = make_root(L, k)
+        values += [z, -z]
+    _check_roots(values, reference_arithmetic)
+
+
+def test_large_conductor_root_exponents():
+    # powering the dense roots zeta_L^k, k >= phi(L), takes the reference seconds
+    # each, so here the known order and exponent stand in for it
+    rng = random.Random(13)
+    for L in range(129, CONDUCTOR_LIMIT):
+        for k in (rng.randrange(L), rng.randrange(euler_phi(L), L)):
+            z = make_root(L, k)
+            r = RootOfUnity(L, k)
+            assert order_of(z) == r.order and RootOfUnity.from_cyclo(z) == r, (L, k)
+            minus = RootOfUnity(2 * L, 2 * k + L)
+            assert order_of(-z) == minus.order and RootOfUnity.from_cyclo(-z) == minus, (L, k)
+
+
+def test_order_of_past_the_reference_scan():
+    z = -make_root(255, 1)
+    assert order_of(z) == 510
+    r = RootOfUnity.from_cyclo(z)
+    assert (r.order, r.exponent) == (510, 257)
+    assert _root_value(r) == z
+    assert order_of(make_root(255, 2)) == 255
+
+
+def test_identity_operands_match_slow_path():
+    rng = random.Random(11)
+    minus_one = rat(-1)
+    values = [ZERO, ONE, minus_one, rat(Fraction(-3, 2))]
+    for _ in range(60):
+        L = rng.choice([3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 30])
+        values.append(Cyclo(L, {rng.randrange(L): rng.randrange(-3, 4) for _ in range(3)}))
+    for x in values:
+        for y in (ZERO, ONE, minus_one):
+            assert x + y == y + x == slow_add(x, y), (x, y)
+            assert x * y == y * x == slow_mul(x, y), (x, y)
+            assert (x + y).coeffs == slow_add(x, y).coeffs
+        assert -x == slow_mul(minus_one, x) and (-x).conductor == x.conductor
+        assert 0 + x == x + 0 == x and 1 * x == x * 1 == x and x * -1 == -x
