@@ -16,16 +16,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from .scalars import Cyclo
-
-
-def _subtract(row: dict, factor: Cyclo, other: dict) -> None:
-    for col, val in other.items():
-        new = row.get(col, Cyclo.zero()) - factor * val
-        if new.is_zero():
-            row.pop(col, None)
-        else:
-            row[col] = new
+from .scalars import Cyclo, add_terms
 
 
 def _eliminate(row: dict, col: Hashable, prow: dict) -> None:
@@ -33,7 +24,7 @@ def _eliminate(row: dict, col: Hashable, prow: dict) -> None:
     if len(prow) == 1:
         del row[col]  # prow is {col: 1}
     else:
-        _subtract(row, row[col], prow)
+        add_terms(row, prow.items(), -row[col])
 
 
 def rref(rows: Iterable[dict]) -> dict[Hashable, dict]:

@@ -8,9 +8,10 @@ Expressions follow the grammar
     atom   := generator | scalar | '(' expr ')'
     scalar := uint | uint '/' uint | 'zeta' '(' int ',' int ')'
 
-with whitespace ignored.  Generator symbols depend on the presentation:
-``x`` and ``y1..ys`` for the Laurent-times-skew families, ``y`` (invertible)
-and ``x`` for the differential-operator family.
+with whitespace ignored and parentheses nested at most ``MAX_NESTING``
+deep.  Generator symbols depend on the presentation: ``x`` and ``y1..ys``
+for the Laurent-times-skew families, ``y`` (invertible) and ``x`` for the
+differential-operator family.
 
 Every subcommand prints a single JSON report with sorted keys, so identical
 inputs produce byte-identical output; timing is attached only on request.
@@ -34,10 +35,14 @@ from . import hopfops
 from .heckenberger import DiagonalDatum, lemma41_case, prop42_case, remark43_finite, supplementary_type
 from .ncpoly import BudgetExceeded, NCPoly, certify_confluence, normal_form
 from .presentations import (BuiltPresentation, HopfPresentation, build,
-                            presentation_from_json, to_b_form, validate)
+                            presentation_from_json, to_b_form, validate_presentation)
 from .scalars import CONDUCTOR_LIMIT, Cyclo, make_root
 
 SCHEMA_VERSION = 1
+
+# The parser and ``_eval_terms`` recurse a few frames per parenthesis level;
+# this bound keeps both well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class InputError(Exception):
@@ -85,6 +90,7 @@ class _Parser:
     def __init__(self, src: str, built: Optional[BuiltPresentation]):
         self.src = src
         self.pos = 0
+        self.depth = 0
         self.built = built
 
     def error(self, message: str) -> ExprError:
@@ -173,8 +179,12 @@ class _Parser:
     def atom(self):
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than MAX_NESTING={MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.expect(")")
             return node
         if ch.isdigit():
@@ -333,15 +343,10 @@ def _check_window_args(args) -> None:
 def _cmd_validate(args) -> int:
     started = time.monotonic()
     data, pres = _load(args.file)
-    if pres.family in ("K", "B"):
-        report = validate(pres.kparams)
-        verdicts = {"ok": report.ok, "conditions": report.flags, "messages": report.messages}
-        ok = report.ok
-    else:
-        verdicts = {"ok": True, "conditions": {"well_formed": True}, "messages": []}
-        ok = True
+    report = validate_presentation(pres)
+    verdicts = {"ok": report.ok, "conditions": report.flags, "messages": report.messages}
     _emit("validate", _digest(data), verdicts, args, started)
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_nf(args) -> int:

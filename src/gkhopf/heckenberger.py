@@ -238,23 +238,15 @@ def supplementary_type(d: DiagonalDatum) -> str:
     return _supplementary_match(d.swapped())
 
 
-def _remark43_match(d: DiagonalDatum) -> bool:
-    n1, n2, q1, q2 = d.n1, d.n2, d.q1, d.q2
-    if (n1, n2) == (1, 1) and q1.order == 5 and q2 == q1 ** 2:
-        return True
-    if (n1, n2) == (1, 1) and q1.order == 7 and q2 == q1 ** 3:
-        return True
-    if (n1, n2) == (1, 2) and q1.order == 10 and q2 == q1 ** 6:
-        return True
-    if (n1, n2) == (1, 3) and q1.order == 21 and q2 == q1 ** 15:
-        return True
-    return False
-
-
 def remark43_finite(d: DiagonalDatum) -> bool:
     """True iff the datum matches one of the four finite-dimensionality
-    patterns communicated for braidings of this diagonal shape."""
-    return _remark43_match(d) or _remark43_match(d.swapped())
+    patterns communicated for braidings of this diagonal shape.
+
+    They are the supplementary patterns: each fixes the order of q1 and
+    q2 = q1^k, which fixes the order of q2, so the order check on q2 in
+    ``supplementary_type`` changes no verdict.
+    """
+    return supplementary_type(d) != "none"
 
 
 def omega_checks(params: KParams) -> tuple[bool, bool]:

@@ -14,85 +14,28 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _linalg
-from .ncpoly import NCPoly, NFMonomial, multiply
+from .ncpoly import NCPoly, NFMonomial, SparseTerms, _product_of_monomials, multiply
 from .presentations import BuiltPresentation
-from .scalars import Cyclo, nth_root_in_cyclotomics, order_of
+from .scalars import Cyclo, add_terms, nth_root_in_cyclotomics, order_of
 
 
-class TensorPoly:
+class TensorPoly(SparseTerms):
     """Element of the two-fold tensor square, both legs in normal form."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict[tuple[NFMonomial, NFMonomial], Cyclo]] = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
-
-    @staticmethod
-    def zero() -> "TensorPoly":
-        return TensorPoly()
+    __slots__ = ()
 
     def add_term(self, left: NFMonomial, right: NFMonomial, c: Cyclo) -> None:
-        key = (left, right)
-        acc = self.terms.get(key, Cyclo.zero()) + c
-        if acc.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = acc
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        out = TensorPoly(dict(self.terms))
-        for (l, r), c in other.terms.items():
-            out.add_term(l, r, c)
-        return out
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "TensorPoly":
-        c = Cyclo.promote(c)
-        if c.is_zero():
-            return TensorPoly()
-        return TensorPoly({k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"TensorPoly({len(self.terms)} terms)"
+        add_terms(self.terms, (((left, right), c),))
 
 
 def tensor_of(left: NCPoly, right: NCPoly) -> TensorPoly:
-    out = TensorPoly()
-    for ml, cl in left.terms.items():
-        for mr, cr in right.terms.items():
-            out.add_term(ml, mr, cl * cr)
-    return out
-
-
-def _caches(built: BuiltPresentation) -> dict:
-    cache = getattr(built, "_hopf_caches", None)
-    if cache is None:
-        cache = {"cop": {}, "anti": {}}
-        built._hopf_caches = cache
-    return cache
-
-
-def _mono_product(m1: NFMonomial, m2: NFMonomial, built: BuiltPresentation):
-    from .ncpoly import _product_of_monomials
-
-    return _product_of_monomials(m1, m2, built.rs)
+    return TensorPoly({(ml, mr): cl * cr
+                       for ml, cl in left.terms.items() for mr, cr in right.terms.items()})
 
 
 def _coproduct_word(word, built: BuiltPresentation) -> TensorPoly:
-    unit = built.rs.unit_monomial()
+    rs = built.rs
+    unit = rs.unit_monomial()
     current: dict[tuple[NFMonomial, NFMonomial], Cyclo] = {(unit, unit): Cyclo.one()}
     for letter in word:
         table = built.coproducts[letter]
@@ -100,34 +43,26 @@ def _coproduct_word(word, built: BuiltPresentation) -> TensorPoly:
         for (l, r), c in current.items():
             for tc, tl, tr in table:
                 scale = c * tc
-                for ml, cl in _mono_product(l, tl, built):
-                    left_c = scale * cl
-                    for mr, cr in _mono_product(r, tr, built):
-                        key = (ml, mr)
-                        acc = nxt.get(key, Cyclo.zero()) + left_c * cr
-                        if acc.is_zero():
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = acc
+                for ml, cl in _product_of_monomials(l, tl, rs):
+                    add_terms(nxt, (((ml, mr), cr) for mr, cr in _product_of_monomials(r, tr, rs)),
+                              scale * cl)
         current = nxt
     return TensorPoly(current)
 
 
 def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
-    cache = _caches(built)["cop"]
+    cache = built.coproduct_cache
     hit = cache.get(m)
     if hit is None:
-        hit = _coproduct_word(built.rs.word_of_monomial(m), built)
-        cache[m] = hit
+        hit = cache[m] = _coproduct_word(built.rs.word_of_monomial(m), built)
     return hit
 
 
 def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
-    out = TensorPoly()
+    out: dict[tuple[NFMonomial, NFMonomial], Cyclo] = {}
     for m, c in p.terms.items():
-        for (l, r), tc in coproduct_monomial(m, built).terms.items():
-            out.add_term(l, r, c * tc)
-    return out
+        add_terms(out, coproduct_monomial(m, built).terms.items(), c)
+    return TensorPoly(out)
 
 
 def _counit_word(word, built: BuiltPresentation) -> Cyclo:
@@ -154,19 +89,18 @@ def _antipode_word(word, built: BuiltPresentation) -> NCPoly:
 
 
 def antipode_monomial(m: NFMonomial, built: BuiltPresentation) -> NCPoly:
-    cache = _caches(built)["anti"]
+    cache = built.antipode_cache
     hit = cache.get(m)
     if hit is None:
-        hit = _antipode_word(built.rs.word_of_monomial(m), built)
-        cache[m] = hit
+        hit = cache[m] = _antipode_word(built.rs.word_of_monomial(m), built)
     return hit
 
 
 def antipode(p: NCPoly, built: BuiltPresentation) -> NCPoly:
-    out = NCPoly.zero()
+    out: dict[NFMonomial, Cyclo] = {}
     for m, c in p.terms.items():
-        out = out + antipode_monomial(m, built).scale(c)
-    return out
+        add_terms(out, antipode_monomial(m, built).terms.items(), c)
+    return NCPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,36 +122,29 @@ class AxiomReport:
 def _expand_leg(d: TensorPoly, built: BuiltPresentation, leg: int) -> dict:
     out: dict[tuple[NFMonomial, NFMonomial, NFMonomial], Cyclo] = {}
     for (l, r), c in d.terms.items():
-        inner = coproduct_monomial(l if leg == 0 else r, built)
-        for (a, b), c2 in inner.terms.items():
-            key = (a, b, r) if leg == 0 else (l, a, b)
-            acc = out.get(key, Cyclo.zero()) + c * c2
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+        inner = coproduct_monomial(l if leg == 0 else r, built).terms.items()
+        add_terms(out, (((a, b, r) if leg == 0 else (l, a, b), c2) for (a, b), c2 in inner), c)
     return out
 
 
 def _collapse_counit(d: TensorPoly, built: BuiltPresentation, leg: int) -> NCPoly:
-    out = NCPoly.zero()
+    out: dict[NFMonomial, Cyclo] = {}
     for (l, r), c in d.terms.items():
-        eps = _counit_word(built.rs.word_of_monomial(l if leg == 0 else r), built)
-        if eps.is_zero():
-            continue
-        out = out + NCPoly.monomial(r if leg == 0 else l, c * eps)
-    return out
+        kept, dropped = (r, l) if leg == 0 else (l, r)
+        eps = _counit_word(built.rs.word_of_monomial(dropped), built)
+        add_terms(out, ((kept, c * eps),))
+    return NCPoly(out)
 
 
 def _collapse_antipode(d: TensorPoly, built: BuiltPresentation, leg: int) -> NCPoly:
-    out = NCPoly.zero()
+    out: dict[NFMonomial, Cyclo] = {}
     for (l, r), c in d.terms.items():
         if leg == 0:
             part = multiply(antipode_monomial(l, built), NCPoly.monomial(r), built.rs)
         else:
             part = multiply(NCPoly.monomial(l), antipode_monomial(r, built), built.rs)
-        out = out + part.scale(c)
-    return out
+        add_terms(out, part.terms.items(), c)
+    return NCPoly(out)
 
 
 def check_hopf_axioms(built: BuiltPresentation, degree_cap: int,
@@ -242,21 +169,18 @@ def check_hopf_axioms(built: BuiltPresentation, degree_cap: int,
             report.failures.append(f"antipode axiom fails on {rs.format_poly(mono)}")
     for rule in rs.rules:
         report.relation_checks += 1
-        d_l = _coproduct_word(rule.lhs, built)
-        d_r = TensorPoly()
-        e_l = _counit_word(rule.lhs, built)
+        d_r: dict[tuple[NFMonomial, NFMonomial], Cyclo] = {}
         e_r = Cyclo.zero()
-        s_l = _antipode_word(rule.lhs, built)
-        s_r = NCPoly.zero()
+        s_r: dict[NFMonomial, Cyclo] = {}
         for c, w in rule.rhs:
-            d_r = d_r + _coproduct_word(w, built).scale(c)
+            add_terms(d_r, _coproduct_word(w, built).terms.items(), c)
             e_r = e_r + c * _counit_word(w, built)
-            s_r = s_r + _antipode_word(w, built).scale(c)
-        if d_l != d_r:
+            add_terms(s_r, _antipode_word(w, built).terms.items(), c)
+        if _coproduct_word(rule.lhs, built).terms != d_r:
             report.failures.append(f"coproduct does not preserve relation {rule.name}")
-        if e_l != e_r:
+        if _counit_word(rule.lhs, built) != e_r:
             report.failures.append(f"counit does not preserve relation {rule.name}")
-        if s_l != s_r:
+        if _antipode_word(rule.lhs, built).terms != s_r:
             report.failures.append(f"antipode does not preserve relation {rule.name}")
     return report
 
@@ -441,16 +365,7 @@ def _linear_part(word, built: BuiltPresentation) -> tuple[Cyclo, dict[int, Cyclo
     suffix = [Cyclo.one()] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = eps[i] * suffix[i + 1]
-    linear: dict[int, Cyclo] = {}
-    for i, letter in enumerate(word):
-        c = prefix[i] * suffix[i + 1]
-        if c.is_zero():
-            continue
-        acc = linear.get(letter, Cyclo.zero()) + c
-        if acc.is_zero():
-            linear.pop(letter, None)
-        else:
-            linear[letter] = acc
+    linear = add_terms({}, ((letter, prefix[i] * suffix[i + 1]) for i, letter in enumerate(word)))
     return prefix[n], linear
 
 
@@ -468,12 +383,7 @@ def ext1_dimension(built: BuiltPresentation) -> int:
         for c, w in rule.rhs:
             const_r, lin_r = _linear_part(w, built)
             const = const - c * const_r
-            for letter, v in lin_r.items():
-                acc = row.get(letter, Cyclo.zero()) - c * v
-                if acc.is_zero():
-                    row.pop(letter, None)
-                else:
-                    row[letter] = acc
+            add_terms(row, lin_r.items(), -c)
         if not const.is_zero():
             raise ValueError(f"relation {rule.name} is not annihilated by the counit")
         if row:

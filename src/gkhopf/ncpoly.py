@@ -8,10 +8,17 @@ exceeds the right-hand side monomials in the order
 
     (weighted degree, word length, left-to-right letter comparison),
 
-which makes exhaustive rewriting terminate.  Irreducible words have the
-shape ``g^{w0} f_1^{w_1} ... f_s^{w_s}`` and are recorded as NFMonomial
-values; confluence of the system is certified through its overlap and
-inclusion ambiguities, after which those monomials form a module basis.
+which the ``RewriteSystem`` constructor checks rule by rule.  The order is
+compatible with concatenation: weights and lengths add, and a shared prefix
+and suffix keep the lexicographic order of two words of equal length.  So
+replacing a left-hand side inside any word by a right-hand word descends
+too: every rewrite step descends without a further check, and exhaustive
+rewriting terminates.
+
+Irreducible words have the shape ``g^{w0} f_1^{w_1} ... f_s^{w_s}`` and are
+recorded as NFMonomial values; confluence of the system is certified through
+its overlap and inclusion ambiguities, after which those monomials form a
+module basis.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalars import Cyclo, ScalarLike
+from .scalars import Cyclo, ScalarLike, add_terms
 
 Word = tuple[int, ...]
 
@@ -87,21 +94,17 @@ class ConfluenceReport:
         return len(self.results)
 
 
-class NCPoly:
-    """Linear combination of NFMonomial with Cyclo coefficients."""
+class SparseTerms:
+    """Linear combination of basis keys with nonzero Cyclo coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[dict[NFMonomial, Cyclo]] = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+    def __init__(self, terms: Optional[dict] = None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
-    @staticmethod
-    def zero() -> "NCPoly":
-        return NCPoly()
-
-    @staticmethod
-    def monomial(m: NFMonomial, coeff: ScalarLike = 1) -> "NCPoly":
-        return NCPoly({m: Cyclo.promote(coeff)})
+    @classmethod
+    def zero(cls):
+        return cls()
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -109,44 +112,47 @@ class NCPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            new = out.get(m, Cyclo.zero()) + c
-            if new.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = new
-        return NCPoly(out)
+    def __add__(self, other):
+        return type(self)(add_terms(dict(self.terms), other.terms.items()))
 
-    def __neg__(self) -> "NCPoly":
-        return NCPoly({m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c: ScalarLike) -> "NCPoly":
+    def scale(self, c: ScalarLike):
         c = Cyclo.promote(c)
         if c.is_zero():
-            return NCPoly()
-        return NCPoly({m: v * c for m, v in self.terms.items()})
+            return type(self)()
+        return type(self)({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self.terms)} terms)"
+
+
+class NCPoly(SparseTerms):
+    """Linear combination of NFMonomial with Cyclo coefficients."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def monomial(m: NFMonomial, coeff: ScalarLike = 1) -> "NCPoly":
+        return NCPoly({m: Cyclo.promote(coeff)})
 
     def coefficient(self, m: NFMonomial) -> Cyclo:
         return self.terms.get(m, Cyclo.zero())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda kv: (kv[0].w0, kv[0].w))))
+        return hash(tuple(self.sorted_terms()))
 
     def sorted_terms(self) -> list[tuple[NFMonomial, Cyclo]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].w0, kv[0].w))
-
-    def __repr__(self):
-        return f"NCPoly({len(self.terms)} terms)"
 
 
 RawTerms = Union[NCPoly, Word, Iterable[tuple[ScalarLike, Word]]]
@@ -277,7 +283,7 @@ def _as_terms(p: RawTerms, rs: RewriteSystem) -> list[tuple[Cyclo, Word]]:
 
 def normal_form(p: RawTerms, rs: RewriteSystem, *, from_right: bool = False) -> NCPoly:
     """Exhaustively rewrite a linear combination of words to its normal form."""
-    out: dict[NFMonomial, Cyclo] = {}
+    irreducible: list[tuple[NFMonomial, Cyclo]] = []
     stack = _as_terms(p, rs)
     steps = 0
     while stack:
@@ -286,26 +292,16 @@ def normal_form(p: RawTerms, rs: RewriteSystem, *, from_right: bool = False) -> 
             continue
         hit = rs._find_redex(word, from_right=from_right)
         if hit is None:
-            m = rs.monomial_of_word(word)
-            acc = out.get(m, Cyclo.zero()) + coeff
-            if acc.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = acc
+            irreducible.append((rs.monomial_of_word(word), coeff))
             continue
         steps += 1
         if steps > rs.step_budget:
             raise BudgetExceeded(f"rewriting exceeded {rs.step_budget} steps")
         i, rule = hit
-        key = rs.word_key(word)
-        tail = word[i + len(rule.lhs):]
-        head = word[:i]
+        head, tail = word[:i], word[i + len(rule.lhs):]
         for rc, rw in rule.rhs:
-            new_word = head + rw + tail
-            if rs.word_key(new_word) >= key:
-                raise RewriteError(f"non-decreasing step {word} -> {new_word} via {rule.name}")
-            stack.append((coeff * rc, new_word))
-    return NCPoly(out)
+            stack.append((coeff * rc, head + rw + tail))
+    return NCPoly(add_terms({}, irreducible))
 
 
 def _product_of_monomials(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
@@ -322,13 +318,7 @@ def multiply(a: NCPoly, b: NCPoly, rs: RewriteSystem) -> NCPoly:
     out: dict[NFMonomial, Cyclo] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            c = c1 * c2
-            for m, pc in _product_of_monomials(m1, m2, rs):
-                acc = out.get(m, Cyclo.zero()) + c * pc
-                if acc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
+            add_terms(out, _product_of_monomials(m1, m2, rs), c1 * c2)
     return NCPoly(out)
 
 

@@ -21,7 +21,7 @@ antipode tables on the generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -257,6 +257,10 @@ class BuiltPresentation:
     antipodes: tuple[NCPoly, ...]       # per letter
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
+    # coproduct and antipode of each basis monomial, filled on first use;
+    # init=False keeps dataclasses.replace from copying them into a changed copy
+    coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    antipode_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def family(self) -> str:
@@ -308,10 +312,6 @@ class BuiltPresentation:
         return [None]
 
 
-def _unit_word() -> tuple[int, ...]:
-    return ()
-
-
 def build(pres: HopfPresentation, step_budget: int = 1_000_000) -> BuiltPresentation:
     if pres.family in ("K", "B"):
         return _build_k(pres, step_budget)
@@ -334,8 +334,8 @@ def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     weights = [0, 0] + [ell // pi for pi in params.p]
     one = Cyclo.one()
     rules = [
-        Rule((1, 0), ((one, _unit_word()),), "x*x^-1"),
-        Rule((0, 1), ((one, _unit_word()),), "x^-1*x"),
+        Rule((1, 0), ((one, ()),), "x*x^-1"),
+        Rule((0, 1), ((one, ()),), "x^-1*x"),
     ]
     for i in range(s):
         yi = i + 2
@@ -355,7 +355,7 @@ def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
         rhs = [(one, (pivot + 2,) * params.p[pivot])]
         if not aj.is_zero():
             rhs.append((aj, (1,) * params.M))
-            rhs.append((-aj, _unit_word()))
+            rhs.append((-aj, ()))
         rules.append(Rule((j + 2,) * params.p[j], tuple(rhs), f"y{j+1}^p"))
     rs = RewriteSystem(names, weights, rules, step_budget)
 
@@ -386,8 +386,8 @@ def _build_a(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     params = pres.aparams
     one = Cyclo.one()
     rules = [
-        Rule((1, 0), ((one, _unit_word()),), "x*x^-1"),
-        Rule((0, 1), ((one, _unit_word()),), "x^-1*x"),
+        Rule((1, 0), ((one, ()),), "x*x^-1"),
+        Rule((0, 1), ((one, ()),), "x^-1*x"),
         Rule((2, 1), ((params.q, (1, 2)),), "y*x"),
         Rule((2, 0), ((params.q.inv(), (0, 2)),), "y*x^-1"),
     ]
@@ -415,8 +415,8 @@ def _build_c(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     one = Cyclo.one()
     minus = Cyclo.from_rational(-1)
     rules = [
-        Rule((1, 0), ((one, _unit_word()),), "y*y^-1"),
-        Rule((0, 1), ((one, _unit_word()),), "y^-1*y"),
+        Rule((1, 0), ((one, ()),), "y*y^-1"),
+        Rule((0, 1), ((one, ()),), "y^-1*y"),
         Rule((2, 1), ((one, (1, 2)), (one, (1,) * n), (minus, (1,))), "x*y"),
         Rule((2, 0), ((one, (0, 2)), (one, (0,)), (minus, (1,) * (n - 2))), "x*y^-1"),
     ]

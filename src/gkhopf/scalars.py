@@ -40,6 +40,30 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def add_terms(out: dict, items, factor=None) -> dict:
+    """Add ``factor * value`` (``value`` if no factor) to ``out[key]`` for each
+    ``(key, value)`` in ``items``, keeping only nonzero sums; returns ``out``.
+
+    Works for ``Fraction`` and ``Cyclo`` values, both falsy exactly at zero.
+    A new key is appended and a key whose sum vanishes is deleted, so the key
+    order is that of the first nonzero contribution since the last deletion.
+    """
+    for key, value in items:
+        if factor is not None:
+            value = factor * value
+        old = out.get(key)
+        if old is None:
+            if value:
+                out[key] = value
+        else:
+            value = old + value
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+    return out
+
+
 def _divisors(n: int) -> list[int]:
     out = []
     d = 1
@@ -162,14 +186,8 @@ def _descent_solver(L: int, p: int):
         for piv, bcol, bcoord in basis:
             c = col.get(piv)
             if c:
-                for e, v in bcol.items():
-                    col[e] = col.get(e, _ZERO) - c * v
-                    if col[e] == 0:
-                        del col[e]
-                for e, v in bcoord.items():
-                    coord[e] = coord.get(e, _ZERO) - c * v
-                    if coord[e] == 0:
-                        del coord[e]
+                add_terms(col, bcol.items(), -c)
+                add_terms(coord, bcoord.items(), -c)
         assert col, "embedded basis vectors must stay independent"
         piv = min(col)
         inv = 1 / col[piv]
@@ -178,14 +196,8 @@ def _descent_solver(L: int, p: int):
         for opiv, ocol, ocoord in basis:
             c = ocol.get(piv)
             if c:
-                for e, v in col.items():
-                    ocol[e] = ocol.get(e, _ZERO) - c * v
-                    if ocol[e] == 0:
-                        del ocol[e]
-                for e, v in coord.items():
-                    ocoord[e] = ocoord.get(e, _ZERO) - c * v
-                    if ocoord[e] == 0:
-                        del ocoord[e]
+                add_terms(ocol, col.items(), -c)
+                add_terms(ocoord, coord.items(), -c)
         basis.append((piv, col, coord))
     return tuple(basis)
 
@@ -197,14 +209,8 @@ def _try_descend(L: int, p: int, coeffs: dict[int, Fraction]) -> Optional[dict[i
         c = res.get(piv)
         if not c:
             continue
-        for e, v in col.items():
-            res[e] = res.get(e, _ZERO) - c * v
-            if res[e] == 0:
-                del res[e]
-        for e, v in cvec.items():
-            coord[e] = coord.get(e, _ZERO) + c * v
-            if coord[e] == 0:
-                del coord[e]
+        add_terms(res, col.items(), -c)
+        add_terms(coord, cvec.items(), c)
     if res:
         return None
     return coord
@@ -301,11 +307,7 @@ class Cyclo:
         L = math.lcm(self.conductor, other.conductor)
         a = self._lift(L) if L != self.conductor else dict(self.coeffs)
         b = other._lift(L) if L != other.conductor else other.coeffs
-        for e, c in b.items():
-            a[e] = a.get(e, _ZERO) + c
-            if a[e] == 0:
-                del a[e]
-        return Cyclo(*_canonicalize(L, a), _canonical=True)
+        return Cyclo(*_canonicalize(L, add_terms(a, b.items())), _canonical=True)
 
     __radd__ = __add__
 
@@ -500,14 +502,20 @@ def is_primitive_pth_root(a: ScalarLike, p: int) -> bool:
 def qbinom(w: int, j: int, q: Cyclo) -> Cyclo:
     """Gaussian binomial coefficient by the division-free Pascal recurrence.
 
-    C(w,j)_q = C(w-1,j-1)_q + q^j * C(w-1,j)_q, valid at roots of unity.
+    C(n,k)_q = C(n-1,k-1)_q + q^k * C(n-1,k)_q, valid at roots of unity,
+    run row by row for n = 1..w over k <= j.
     """
     if j < 0 or j > w:
         raise ValueError(f"binomial index j={j} outside 0..{w}")
     q = Cyclo.promote(q)
     if j == 0 or j == w:
         return _CYCLO_ONE
-    return qbinom(w - 1, j - 1, q) + (q ** j) * qbinom(w - 1, j, q)
+    powers = [q ** k for k in range(j + 1)]
+    row = [_CYCLO_ONE] + [_CYCLO_ZERO] * j  # row n holds C(n,k)_q for k = 0..j
+    for n in range(1, w + 1):
+        for k in range(min(n, j), 0, -1):
+            row[k] = row[k - 1] + powers[k] * row[k]
+    return row[j]
 
 
 def _int_nth_root(x: int, n: int) -> Optional[int]:

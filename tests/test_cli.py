@@ -1,10 +1,14 @@
 """Expression grammar, subcommand wiring, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gkhopf.cli import ExprError, main, parse_expression, evaluate, poly_text
+from gkhopf.cli import MAX_NESTING, ExprError, main, parse_expression, evaluate, poly_text
 
 from helpers import ev
 
@@ -329,3 +333,62 @@ def test_cli_comparison_families(tmp_path, capsys):
     assert code == 0 and report["verdicts"]["ext1"] == 1
     code, report = _run(capsys, "pbw-check", _write(tmp_path, "c.json", C3))
     assert code == 0 and report["verdicts"]["all_resolved"]
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 5000 + "y1" + ")" * 5000,
+    "(" * (MAX_NESTING + 1) + "y1" + ")" * (MAX_NESTING + 1),
+    "(1 + " * (MAX_NESTING + 1) + "y1" + ")" * (MAX_NESTING + 1),
+])
+def test_cli_nf_rejects_deep_nesting(tmp_path, capsys, text):
+    code = main(["nf", _write(tmp_path, "b.json", B23), text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "MAX_NESTING" in captured.err
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(" * MAX_NESTING + "y1" + ")" * MAX_NESTING, "y1"),
+    ("(1 + " * MAX_NESTING + "y1" + ")" * MAX_NESTING, f"{MAX_NESTING} + y1"),
+    ("(x*" * MAX_NESTING + "y2" + ")^1" * MAX_NESTING, f"x^{MAX_NESTING}*y2"),
+])
+def test_cli_nf_accepts_deepest_nesting(tmp_path, capsys, text, expected):
+    code, report = _run(capsys, "nf", _write(tmp_path, "b.json", B23), text)
+    assert code == 0 and report["verdicts"]["normal_form"] == expected
+
+
+def _expressions(depth):
+    """Texts from the expression grammar, nested at most ``depth`` deep."""
+    scalar = st.one_of(
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.tuples(st.integers(-2, 40), st.integers(-12, 12)).map(lambda t: f"zeta({t[0]},{t[1]})"),
+    )
+    atom = st.one_of(st.sampled_from(["x", "y1", "y2"]), scalar)
+    if depth:
+        atom = st.one_of(atom, _expressions(depth - 1).map(lambda e: f"({e})"))
+    exponent = st.none() | st.integers(0, 6) | st.integers(-6, 6)
+    factor = st.tuples(atom, exponent).map(
+        lambda t: t[0] if t[1] is None else f"{t[0]}^{t[1]}")
+    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    return st.tuples(st.sampled_from(["", "-"]), term,
+                     st.lists(st.tuples(st.sampled_from(["+", "-"]), term), max_size=2)).map(
+        lambda t: t[0] + t[1] + "".join(f" {op} {rest}" for op, rest in t[2]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(text=_expressions(8))
+def test_cli_nf_fuzz(tmp_path_factory, text):
+    path = _write(tmp_path_factory.getbasetemp(), "b23.json", B23)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--budget", "20000", "nf", path, "--", text])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        json.loads(out.getvalue())

@@ -130,6 +130,20 @@ def test_ambiguity_enumeration(b23):
     assert enumerate_ambiguities(single) == []
 
 
+@pytest.mark.parametrize("lhs, rhs_word", [
+    ((2,), (2,)),          # equal key
+    ((2,), (2, 2)),        # heavier
+    ((2,), (1, 2)),        # same weight, longer
+    ((2, 3), (3, 2)),      # same weight and length, lexicographically greater
+])
+def test_rule_must_descend(lhs, rhs_word):
+    # normal_form relies on this check alone: the order is compatible with
+    # concatenation, so every rewrite step inside a word descends too
+    with pytest.raises(ValueError, match="does not descend"):
+        RewriteSystem(["x^-1", "x", "y1", "y2"], [0, 0, 1, 1],
+                      [Rule(lhs, ((Cyclo.one(), rhs_word),), "bad")])
+
+
 def test_confluence_positive(b23, b235, k22, a25, c3):
     for built in (b23, b235, k22, a25, c3):
         report = certify_confluence(built.rs)

@@ -103,6 +103,38 @@ def test_qbinom_product_formula_generic():
         assert qbinom(w, j, q) == prod
 
 
+@lru_cache(maxsize=None)
+def recursive_qbinom(w: int, j: int, q: Cyclo) -> Cyclo:
+    """The recursive ``qbinom`` that the row-by-row loop replaced, as it was."""
+    if j < 0 or j > w:
+        raise ValueError(f"binomial index j={j} outside 0..{w}")
+    q = Cyclo.promote(q)
+    if j == 0 or j == w:
+        return ONE
+    return recursive_qbinom(w - 1, j - 1, q) + (q ** j) * recursive_qbinom(w - 1, j, q)
+
+
+@pytest.mark.parametrize("q", [make_root(7, 3), rat(-1), rat(2)])
+def test_qbinom_matches_recursive_reference(q):
+    for w in range(31):
+        for j in range(w + 1):
+            assert qbinom(w, j, q) == recursive_qbinom(w, j, q), (w, j, q)
+    for j in (-1, 31):
+        with pytest.raises(ValueError):
+            qbinom(30, j, q)
+
+
+@pytest.mark.parametrize("w, j", [(500, 1), (500, 2), (3000, 1), (3000, 3)])
+def test_qbinom_large_w(w, j):
+    # the recursive version ran out of stack from w = 500 on; the product
+    # formula divides exactly here, since 1 - q^t != 0 for t <= j < 7
+    q = make_root(7, 1)
+    prod = ONE
+    for t in range(1, j + 1):
+        prod = prod * (ONE - q ** (w - t + 1)) / (ONE - q ** t)
+    assert qbinom(w, j, q) == prod
+
+
 def test_qbinom_vanishing_at_primitive_roots():
     for p in range(2, 13):
         q = make_root(p, 1)
