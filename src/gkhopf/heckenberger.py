@@ -172,9 +172,6 @@ def lemma41_case(q: BraidingMatrix) -> NicholsVerdict:
     return NicholsVerdict("none", False, ())
 
 
-PROP42_CASES = ("I", "II", "III", "IV", "V", "VI")
-
-
 def _prop42_hypotheses(d: DiagonalDatum, epsilon: int) -> bool:
     if epsilon < 1 or math.gcd(d.n1, d.n2) != 1:
         return False
@@ -212,9 +209,6 @@ def prop42_case(d: DiagonalDatum, epsilon: int) -> str:
     if hit != "none":
         return hit
     return _prop42_match(d.swapped(), epsilon)
-
-
-SUPPLEMENTARY_TAGS = ("N5", "N7", "N10", "N21")
 
 
 def _supplementary_match(d: DiagonalDatum) -> str:

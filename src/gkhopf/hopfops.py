@@ -218,12 +218,6 @@ class PrimitiveSpaceReport:
     def total_dimension(self) -> int:
         return sum(e.dimension for e in self.entries)
 
-    def dimension_of(self, commutator: Cyclo) -> int:
-        for e in self.entries:
-            if e.commutator == commutator:
-                return e.dimension
-        return 0
-
 
 def _default_window(built: BuiltPresentation, degree_cap: int) -> int:
     if built.central_exponent:

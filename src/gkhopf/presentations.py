@@ -329,6 +329,8 @@ def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
         raise ValueError("parameter sequences disagree with s")
     if any(q.is_zero() for q in params.q):
         raise ValueError("q_i must be nonzero")
+    if any(pi < 1 for pi in params.p):
+        raise ValueError("p_i must be positive")
     names = ["x^-1", "x"] + [f"y{i+1}" for i in range(s)]
     ell = math.prod(params.p)
     weights = [0, 0] + [ell // pi for pi in params.p]
@@ -441,21 +443,28 @@ def _build_c(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
 # ---------------------------------------------------------------------------
 
 
+def _fraction(*args) -> Fraction:
+    try:
+        return Fraction(*args)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in the scalar {args!r}") from None
+
+
 def scalar_from_json(obj) -> Cyclo:
     """Scalars appear as ints, "a/b" strings, [num, den], {"L","k"} roots,
     or {"L","poly": [[num,den],...]} coefficient lists."""
     if isinstance(obj, int):
         return Cyclo.from_rational(obj)
     if isinstance(obj, str):
-        return Cyclo.from_rational(Fraction(obj))
+        return Cyclo.from_rational(_fraction(obj))
     if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(isinstance(v, int) for v in obj):
-        return Cyclo.from_rational(Fraction(obj[0], obj[1]))
+        return Cyclo.from_rational(_fraction(obj[0], obj[1]))
     if isinstance(obj, dict) and ("poly" in obj or "k" in obj):
         L = int(obj["L"])
         if not 1 <= L <= CONDUCTOR_LIMIT:
             raise ValueError(f"conductor L={L} outside 1..{CONDUCTOR_LIMIT}")
         if "poly" in obj:
-            coeffs = {e: Fraction(num, den) for e, (num, den) in enumerate(obj["poly"])}
+            coeffs = {e: _fraction(num, den) for e, (num, den) in enumerate(obj["poly"])}
             return Cyclo(L, coeffs)
         return make_root(L, int(obj["k"]))
     raise ValueError(f"cannot read a scalar from {obj!r}")
@@ -473,18 +482,28 @@ def scalar_to_json(value: Cyclo) -> dict:
     return {"L": value.conductor, "poly": poly}
 
 
+def _int_list(data: dict, key: str) -> list[int]:
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        raise ValueError(f"field {key!r} must be a list of integers")
+    return value
+
+
 def presentation_from_json(data: dict) -> HopfPresentation:
+    if not isinstance(data, dict):
+        raise ValueError("a presentation must be a JSON object")
     family = data.get("family")
     if family == "K":
         q = [scalar_from_json(v) for v in data["q"]]
         alpha = [scalar_from_json(v) for v in data["alpha"]]
-        if "s" in data and int(data["s"]) != len(data["p"]):
+        p = _int_list(data, "p")
+        if "s" in data and int(data["s"]) != len(p):
             raise ValueError("field 's' disagrees with the length of 'p'")
-        return HopfPresentation.from_k(KParams.make(int(data["M"]), data["n"], data["p"], q, alpha))
+        return HopfPresentation.from_k(KParams.make(int(data["M"]), _int_list(data, "n"), p, q, alpha))
     if family == "B":
         q = scalar_from_json(data["q"])
         alpha = [scalar_from_json(v) for v in data["alpha"]]
-        return HopfPresentation.from_b(BParams.make(int(data["n"]), data["p"], q, alpha))
+        return HopfPresentation.from_b(BParams.make(int(data["n"]), _int_list(data, "p"), q, alpha))
     if family == "A":
         return HopfPresentation.a_family(int(data["n"]), scalar_from_json(data["q"]))
     if family == "C":

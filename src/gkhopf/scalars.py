@@ -221,16 +221,6 @@ def _canonicalize(L: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, F
     while True:
         if not coeffs or set(coeffs) == {0}:
             return 1, coeffs
-        if L % 4 == 2:
-            # Q(zeta_{2m}) = Q(zeta_m) for odd m: zeta_{2m} = -zeta_m^{(m+1)/2}
-            m = L // 2
-            half = (m + 1) // 2
-            raw: dict[int, Fraction] = {}
-            for e, c in coeffs.items():
-                ee = (e * half) % m
-                raw[ee] = raw.get(ee, _ZERO) + (c if e % 2 == 0 else -c)
-            L, coeffs = m, _reduce_mod_phi(m, raw)
-            continue
         for p in _prime_factors(L):
             if L // p == 1:
                 continue

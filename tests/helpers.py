@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from gkhopf.cli import evaluate, parse_expression
+from gkhopf.expr import evaluate, parse_expression
 from gkhopf.presentations import BParams, BuiltPresentation, HopfPresentation, KParams, build, validate
 from gkhopf.scalars import RootOfUnity, make_root
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gkhopf.cli import MAX_NESTING, ExprError, main, parse_expression, evaluate, poly_text
+from gkhopf.cli import main
+from gkhopf.expr import MAX_NESTING, ExprError, evaluate, parse_expression, poly_text
 
 from helpers import ev
 
@@ -392,3 +393,143 @@ def test_cli_nf_fuzz(tmp_path_factory, text):
         assert len(lines) == 1 and lines[0].startswith("error:")
     else:
         json.loads(out.getvalue())
+
+
+def test_cli_nf_leading_minus(tmp_path, capsys):
+    path = _write(tmp_path, "b.json", B23)
+    plain = main(["nf", path, "-x"]), capsys.readouterr()
+    dashed = main(["nf", path, "--", "-x"]), capsys.readouterr()
+    assert plain == dashed
+    assert plain[0] == 0 and json.loads(plain[1].out)["verdicts"]["normal_form"] == "-x"
+
+
+def test_cli_nf_rejects_empty_expression(tmp_path, capsys):
+    code = main(["nf", _write(tmp_path, "b.json", B23)])
+    _check_error_report(code, capsys.readouterr())
+
+
+def test_cli_nf_power_stays_in_normal_form(tmp_path, capsys, time_bound, b23):
+    from gkhopf.ncpoly import power
+
+    code, report = _run(capsys, "nf", _write(tmp_path, "b.json", B23), "(x+y1+y2)^12")
+    assert code == 0
+    assert report["verdicts"]["normal_form"] == poly_text(power(ev(b23, "x+y1+y2"), 12, b23.rs), b23)
+
+
+def _check_error_report(code, captured):
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("doc", [
+    dict(B23, alpha=[0, "1/0"]),
+    dict(B23, alpha=[0, [1, 0]]),
+    dict(B23, alpha=[0, {"L": 3, "poly": [[1, 0]]}]),
+    dict(K22, q=["1/0", {"L": 2, "k": 1}]),
+    3,
+    [1, 2],
+    None,
+    dict(K22, p={"L": 1, "poly": []}),
+    dict(K22, n=[1, "1"]),
+], ids=lambda doc: json.dumps(doc))
+@pytest.mark.parametrize("command", ["validate", "pbw-check"])
+def test_cli_rejects_malformed_json_documents(tmp_path, capsys, doc, command):
+    code = main([command, _write(tmp_path, "doc.json", doc)])
+    _check_error_report(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize("q1", ["1/0", [1, 0], {"L": 3, "poly": [[1, 0]]}], ids=json.dumps)
+def test_cli_nichols_rejects_zero_denominator(tmp_path, capsys, q1):
+    code = main(["nichols", _write(tmp_path, "n.json", {"data": [dict(N5, q1=q1)]})])
+    _check_error_report(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize("p", [[0, 2], [2, 0]])
+def test_cli_k_family_rejects_nonpositive_p(tmp_path, capsys, p):
+    path = _write(tmp_path, "k.json", dict(K22, p=p))
+    code, report = _run(capsys, "validate", path)
+    assert code == 1 and report["verdicts"]["conditions"]["degree_split"] is False
+    for command in ("pbw-check", "ext1", "hopf-check", "classify"):
+        code = main([command, path])
+        _check_error_report(code, capsys.readouterr())
+
+
+# JSON values for the fuzz below.  Integers stay within -3..40: larger ones
+# size rewrite words and loops without bound (K-family M, C-family n), which
+# the boundary does not limit yet.
+_INTS = st.integers(-3, 40)
+_JSON_SCALARS = st.one_of(
+    _INTS,
+    st.tuples(_INTS, _INTS).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.lists(_INTS, min_size=2, max_size=2),
+    st.fixed_dictionaries({"L": _INTS, "k": _INTS}),
+    st.fixed_dictionaries({"L": _INTS, "poly": st.lists(st.lists(_INTS, min_size=2, max_size=2),
+                                                          max_size=4)}),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.none(),
+    st.booleans(),
+    st.floats(-3, 40),
+    st.sampled_from(["", "x", "K", "B", "A", "C", "1.5", "-"]),
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["L", "k", "poly", "data"]), _INTS, max_size=2),
+)
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with up to three keys or list entries changed, or a stray value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON_VALUES)
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(0, 3))):
+        lists = sorted(key for key, value in doc.items() if isinstance(value, list) and value)
+        if lists and draw(st.booleans()):
+            key = draw(st.sampled_from(lists))
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(_JSON_SCALARS)
+            continue
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JSON_VALUES)
+    return doc
+
+
+_PRESENTATION_DOCS = st.sampled_from([B23, K22, A25, C3]).flatmap(_mutated)
+_NICHOLS_DOCS = st.one_of(
+    _mutated(dict(N5, epsilon=5)),
+    st.lists(_mutated(dict(N5, epsilon=5)), max_size=3).map(lambda data: {"data": data}),
+)
+_FUZZ_COMMANDS = (["validate"], ["pbw-check"], ["ext1"], ["classify"],
+                  ["hopf-check", "--cap", "1", "--window", "1"], ["zerodiv", "--cap", "1"],
+                  ["primitives", "--weight", "1", "--cap", "1", "--window", "1"])
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(doc=_PRESENTATION_DOCS, nichols=_NICHOLS_DOCS)
+def test_cli_json_fuzz(tmp_path_factory, doc, nichols):
+    base = tmp_path_factory.getbasetemp()
+    path, batch = _write(base, "fuzz.json", doc), _write(base, "fuzz-nichols.json", nichols)
+    runs = [[command, path, *options] for command, *options in _FUZZ_COMMANDS]
+    runs.append(["nichols", batch])
+    for argv in runs:
+        code, out, err = _run_quiet(["--budget", "20000", *argv])
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+        else:
+            json.loads(out)

@@ -14,7 +14,7 @@ from gkhopf.scalars import (CONDUCTOR_LIMIT, Cyclo, RootOfUnity, cyclotomic_poly
                             is_primitive_pth_root, make_root, nth_root_in_cyclotomics, order_of,
                             qbinom)
 from gkhopf.scalars import (_ONE, _ZERO, _canonicalize, _divisors, _int_nth_root, _poly_divmod,
-                            _reduce_mod_phi)
+                            _prime_factors, _reduce_mod_phi, _try_descend)
 
 ONE = Cyclo.one()
 ZERO = Cyclo.zero()
@@ -455,3 +455,44 @@ def test_identity_operands_match_slow_path():
             assert (x + y).coeffs == slow_add(x, y).coeffs
         assert -x == slow_mul(minus_one, x) and (-x).conductor == x.conductor
         assert 0 + x == x + 0 == x and 1 * x == x * 1 == x and x * -1 == -x
+
+
+def canonicalize_with_half_step(L, coeffs):
+    """``_canonicalize`` with the L = 2 mod 4 shortcut it used to take first."""
+    coeffs = {e: c for e, c in coeffs.items() if c != 0}
+    while True:
+        if not coeffs or set(coeffs) == {0}:
+            return 1, coeffs
+        if L % 4 == 2:
+            # Q(zeta_{2m}) = Q(zeta_m) for odd m: zeta_{2m} = -zeta_m^{(m+1)/2}
+            m = L // 2
+            half = (m + 1) // 2
+            raw: dict[int, Fraction] = {}
+            for e, c in coeffs.items():
+                ee = (e * half) % m
+                raw[ee] = raw.get(ee, _ZERO) + (c if e % 2 == 0 else -c)
+            L, coeffs = m, _reduce_mod_phi(m, raw)
+            continue
+        for p in _prime_factors(L):
+            if L // p == 1:
+                continue
+            down = _try_descend(L, p, coeffs)
+            if down is not None:
+                L, coeffs = L // p, down
+                break
+        else:
+            return L, coeffs
+
+
+def test_canonicalize_matches_half_step_oracle():
+    """The generic descent takes p = 2 first, so it needs no shortcut at L = 2 mod 4."""
+    rng = random.Random(6)
+    for L in range(6, 255, 4):
+        values = [_reduce_mod_phi(L, {k: _ONE}) for k in range(L)]
+        for _ in range(20):
+            values.append({rng.randrange(euler_phi(L)): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                           for _ in range(rng.randrange(1, 4))})
+        for coeffs in values:
+            got = _canonicalize(L, coeffs)
+            want = canonicalize_with_half_step(L, coeffs)
+            assert (got[0], sorted(got[1].items())) == (want[0], sorted(want[1].items())), (L, coeffs)
