@@ -52,7 +52,7 @@ def _load(path: str) -> tuple[dict, HopfPresentation]:
     data = _read_json(path)
     try:
         return data, presentation_from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -93,8 +93,7 @@ def _cmd_pbw_check(args, pres):
     failures = []
     for res in report.failures:
         amb = res.ambiguity
-        word = "*".join(rs.letter_names[l] for l in amb.word)
-        failures.append({"word": word, "kind": amb.kind,
+        failures.append({"word": rs.format_word(amb.word), "kind": amb.kind,
                          "rules": [rs.rules[amb.rule_i].name, rs.rules[amb.rule_j].name]})
     verdicts = {
         "ambiguities": len(report),
@@ -186,7 +185,7 @@ def _nichols_entry(obj) -> dict:
         datum = DiagonalDatum.make(int(obj["n1"]), int(obj["n2"]),
                                    scalar_from_json(obj["q1"]), scalar_from_json(obj["q2"]))
         epsilon = int(obj["epsilon"]) if "epsilon" in obj else None
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad diagonal datum {obj!r}: {exc}") from exc
     verdict = lemma41_case(datum.braiding_matrix())
     entry = {

@@ -8,9 +8,10 @@ Expressions follow the grammar
     atom   := generator | scalar | '(' expr ')'
     scalar := uint | uint '/' uint | 'zeta' '(' int ',' int ')'
 
-with whitespace ignored and parentheses nested at most ``MAX_NESTING``
-deep.  Generator symbols depend on the presentation: ``x`` and ``y1..ys``
-for the Laurent-times-skew families, ``y`` (invertible) and ``x`` for the
+with whitespace ignored, parentheses nested at most ``MAX_NESTING`` deep
+and every exponent at most ``EXPONENT_LIMIT`` in absolute value.
+Generator symbols depend on the presentation: ``x`` and ``y1..ys`` for the
+Laurent-times-skew families, ``y`` (invertible) and ``x`` for the
 differential-operator family.  Negative powers are accepted on nonzero
 scalars and on the invertible generator only.
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .ncpoly import NCPoly, multiply, normal_form, power
-from .presentations import BuiltPresentation
+from .presentations import EXPONENT_LIMIT, BuiltPresentation
 from .scalars import CONDUCTOR_LIMIT, Cyclo, make_root
 
 # The parser and ``evaluate`` recurse a few frames per parenthesis level;
@@ -138,6 +139,8 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             k = self._int()
+            if abs(k) > EXPONENT_LIMIT:
+                raise self.error(f"exponent {k} exceeds EXPONENT_LIMIT={EXPONENT_LIMIT}")
             self._check_power(atom, k)
             return EPow(atom, k)
         return atom

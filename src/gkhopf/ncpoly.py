@@ -19,6 +19,42 @@ Irreducible words have the shape ``g^{w0} f_1^{w_1} ... f_s^{w_s}`` and are
 recorded as NFMonomial values; confluence of the system is certified through
 its overlap and inclusion ambiguities, after which those monomials form a
 module basis.
+
+``normal_form`` rewrites the leftmost redex first.  A step whose rule has a
+single right-hand term is popped again at once, so a chain of such steps
+can be taken as one bulk step, provided the chain is exactly what the
+leftmost letter-by-letter strategy does.  The result is then the same term
+list in the same order, and a bulk step counts as the letter steps it
+replaces, so the step budget trips on exactly the same inputs.  Bulk steps
+need every left-hand side to be a letter pair or a letter power ``l^p``;
+any other system takes one letter per step.  The leftmost redex is at ``i``
+and nothing before ``i`` is a redex, so no letter power fits inside the
+letter runs in front of ``i``.
+
+* Cancel ``a b -> c`` (a != b) with k = min(a-run ending at i, b-run
+  starting at i+1): each cancellation leaves ``a b`` at i - 1 with an
+  unchanged prefix in front of it, so it is again the leftmost redex;
+  factor ``c^k``, k steps.
+* Swap ``v u -> c u v``: let B be the longest block ending at i of letters
+  w with a swap rule ``w u``.  The first u of the run after i moves left
+  across B one swap at a time, each swap being the leftmost redex, since
+  the only new pair in front of u is ``w' u`` for the next block letter w'.
+  In front of B stands l.  If ``l u`` is a cancel, it fires next; the
+  prefix in front of B is unchanged, so the next u crosses B and cancels
+  too, k = min(u-run, l-run) times.  If ``l u`` is any other left-hand
+  side, it fires next: k = 1.  Otherwise, once u stands in front of B, a
+  redex can start only at the new run of u's (a letter power u^p, reached
+  after p minus the u-run already in front of B) or at the pair
+  ``u B[0]`` (k = 1 if that is a left-hand side), and else at the end of
+  B, where the next u starts the same walk.  A bulk step moves k u's
+  across B with factor ``prod c_w^(k * count of w in B)`` and k |B| steps,
+  plus the k cancellations.
+* Every other rule, and every step of the rightmost strategy, fires one
+  rule application at a time.
+
+After a step changes the word from position c on, a redex can start no
+earlier than c - (longest left-hand side - 1), so the scan for the next
+redex resumes there.
 """
 
 from __future__ import annotations
@@ -36,7 +72,14 @@ class RewriteError(Exception):
 
 
 class BudgetExceeded(RewriteError):
-    pass
+    """The step budget ran out while ``word`` was being rewritten."""
+
+    def __init__(self, steps: int, word: Word, text: str):
+        if len(text) > 80:
+            text = text[:77] + "..."
+        super().__init__(f"rewriting exceeded {steps} steps at {text}")
+        self.steps = steps
+        self.word = word
 
 
 class StructureError(RewriteError):
@@ -187,6 +230,29 @@ class RewriteSystem:
                         f"rule {rule.name or idx}: right-hand word {w} does not "
                         f"descend below {rule.lhs}"
                     )
+        self._max_lhs = max((len(rule.lhs) for rule in self.rules), default=1)
+        # rule shapes for bulk steps: the first rule on each letter pair, the
+        # swaps v u -> c u v and cancels a b -> c among them (by pair), and
+        # the shortest letter power of each letter
+        self._bulk = all(len(r.lhs) == 2 or (len(r.lhs) > 2 and len(set(r.lhs)) == 1)
+                         for r in self.rules)
+        self._pairs: dict[tuple[int, int], int] = {}
+        self._swaps: dict[tuple[int, int], int] = {}
+        self._cancels: dict[tuple[int, int], int] = {}
+        self._min_power: dict[int, int] = {}
+        for idx, rule in enumerate(self.rules):
+            lhs = rule.lhs
+            if len(lhs) > 1 and len(set(lhs)) == 1:
+                self._min_power[lhs[0]] = min(len(lhs), self._min_power.get(lhs[0], len(lhs)))
+            if len(lhs) != 2 or lhs in self._pairs:
+                continue
+            self._pairs[lhs] = idx
+            if lhs[0] != lhs[1] and len(rule.rhs) == 1 and rule.rhs[0][0]:
+                if rule.rhs[0][1] == (lhs[1], lhs[0]):
+                    self._swaps[lhs] = idx
+                elif not rule.rhs[0][1]:
+                    self._cancels[lhs] = idx
+        self._const_powers: dict[tuple[int, int], Cyclo] = {}
         self._product_cache: dict[tuple[NFMonomial, NFMonomial], tuple[tuple[NFMonomial, Cyclo], ...]] = {}
 
     # -- order -----------------------------------------------------------
@@ -235,14 +301,83 @@ class RewriteSystem:
 
     # -- rewriting -------------------------------------------------------
 
-    def _find_redex(self, word: Word, from_right: bool = False):
-        rng = range(len(word) - 1, -1, -1) if from_right else range(len(word))
+    def format_word(self, word: Word) -> str:
+        return "*".join(self.letter_names[l] for l in word)
+
+    def _find_redex(self, word: Word, start: int = 0, from_right: bool = False):
+        """The leftmost (rightmost) redex and its rule; leftmost scans from ``start``."""
+        rng = range(len(word) - 1, -1, -1) if from_right else range(start, len(word))
         for i in rng:
             for idx, rule in self._by_first.get(word[i], ()):
                 lhs = rule.lhs
                 if word[i : i + len(lhs)] == lhs:
-                    return i, rule
+                    return i, idx, rule
         return None
+
+    def _const_power(self, idx: int, n: int) -> Cyclo:
+        """c^n for the single right-hand coefficient c of rule ``idx``."""
+        c = self._const_powers.get((idx, n))
+        if c is None:
+            c = self._const_powers[(idx, n)] = self.rules[idx].rhs[0][0] ** n
+        return c
+
+    def _bulk_step(self, word: Word, i: int, idx: int):
+        """The chain of steps that leftmost rewriting takes from the redex of
+        rule ``idx`` at ``i``, taken at once: ``(letter steps, coefficient,
+        word, first changed position)``, or None unless the rule is a swap
+        or a cancel (see the module docstring for why each chain is exact)."""
+        v, u = word[i], word[i + 1]
+        is_cancel = idx == self._cancels.get((v, u))
+        if not is_cancel and idx != self._swaps.get((v, u)):
+            return None
+        j = i + 2
+        while j < len(word) and word[j] == u:
+            j += 1
+        run = j - i - 1  # the u-run that starts at i + 1
+        if is_cancel:
+            t = i - 1
+            while t >= 0 and word[t] == v:
+                t -= 1
+            k = min(run, i - t)
+            return k, self._const_power(idx, k), word[:i + 1 - k] + word[i + 1 + k:], i + 1 - k
+        # the block word[s..i] of letters that each swap with u
+        swaps = self._swaps
+        s = i
+        while s and (word[s - 1], u) in swaps:
+            s -= 1
+        cancel = None
+        left = word[s - 1] if s else u  # u stands for "no letter in front of the block"
+        if left != u and (left, u) in self._pairs:
+            cancel = self._cancels.get((left, u))
+            if cancel is None:
+                k = 1
+            else:
+                t = s - 1
+                while t >= 0 and word[t] == left:
+                    t -= 1
+                k = min(run, s - 1 - t)
+        else:
+            k = 1 if (u, word[s]) in self._pairs else run
+            p = self._min_power.get(u)
+            if p is not None:
+                r = 0  # the u-run in front of the block
+                while r < s and word[s - 1 - r] == u:
+                    r += 1
+                k = min(k, p - r)
+        coeff = None if cancel is None else self._const_power(cancel, k)
+        t = s
+        while t <= i:
+            w = word[t]
+            e = t + 1
+            while e <= i and word[e] == w:
+                e += 1
+            c = self._const_power(swaps[(w, u)], (e - t) * k)
+            coeff = c if coeff is None else coeff * c
+            t = e
+        steps = k * (i + 1 - s)
+        if cancel is None:
+            return steps, coeff, word[:s] + (u,) * k + word[s:i + 1] + word[i + 1 + k:], s
+        return steps + k, coeff, word[:s - k] + word[s:i + 1] + word[i + 1 + k:], s - k
 
     def format_poly(self, p: NCPoly) -> str:
         if p.is_zero():
@@ -282,25 +417,36 @@ def _as_terms(p: RawTerms, rs: RewriteSystem) -> list[tuple[Cyclo, Word]]:
 
 
 def normal_form(p: RawTerms, rs: RewriteSystem, *, from_right: bool = False) -> NCPoly:
-    """Exhaustively rewrite a linear combination of words to its normal form."""
+    """Exhaustively rewrite a linear combination of words to its normal form.
+
+    Each stack entry carries the position before which its word holds no
+    redex, so the leftmost scan resumes there instead of at 0."""
     irreducible: list[tuple[NFMonomial, Cyclo]] = []
-    stack = _as_terms(p, rs)
+    stack = [(c, w, 0) for c, w in _as_terms(p, rs)]
     steps = 0
+    back = rs._max_lhs - 1
+    bulk = rs._bulk and not from_right
     while stack:
-        coeff, word = stack.pop()
+        coeff, word, start = stack.pop()
         if coeff.is_zero():
             continue
-        hit = rs._find_redex(word, from_right=from_right)
+        hit = rs._find_redex(word, start, from_right)
         if hit is None:
             irreducible.append((rs.monomial_of_word(word), coeff))
             continue
-        steps += 1
+        i, idx, rule = hit
+        bulk_step = rs._bulk_step(word, i, idx) if bulk else None
+        steps += 1 if bulk_step is None else bulk_step[0]
         if steps > rs.step_budget:
-            raise BudgetExceeded(f"rewriting exceeded {rs.step_budget} steps")
-        i, rule = hit
-        head, tail = word[:i], word[i + len(rule.lhs):]
-        for rc, rw in rule.rhs:
-            stack.append((coeff * rc, head + rw + tail))
+            raise BudgetExceeded(rs.step_budget, word, rs.format_word(word))
+        if bulk_step is None:
+            head, tail = word[:i], word[i + len(rule.lhs):]
+            start = max(0, i - back)
+            for rc, rw in rule.rhs:
+                stack.append((coeff * rc, head + rw + tail, start))
+        else:
+            _, factor, new_word, changed = bulk_step
+            stack.append((coeff * factor, new_word, max(0, changed - back)))
     return NCPoly(add_terms({}, irreducible))
 
 

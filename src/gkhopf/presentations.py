@@ -442,6 +442,19 @@ def _build_c(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
 # JSON parameter schema (consumed by the CLI)
 # ---------------------------------------------------------------------------
 
+# The input limits, checked before any work: by ``presentation_from_json``
+# and ``scalar_from_json`` here, by the ``nf`` parser in ``gkhopf.expr``.
+# CONDUCTOR_LIMIT (``gkhopf.scalars``) bounds every root order.
+SIZE_LIMIT = CONDUCTOR_LIMIT  # |M| (n * p_1 * ... * p_s for B), each |n_i| and |p_i|, A and C |n|
+EXPONENT_LIMIT = 1000  # |N| of a power e^N in an nf expression
+SCALAR_TEXT_LIMIT = 100  # characters of a scalar written as a string
+
+
+def _sized(name: str, value: int) -> int:
+    if abs(value) > SIZE_LIMIT:
+        raise ValueError(f"{name}={value} exceeds SIZE_LIMIT={SIZE_LIMIT}")
+    return value
+
 
 def _fraction(*args) -> Fraction:
     try:
@@ -456,6 +469,10 @@ def scalar_from_json(obj) -> Cyclo:
     if isinstance(obj, int):
         return Cyclo.from_rational(obj)
     if isinstance(obj, str):
+        if len(obj) > SCALAR_TEXT_LIMIT:
+            raise ValueError(f"scalar text longer than SCALAR_TEXT_LIMIT={SCALAR_TEXT_LIMIT} characters")
+        if "e" in obj or "E" in obj:
+            raise ValueError(f"scalar {obj!r} uses exponent notation")
         return Cyclo.from_rational(_fraction(obj))
     if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(isinstance(v, int) for v in obj):
         return Cyclo.from_rational(_fraction(obj[0], obj[1]))
@@ -486,6 +503,8 @@ def _int_list(data: dict, key: str) -> list[int]:
     value = data[key]
     if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
         raise ValueError(f"field {key!r} must be a list of integers")
+    for i, v in enumerate(value):
+        _sized(f"{key}[{i}]", v)
     return value
 
 
@@ -499,13 +518,16 @@ def presentation_from_json(data: dict) -> HopfPresentation:
         p = _int_list(data, "p")
         if "s" in data and int(data["s"]) != len(p):
             raise ValueError("field 's' disagrees with the length of 'p'")
-        return HopfPresentation.from_k(KParams.make(int(data["M"]), _int_list(data, "n"), p, q, alpha))
+        M = _sized("M", int(data["M"]))
+        return HopfPresentation.from_k(KParams.make(M, _int_list(data, "n"), p, q, alpha))
     if family == "B":
         q = scalar_from_json(data["q"])
         alpha = [scalar_from_json(v) for v in data["alpha"]]
-        return HopfPresentation.from_b(BParams.make(int(data["n"]), _int_list(data, "p"), q, alpha))
+        n, p = _sized("n", int(data["n"])), _int_list(data, "p")
+        _sized("M = n*p_1*...*p_s", n * math.prod(p))
+        return HopfPresentation.from_b(BParams.make(n, p, q, alpha))
     if family == "A":
-        return HopfPresentation.a_family(int(data["n"]), scalar_from_json(data["q"]))
+        return HopfPresentation.a_family(_sized("n", int(data["n"])), scalar_from_json(data["q"]))
     if family == "C":
-        return HopfPresentation.c_family(int(data["n"]))
+        return HopfPresentation.c_family(_sized("n", int(data["n"])))
     raise ValueError(f"unknown family {family!r}")

@@ -490,16 +490,24 @@ def is_primitive_pth_root(a: ScalarLike, p: int) -> bool:
 
 @lru_cache(maxsize=None)
 def qbinom(w: int, j: int, q: Cyclo) -> Cyclo:
-    """Gaussian binomial coefficient by the division-free Pascal recurrence.
+    """Gaussian binomial coefficient [w, j]_q.
 
-    C(n,k)_q = C(n-1,k-1)_q + q^k * C(n-1,k)_q, valid at roots of unity,
-    run row by row for n = 1..w over k <= j.
+    At a root q of order l >= 2 the q-Lucas theorem gives
+    [w, j]_q = C(w div l, j div l) * [w mod l, j mod l]_q, which leaves
+    w < l.  Otherwise the division-free Pascal recurrence
+    C(n,k)_q = C(n-1,k-1)_q + q^k * C(n-1,k)_q runs row by row for
+    n = 1..w over k <= j.
     """
     if j < 0 or j > w:
         raise ValueError(f"binomial index j={j} outside 0..{w}")
     q = Cyclo.promote(q)
     if j == 0 or j == w:
         return _CYCLO_ONE
+    ell = order_of(q)
+    if ell is not None and 2 <= ell <= w:
+        if j % ell > w % ell:
+            return _CYCLO_ZERO
+        return math.comb(w // ell, j // ell) * qbinom(w % ell, j % ell, q)
     powers = [q ** k for k in range(j + 1)]
     row = [_CYCLO_ONE] + [_CYCLO_ZERO] * j  # row n holds C(n,k)_q for k = 0..j
     for n in range(1, w + 1):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 from gkhopf.expr import evaluate, parse_expression
+from gkhopf.ncpoly import RewriteSystem, Rule
 from gkhopf.presentations import BParams, BuiltPresentation, HopfPresentation, KParams, build, validate
 from gkhopf.scalars import RootOfUnity, make_root
 
@@ -16,6 +17,15 @@ def ev(built: BuiltPresentation, text: str):
 def built_b(n, p, q_exp, alpha) -> BuiltPresentation:
     ell = math.prod(p)
     return build(HopfPresentation.from_b(BParams.make(n, p, make_root(ell, q_exp), alpha)))
+
+
+def corrupted_b23(b23: BuiltPresentation) -> RewriteSystem:
+    """B{2,3}'s rewrite system with the constant of ``y1*x`` squared: not confluent."""
+    rules = list(b23.rs.rules)
+    idx = next(i for i, r in enumerate(rules) if r.name == "y1*x")
+    q1 = b23.presentation.kparams.q[0]
+    rules[idx] = Rule(rules[idx].lhs, ((q1 * q1, rules[idx].rhs[0][1]),), "y1*x corrupted")
+    return RewriteSystem(b23.rs.letter_names, b23.rs.letter_weights, rules)
 
 
 def b_grid(max_ell: int = 30) -> list[BParams]:

@@ -295,6 +295,77 @@ def test_cli_rejects_json_scalar_past_conductor_limit(tmp_path, capsys, time_bou
     assert captured.err.count("error:") == 1 and "conductor" in captured.err
 
 
+def test_cli_budget_error_names_the_word(tmp_path, capsys):
+    code = main(["--budget", "3", "nf", _write(tmp_path, "b.json", B23), "y1*y2*x^5"])
+    _check_error_report(code, captured := capsys.readouterr())
+    assert captured.err == "error: rewriting exceeded 3 steps at y1*y2*x*x*x*x*x\n"
+    code = main(["--budget", "30", "nf", _write(tmp_path, "c.json", dict(C3, n=200)), "x*y^3"])
+    _check_error_report(code, captured := capsys.readouterr())
+    line = captured.err.rstrip("\n")
+    assert line.startswith("error: rewriting exceeded 30 steps at y*y*y*") and line.endswith("...")
+    assert len(line) == len("error: rewriting exceeded 30 steps at ") + 80
+
+
+# (a document at a limit, the same document one past it): the first reaches a
+# report (exit 0 or 1), the second is refused as input (exit 2)
+_AT_AND_PAST_LIMITS = [
+    (dict(C3, n=256), dict(C3, n=257)),
+    (dict(K22, M=-256), dict(K22, M=-257)),
+    (dict(A25, n=256), dict(A25, n=257)),
+    (dict(K22, M=256), dict(K22, M=257)),
+    (dict(K22, n=[1, 256]), dict(K22, n=[1, 257])),
+    (dict(K22, p=[256, 2]), dict(K22, p=[257, 2])),
+    (dict(B23, n=1, p=[256], q={"L": 256, "k": 1}, alpha=[0]),
+     dict(B23, n=1, p=[257], q={"L": 256, "k": 1}, alpha=[0])),
+    (dict(B23, n=42), dict(B23, n=43)),  # M = 6n: 252, then 258
+    (dict(B23, alpha=[0, "1" + "0" * 99]), dict(B23, alpha=[0, "1" + "0" * 100])),
+]
+
+
+@pytest.mark.parametrize("accepted, refused", _AT_AND_PAST_LIMITS,
+                         ids=["C-n", "K-M-negative", "A-n", "K-M", "K-n", "K-p", "B-p", "B-M",
+                              "scalar-text"])
+def test_cli_size_limits(tmp_path, capsys, time_bound, accepted, refused):
+    code = main(["validate", _write(tmp_path, "ok.json", accepted)])
+    captured = capsys.readouterr()
+    assert code in (0, 1) and captured.err == "", captured.err
+    code = main(["validate", _write(tmp_path, "over.json", refused)])
+    _check_error_report(code, captured := capsys.readouterr())
+    assert "LIMIT" in captured.err
+
+
+@pytest.mark.parametrize("scalar", ["1e1000000000", "1E5", "2.5e-3"])
+def test_cli_rejects_exponent_notation_scalars(tmp_path, capsys, time_bound, scalar):
+    code = main(["validate", _write(tmp_path, "b.json", dict(B23, alpha=[0, scalar]))])
+    _check_error_report(code, captured := capsys.readouterr())
+    assert "exponent notation" in captured.err
+
+
+@pytest.mark.parametrize("scalar, value", [("1.5", "3/2"), ("-3/4", "-3/4"), (" 7 ", "7")])
+def test_cli_string_scalars_still_read(scalar, value):
+    from gkhopf.presentations import scalar_from_json
+
+    assert str(scalar_from_json(scalar)) == value
+
+
+@pytest.mark.parametrize("text, ok", [("x^1000", True), ("x^-1000", True),
+                                      ("x^1001", False), ("x^-1001", False), ("3^1001", False)])
+def test_cli_nf_exponent_limit(tmp_path, capsys, time_bound, text, ok):
+    code = main(["nf", _write(tmp_path, "b.json", B23), text])
+    captured = capsys.readouterr()
+    if ok:
+        assert code == 0 and captured.err == ""
+    else:
+        _check_error_report(code, captured)
+        assert "EXPONENT_LIMIT" in captured.err
+
+
+def test_cli_rejects_infinite_sizes(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"family": "C", "n": Infinity}')
+    _check_error_report(main(["validate", str(path)]), capsys.readouterr())
+
+
 @pytest.mark.parametrize("data", [5, "N5", {"n1": 1}, None])
 def test_cli_nichols_rejects_non_list_data(tmp_path, capsys, data):
     code = main(["nichols", _write(tmp_path, "n.json", {"data": data})])
@@ -455,10 +526,9 @@ def test_cli_k_family_rejects_nonpositive_p(tmp_path, capsys, p):
         _check_error_report(code, capsys.readouterr())
 
 
-# JSON values for the fuzz below.  Integers stay within -3..40: larger ones
-# size rewrite words and loops without bound (K-family M, C-family n), which
-# the boundary does not limit yet.
-_INTS = st.integers(-3, 40)
+# JSON values for the fuzz below: integers in -3..40, and integers at and
+# just past the input limits (SIZE_LIMIT, CONDUCTOR_LIMIT, EXPONENT_LIMIT).
+_INTS = st.one_of(st.integers(-3, 40), st.sampled_from([-257, -256, 255, 256, 257, 1000, 1001]))
 _JSON_SCALARS = st.one_of(
     _INTS,
     st.tuples(_INTS, _INTS).map(lambda t: f"{t[0]}/{t[1]}"),

@@ -9,7 +9,7 @@ from gkhopf.ncpoly import (NCPoly, RewriteSystem, Rule, certify_confluence,
 from gkhopf.presentations import HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, make_root
 
-from helpers import ev
+from helpers import corrupted_b23, ev
 
 
 def test_rule_counts(b23, a15):
@@ -177,13 +177,7 @@ def test_negative_weight_comparison_family():
 
 
 def test_confluence_negative_control(b23):
-    rs = b23.rs
-    rules = list(rs.rules)
-    idx = next(i for i, r in enumerate(rules) if r.name == "y1*x")
-    q1 = b23.presentation.kparams.q[0]
-    rules[idx] = Rule(rules[idx].lhs, ((q1 * q1, rules[idx].rhs[0][1]),), "y1*x corrupted")
-    corrupted = RewriteSystem(rs.letter_names, rs.letter_weights, rules)
-    report = certify_confluence(corrupted)
+    report = certify_confluence(corrupted_b23(b23))
     assert not report.all_resolved
     assert len(report.failures) >= 1
 
@@ -193,6 +187,22 @@ def test_budget_guard(b23):
     from gkhopf.ncpoly import BudgetExceeded
     with pytest.raises(BudgetExceeded):
         normal_form((3, 3, 3, 3, 3, 3, 2, 1, 0), rs)
+
+
+def test_budget_exceeded_names_steps_and_word(b23):
+    from gkhopf.ncpoly import BudgetExceeded
+
+    rs = RewriteSystem(b23.rs.letter_names, b23.rs.letter_weights, b23.rs.rules, step_budget=3)
+    # y2 y2 x x x: the x-run crosses the y2 block in one bulk step of 6 letter steps
+    with pytest.raises(BudgetExceeded) as info:
+        normal_form((3, 3, 1, 1, 1), rs)
+    assert info.value.steps == 3 and info.value.word == (3, 3, 1, 1, 1)
+    assert str(info.value) == "rewriting exceeded 3 steps at y2*y2*x*x*x"
+    with pytest.raises(BudgetExceeded) as info:
+        normal_form((3,) * 30 + (0,) * 5, rs)
+    text = str(info.value)
+    assert text.startswith("rewriting exceeded 3 steps at y2*y2*y2*")
+    assert text.endswith("...") and len(text) == len("rewriting exceeded 3 steps at ") + 80
 
 
 def test_power_helper(b23):

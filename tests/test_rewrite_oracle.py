@@ -19,12 +19,11 @@ from gkhopf.ncpoly import (BudgetExceeded, NCPoly, RewriteSystem, Rule, _as_term
 from gkhopf.presentations import HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, add_terms, make_root
 
-from helpers import built_b, search_k_instances
+from helpers import built_b, corrupted_b23, search_k_instances
 
 
-def _letter_find_redex(word, by_first, from_right=False):
-    rng = range(len(word) - 1, -1, -1) if from_right else range(len(word))
-    for i in rng:
+def _letter_find_redex(word, by_first):
+    for i in range(len(word)):
         for idx, rule in by_first.get(word[i], ()):
             lhs = rule.lhs
             if word[i : i + len(lhs)] == lhs:
@@ -110,10 +109,11 @@ def _random_words(rng, rs, n, max_heavy=None):
 
 def _hybrid_system() -> RewriteSystem:
     """A non-confluent system in basis shape that reaches every branch of a
-    bulk step: a swap block behind a non-swap rule ``(y1, x)``, a letter
-    power on the letter that moves (``y1^3``), and a rule ``(y1, y2)`` on the
-    pair that a moved ``y1`` forms with the front of its block."""
-    one, z = Cyclo.one(), make_root(5, 1)
+    bulk step: a swap block behind a rule that is neither swap nor cancel
+    (``y1*x``), a letter power on a letter that moves (``y1^3``), and a
+    rule on the pair a moved letter forms with the front of its block
+    (``y2*y3``, which ``y2`` forms with a ``y3`` block)."""
+    one, z, three = Cyclo.one(), make_root(5, 1), Cyclo.from_rational(3)
     rules = [
         Rule((1, 0), ((one, ()),), "x*x^-1"),
         Rule((0, 1), ((z, ()),), "x^-1*x"),
@@ -121,22 +121,18 @@ def _hybrid_system() -> RewriteSystem:
         Rule((2, 0), ((z, (0, 2)),), "y1*x^-1"),
         Rule((3, 1), ((z * z, (1, 3)),), "y2*x"),
         Rule((3, 0), ((z, (0, 3)),), "y2*x^-1"),
-        Rule((3, 2), ((Cyclo.from_rational(3), (2, 3)),), "y2*y1"),
-        Rule((2, 3), ((Cyclo.from_rational(2), (1,)),), "y1*y2"),
+        Rule((4, 1), ((three, (1, 4)),), "y3*x"),
+        Rule((4, 0), ((z, (0, 4)),), "y3*x^-1"),
+        Rule((3, 2), ((three, (2, 3)),), "y2*y1"),
+        Rule((4, 2), ((z, (2, 4)),), "y3*y1"),
+        Rule((4, 3), ((-z, (3, 4)),), "y3*y2"),
+        Rule((3, 4), ((Cyclo.from_rational(2), (1,)),), "y2*y3"),
         Rule((2, 2, 2), ((one, (2,)), (z, (0, 0))), "y1^3"),
     ]
-    return RewriteSystem(["x^-1", "x", "y1", "y2"], [0, 0, 1, 1], rules)
+    return RewriteSystem(["x^-1", "x", "y1", "y2", "y3"], [0, 0, 1, 1, 1], rules)
 
 
-def _corrupted_b23(b23) -> RewriteSystem:
-    rules = list(b23.rs.rules)
-    idx = next(i for i, r in enumerate(rules) if r.name == "y1*x")
-    q1 = b23.presentation.kparams.q[0]
-    rules[idx] = Rule(rules[idx].lhs, ((q1 * q1, rules[idx].rhs[0][1]),), "y1*x corrupted")
-    return RewriteSystem(b23.rs.letter_names, b23.rs.letter_weights, rules)
-
-
-def _random_word_systems(b23):
+def _random_word_systems(b23, k22):
     k26 = search_k_instances((2, 6), 6, (0, 1))[0]
     return {
         "b23": b23.rs,
@@ -144,20 +140,19 @@ def _random_word_systems(b23):
         "b34": built_b(1, (3, 4), 5, (0, 1)).rs,
         "b27": built_b(1, (2, 7), 1, (0, 1)).rs,
         "b235": built_b(1, (2, 3, 5), 7, (0, 1, 2)).rs,
-        "k22": build(HopfPresentation.from_k(
-            KParams.make(2, (1, 1), (2, 2), [Cyclo.from_rational(-1)] * 2, (0, 1)))).rs,
+        "k22": k22.rs,
         "k26": build(HopfPresentation.from_k(k26)).rs,
         "a_zeta5sq": build(HopfPresentation.a_family(1, make_root(5, 2))).rs,
         "a_q2": build(HopfPresentation.a_family(2, 2)).rs,
         "c3": build(HopfPresentation.c_family(3)).rs,
-        "b23_corrupted": _corrupted_b23(b23),
+        "b23_corrupted": corrupted_b23(b23),
         "hybrid": _hybrid_system(),
     }
 
 
-def test_random_words_match_letter_steps(b23):
+def test_random_words_match_letter_steps(b23, k22):
     rng = random.Random(5)
-    for name, rs in _random_word_systems(b23).items():
+    for name, rs in _random_word_systems(b23, k22).items():
         # each x of C3 passing a y-run multiplies the terms, so C3 words
         # carry at most two of them
         for word in _random_words(rng, rs, 40, max_heavy=2 if name == "c3" else None):
@@ -172,6 +167,20 @@ def test_long_runs_match_letter_steps(b23):
             assert_agrees((0,) * a + (2, 3, 3) + (1,) * b, rs)
             assert_agrees((1,) * a + (3, 2, 3) + (0,) * b, rs)
             assert_agrees((3,) * a + (2,) * b + (0,) * a, rs)
+
+
+def test_block_boundaries_match_letter_steps():
+    # a run behind a block, where in front of the block stands: a rule that
+    # is neither swap nor cancel (y1*x), a cancel (x^-1*x), the letter that
+    # moves under a letter power (y1^3), or nothing in front but a rule on
+    # the pair the moved letter forms with the block (y2*y3)
+    rs = _hybrid_system()
+    for a in range(1, 5):
+        for b in range(1, 4):
+            assert_agrees((2,) + (3,) * b + (1,) * a, rs)
+            assert_agrees((0,) * b + (3,) * b + (1,) * a, rs)
+            assert_agrees((2,) * (b - 1) + (3,) * b + (2,) * a, rs)
+            assert_agrees((4,) * b + (3,) * a, rs)
 
 
 def test_hopf_window_products_match_letter_steps(monkeypatch):

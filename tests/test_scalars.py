@@ -135,6 +135,21 @@ def test_qbinom_large_w(w, j):
     assert qbinom(w, j, q) == prod
 
 
+def test_qbinom_large_w_and_j_by_q_lucas():
+    # the Pascal rows alone take about w * j = 4.5e6 field operations here;
+    # q-Lucas reduces [3000, 1500] at a root of order 7 to C(428, 214) [4, 2]
+    import math
+    import time
+
+    q = make_root(7, 1)
+    qbinom.cache_clear()
+    started = time.perf_counter()
+    value = qbinom(3000, 1500, q)
+    assert time.perf_counter() - started < 2
+    assert value == rat(math.comb(428, 214)) * recursive_qbinom(4, 2, q)
+    assert qbinom(3000, 1503, q) == ZERO  # 1503 mod 7 = 5 > 3000 mod 7 = 4
+
+
 def test_qbinom_vanishing_at_primitive_roots():
     for p in range(2, 13):
         q = make_root(p, 1)
