@@ -28,15 +28,20 @@ def _eliminate(row: dict, col: Hashable, prow: dict) -> None:
 
 
 def rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
-    """Reduced row echelon form; returns {pivot column: normalized row}."""
+    """Reduced row echelon form; returns {pivot column: normalized row}.
+
+    Each pivot is the least column of its row in the ``_col_key`` order, so
+    the result is the unique reduced row echelon form of the row space for
+    that column order: the same pivots and rows for every order of the
+    input rows.  Only the dict order of the result depends on it.
+    """
     pivots: dict[Hashable, dict] = {}
     for row in rows:
         row = dict(row)
-        while True:
-            hit = next((c for c in row if c in pivots), None)
-            if hit is None:
-                break
-            _eliminate(row, hit, pivots[hit])
+        # a pivot row holds no other pivot column, so clearing one pivot
+        # column brings in none: one pass clears them all
+        for col in [c for c in row if c in pivots]:
+            _eliminate(row, col, pivots[col])
         if not row:
             continue
         if len(row) == 1:

@@ -4,8 +4,9 @@ Every subcommand runs the same path: check the numeric options, read the
 JSON input, run the command, print the report.  A report has sorted keys,
 so identical inputs produce byte-identical output; timing is attached only
 on request.  Exit codes: 0 on success, 1 when a check command reaches a
-negative verdict, 2 on malformed input.  The expression language of ``nf``
-lives in ``gkhopf.expr``.
+negative verdict, 2 on malformed input, 3 on an internal error (a fault of
+the program, never a verdict).  The expression language of ``nf`` lives in
+``gkhopf.expr``.
 """
 
 from __future__ import annotations
@@ -273,6 +274,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        text = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal error: {text}", file=sys.stderr)
+        return 3
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -33,29 +33,54 @@ def tensor_of(left: NCPoly, right: NCPoly) -> TensorPoly:
                        for ml, cl in left.terms.items() for mr, cr in right.terms.items()})
 
 
+def _left_times(table, d: dict, rs) -> dict:
+    """Delta(letter) * d for the coproduct table of one letter."""
+    out: dict[tuple[NFMonomial, NFMonomial], Cyclo] = {}
+    for (l, r), c in d.items():
+        for tc, tl, tr in table:
+            scale = c * tc
+            for ml, cl in _product_of_monomials(tl, l, rs):
+                add_terms(out, (((ml, mr), cr) for mr, cr in _product_of_monomials(tr, r, rs)),
+                          scale * cl)
+    return out
+
+
 def _coproduct_word(word, built: BuiltPresentation) -> TensorPoly:
-    rs = built.rs
-    unit = rs.unit_monomial()
+    unit = built.rs.unit_monomial()
     current: dict[tuple[NFMonomial, NFMonomial], Cyclo] = {(unit, unit): Cyclo.one()}
-    for letter in word:
-        table = built.coproducts[letter]
-        nxt: dict[tuple[NFMonomial, NFMonomial], Cyclo] = {}
-        for (l, r), c in current.items():
-            for tc, tl, tr in table:
-                scale = c * tc
-                for ml, cl in _product_of_monomials(l, tl, rs):
-                    add_terms(nxt, (((ml, mr), cr) for mr, cr in _product_of_monomials(r, tr, rs)),
-                              scale * cl)
-        current = nxt
+    for letter in reversed(word):
+        current = _left_times(built.coproducts[letter], current, built.rs)
     return TensorPoly(current)
 
 
 def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
+    """Delta(m), cached per monomial.
+
+    Every suffix of a normal word is normal and Delta is multiplicative, so
+    Delta(m) = Delta(first letter) * Delta(rest): the suffixes are peeled
+    off until one is cached, then filled back one left product each.
+    """
     cache = built.coproduct_cache
     hit = cache.get(m)
-    if hit is None:
-        hit = cache[m] = _coproduct_word(built.rs.word_of_monomial(m), built)
-    return hit
+    if hit is not None:
+        return hit
+    chain = []  # (monomial, its first letter), none of them cached
+    for letter in built.rs.word_of_monomial(m):
+        if m in cache:
+            break
+        chain.append((m, letter))
+        if letter <= 1:
+            m = NFMonomial(m.w0 + 1 - 2 * letter, m.w)
+        else:
+            w = list(m.w)
+            w[letter - 2] -= 1
+            m = NFMonomial(m.w0, tuple(w))
+    d = cache.get(m)
+    if d is None:  # m is the unit
+        d = cache[m] = TensorPoly({(m, m): Cyclo.one()})
+    for m, letter in reversed(chain):
+        d = cache[m] = TensorPoly(_left_times(built.coproducts[letter], d.terms, built.rs))
+    return d
 
 
 def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
@@ -225,21 +250,23 @@ def _default_window(built: BuiltPresentation, degree_cap: int) -> int:
     return degree_cap * max(1, max(abs(w) for w in built.skew_weights))
 
 
-def _primitivity_defect(m: NFMonomial, g: NFMonomial, built: BuiltPresentation) -> TensorPoly:
-    unit = built.rs.unit_monomial()
-    d = TensorPoly(dict(coproduct_monomial(m, built).terms))
-    d.add_term(m, unit, Cyclo.from_rational(-1))
-    d.add_term(g, m, Cyclo.from_rational(-1))
-    return d
-
-
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
-    g = built.group_monomial(g_exponent)
     ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
-    rows: dict[tuple[NFMonomial, NFMonomial], dict[int, Cyclo]] = {}
+    minus_one = Cyclo.from_rational(-1)
+    # rows of Delta(m) - m (x) 1, one column per ansatz monomial m
+    base = built.primitive_rows.get((shape, x_window))
+    if base is None:
+        base = built.primitive_rows[(shape, x_window)] = {}
+        unit = built.rs.unit_monomial()
+        for t, m in enumerate(ansatz):
+            d = add_terms(dict(coproduct_monomial(m, built).terms), (((m, unit), minus_one),))
+            for pair, c in d.items():
+                base.setdefault(pair, {})[t] = c
+    # - g (x) m touches one row per ansatz monomial
+    g = built.group_monomial(g_exponent)
+    rows = dict(base)
     for t, m in enumerate(ansatz):
-        for pair, c in _primitivity_defect(m, g, built).terms.items():
-            rows.setdefault(pair, {})[t] = c
+        rows[(g, m)] = add_terms(dict(base.get((g, m), ())), ((t, minus_one),))
     basis = _linalg.nullspace(rows.values(), list(range(len(ansatz))))
     return [NCPoly({ansatz[t]: c for t, c in vec.items()}) for vec in basis]
 

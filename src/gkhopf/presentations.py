@@ -257,10 +257,13 @@ class BuiltPresentation:
     antipodes: tuple[NCPoly, ...]       # per letter
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
-    # coproduct and antipode of each basis monomial, filled on first use;
-    # init=False keeps dataclasses.replace from copying them into a changed copy
+    # coproduct and antipode of each basis monomial, and the weight-free rows
+    # of each skew-primitive system per (shape, x_window), filled on first
+    # use; init=False keeps dataclasses.replace from copying them into a
+    # changed copy
     coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     antipode_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    primitive_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def family(self) -> str:
@@ -446,6 +449,7 @@ def _build_c(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
 # and ``scalar_from_json`` here, by the ``nf`` parser in ``gkhopf.expr``.
 # CONDUCTOR_LIMIT (``gkhopf.scalars``) bounds every root order.
 SIZE_LIMIT = CONDUCTOR_LIMIT  # |M| (n * p_1 * ... * p_s for B), each |n_i| and |p_i|, A and C |n|
+LENGTH_LIMIT = 16  # K-family s: about s^2/2 rules, every pair of them compared for ambiguities
 EXPONENT_LIMIT = 1000  # |N| of a power e^N in an nf expression
 SCALAR_TEXT_LIMIT = 100  # characters of a scalar written as a string
 
@@ -513,9 +517,11 @@ def presentation_from_json(data: dict) -> HopfPresentation:
         raise ValueError("a presentation must be a JSON object")
     family = data.get("family")
     if family == "K":
+        p = _int_list(data, "p")
+        if len(p) > LENGTH_LIMIT:
+            raise ValueError(f"s={len(p)} exceeds LENGTH_LIMIT={LENGTH_LIMIT}")
         q = [scalar_from_json(v) for v in data["q"]]
         alpha = [scalar_from_json(v) for v in data["alpha"]]
-        p = _int_list(data, "p")
         if "s" in data and int(data["s"]) != len(p):
             raise ValueError("field 's' disagrees with the length of 'p'")
         M = _sized("M", int(data["M"]))

@@ -306,6 +306,24 @@ def test_cli_budget_error_names_the_word(tmp_path, capsys):
     assert len(line) == len("error: rewriting exceeded 30 steps at ") + 80
 
 
+def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    from gkhopf import hopfops
+    from gkhopf.ncpoly import StructureError
+
+    def crash(built):
+        raise StructureError("free letters out of order\nin (3, 2)")
+
+    monkeypatch.setattr(hopfops, "ext1_dimension", crash)
+    code = main(["ext1", _write(tmp_path, "b.json", B23)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: internal error: StructureError: free letters out of order in (3, 2)\n"
+
+
+def _k_of_length(s):
+    return {"family": "K", "M": 2, "n": [1] * s, "p": [2] * s, "q": [-1] * s, "alpha": list(range(s))}
+
+
 # (a document at a limit, the same document one past it): the first reaches a
 # report (exit 0 or 1), the second is refused as input (exit 2)
 _AT_AND_PAST_LIMITS = [
@@ -319,12 +337,13 @@ _AT_AND_PAST_LIMITS = [
      dict(B23, n=1, p=[257], q={"L": 256, "k": 1}, alpha=[0])),
     (dict(B23, n=42), dict(B23, n=43)),  # M = 6n: 252, then 258
     (dict(B23, alpha=[0, "1" + "0" * 99]), dict(B23, alpha=[0, "1" + "0" * 100])),
+    (_k_of_length(16), _k_of_length(17)),
 ]
 
 
 @pytest.mark.parametrize("accepted, refused", _AT_AND_PAST_LIMITS,
                          ids=["C-n", "K-M-negative", "A-n", "K-M", "K-n", "K-p", "B-p", "B-M",
-                              "scalar-text"])
+                              "scalar-text", "K-s"])
 def test_cli_size_limits(tmp_path, capsys, time_bound, accepted, refused):
     code = main(["validate", _write(tmp_path, "ok.json", accepted)])
     captured = capsys.readouterr()

@@ -3,7 +3,10 @@
 ``reference_rref`` and ``reference_nullspace`` are the textbook reduction
 that ``_linalg`` started from, without its shortcuts for single-entry pivot
 rows.  The shortcuts must give the same pivots, the same rows and the same
-bases, in the same dict order, since reports print bases in that order.
+bases, in the same dict order.  Apart from dict order, ``rref`` must also
+not depend on the order of its input rows: it returns the unique reduced
+row echelon form, which keeps skew-primitive reports independent of the
+order in which their systems are assembled.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from fractions import Fraction
 from typing import Hashable, Iterable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkhopf import _linalg, hopfops
 from gkhopf.hopfops import find_zero_divisors, skew_primitives
@@ -31,14 +36,17 @@ def _subtract(row: dict, factor: Cyclo, other: dict) -> None:
             row[col] = new
 
 
+_NO_HIT = object()  # not None: None is a column key of the random systems
+
+
 def reference_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
     """Reduced row echelon form; returns {pivot column: normalized row}."""
     pivots: dict[Hashable, dict] = {}
     for row in rows:
         row = dict(row)
         while True:
-            hit = next((c for c in row if c in pivots), None)
-            if hit is None:
+            hit = next((c for c in row if c in pivots), _NO_HIT)
+            if hit is _NO_HIT:
                 break
             _subtract(row, row[hit], pivots[hit])
         if not row:
@@ -146,6 +154,19 @@ def test_random_systems_match_reference(seed):
     for _ in range(40):
         rows, columns = random_system(rng)
         assert_same_as_reference(rows, columns)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_rref_does_not_depend_on_row_order(rng):
+    rows, columns = random_system(rng)
+    shuffled = rng.sample(rows, len(rows))
+
+    def printed(pivots):
+        return {piv: {c: str(v) for c, v in row.items()} for piv, row in pivots.items()}
+
+    assert printed(_linalg.rref(shuffled)) == printed(_linalg.rref(rows))
+    assert _linalg.nullspace(shuffled, columns) == _linalg.nullspace(rows, columns)
 
 
 def test_single_entry_rows_and_back_substitution():
