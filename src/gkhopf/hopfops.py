@@ -64,22 +64,16 @@ def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
     hit = cache.get(m)
     if hit is not None:
         return hit
-    chain = []  # (monomial, its first letter), none of them cached
-    for letter in built.rs.word_of_monomial(m):
-        if m in cache:
-            break
-        chain.append((m, letter))
-        if letter <= 1:
-            m = NFMonomial(m.w0 + 1 - 2 * letter, m.w)
-        else:
-            w = list(m.w)
-            w[letter - 2] -= 1
-            m = NFMonomial(m.w0, tuple(w))
-    d = cache.get(m)
-    if d is None:  # m is the unit
-        d = cache[m] = TensorPoly({(m, m): Cyclo.one()})
-    for m, letter in reversed(chain):
-        d = cache[m] = TensorPoly(_left_times(built.coproducts[letter], d.terms, built.rs))
+    rs = built.rs
+    word = rs.word_of_monomial(m)
+    chain = [m]  # chain[k] is the monomial of word[k:]; only the last may be cached
+    while chain[-1] not in cache and len(chain) <= len(word):
+        chain.append(rs.monomial_of_word(word[len(chain):]))
+    d = cache.get(chain[-1])
+    if d is None:  # the unit
+        d = cache[chain[-1]] = TensorPoly({(chain[-1], chain[-1]): Cyclo.one()})
+    for k in range(len(chain) - 2, -1, -1):
+        d = cache[chain[k]] = TensorPoly(_left_times(built.coproducts[word[k]], d.terms, rs))
     return d
 
 
