@@ -317,11 +317,13 @@ def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     code = main(["ext1", _write(tmp_path, "b.json", B23)])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err == "error: internal error: StructureError: free letters out of order in (3, 2)\n"
+    assert captured.err == ("error: internal error: StructureError: "
+                            "free letters out of order in (3, 2)\n")
 
 
 def _k_of_length(s):
-    return {"family": "K", "M": 2, "n": [1] * s, "p": [2] * s, "q": [-1] * s, "alpha": list(range(s))}
+    return {"family": "K", "M": 2, "n": [1] * s, "p": [2] * s, "q": [-1] * s,
+            "alpha": list(range(s))}
 
 
 # (a document at a limit, the same document one past it): the first reaches a
