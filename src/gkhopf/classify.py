@@ -19,9 +19,7 @@ from .scalars import Cyclo, ScalarLike, nth_root_in_cyclotomics
 
 
 def _require_structural(params: KParams) -> None:
-    report = validate(params)
-    bad = [k for k, v in report.flags.items()
-           if not v and k not in ("p_coprime", "alpha_separated")]
+    bad = validate(params).structural_failures
     if bad:
         raise ValueError(f"invalid parameters: {', '.join(bad)}")
 

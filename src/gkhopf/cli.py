@@ -207,7 +207,7 @@ def _cmd_nichols(args, items):
 
 def _cmd_zerodiv(args, pres):
     built = build(pres, args.budget)
-    report = hopfops.find_zero_divisors(built, args.cap, budget=args.budget)
+    report = hopfops.find_zero_divisors(built, args.cap)
     witnesses = None
     if report.found:
         witnesses = {"left": poly_text(report.left, built),

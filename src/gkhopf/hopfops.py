@@ -314,6 +314,10 @@ def primitive_weight_scan(built: BuiltPresentation, g_range, degree_cap: int,
     return out
 
 
+# the highest commutator level weight_commutator looks for
+COMMUTATOR_LEVEL_CAP = 8
+
+
 def _conjugate(p: NCPoly, exponent: int, built: BuiltPresentation) -> NCPoly:
     left = NCPoly.monomial(built.group_monomial(-exponent))
     right = NCPoly.monomial(built.group_monomial(exponent))
@@ -324,8 +328,7 @@ def _group_part_only(p: NCPoly) -> bool:
     return all(m.is_group_power() for m in p.terms)
 
 
-def weight_commutator(rec: NCPoly, built: BuiltPresentation,
-                      level_cap: int = 8) -> tuple[int, Cyclo, int]:
+def weight_commutator(rec: NCPoly, built: BuiltPresentation) -> tuple[int, Cyclo, int]:
     """Weight exponent, commutator scalar and its level for a skew primitive.
 
     The weight is recovered from the coproduct and verified exactly; the
@@ -359,8 +362,8 @@ def weight_commutator(rec: NCPoly, built: BuiltPresentation,
     while not _group_part_only(residue):
         residue = _conjugate(residue, g_exp, built) - residue.scale(lam)
         level += 1
-        if level > level_cap:
-            raise ValueError(f"no commutator of level <= {level_cap}")
+        if level > COMMUTATOR_LEVEL_CAP:
+            raise ValueError(f"no commutator of level <= {COMMUTATOR_LEVEL_CAP}")
     return (g_exp, lam, level)
 
 
@@ -474,40 +477,33 @@ def _seeded_zero_divisors(built: BuiltPresentation, notes: list[str]):
     return None, factor_pool
 
 
-def find_zero_divisors(built: BuiltPresentation, degree_cap: int = 4,
-                       budget: Optional[int] = None) -> ZeroDivisorReport:
+def find_zero_divisors(built: BuiltPresentation, degree_cap: int = 4) -> ZeroDivisorReport:
     """Search for a, b != 0 with a*b = 0; absent for the coprime (domain) case."""
     rs = built.rs
-    saved_budget = rs.step_budget
-    if budget is not None:
-        rs.step_budget = budget
     notes: list[str] = []
-    try:
-        candidates: list[NCPoly] = []
-        if built.family in ("K", "B"):
-            hit, factors = _seeded_zero_divisors(built, notes)
-            if hit is not None:
-                left, right = hit
-                assert multiply(left, right, rs).is_zero()
-                return ZeroDivisorReport(True, left, right, notes)
-            candidates.extend(factors)
-        for i in range(built.num_free):
-            candidates.append(NCPoly.monomial(built.free_monomial(i)))
-        window = min(degree_cap, built.central_exponent or degree_cap)
-        pool = [m for m in built.nf_monomials(degree_cap, window)]
-        for u in candidates:
-            if u.is_zero():
-                continue
-            rows: dict[NFMonomial, dict[int, Cyclo]] = {}
-            for t, m in enumerate(pool):
-                prod = multiply(u, NCPoly.monomial(m), rs)
-                for mm, c in prod.terms.items():
-                    rows.setdefault(mm, {})[t] = c
-            basis = _linalg.nullspace(rows.values(), list(range(len(pool))))
-            for vec in basis:
-                v = NCPoly({pool[t]: c for t, c in vec.items()})
-                if not v.is_zero() and multiply(u, v, rs).is_zero():
-                    return ZeroDivisorReport(True, u, v, notes)
-        return ZeroDivisorReport(False, None, None, notes)
-    finally:
-        rs.step_budget = saved_budget
+    candidates: list[NCPoly] = []
+    if built.family in ("K", "B"):
+        hit, factors = _seeded_zero_divisors(built, notes)
+        if hit is not None:
+            left, right = hit
+            assert multiply(left, right, rs).is_zero()
+            return ZeroDivisorReport(True, left, right, notes)
+        candidates.extend(factors)
+    for i in range(built.num_free):
+        candidates.append(NCPoly.monomial(built.free_monomial(i)))
+    window = min(degree_cap, built.central_exponent or degree_cap)
+    pool = [m for m in built.nf_monomials(degree_cap, window)]
+    for u in candidates:
+        if u.is_zero():
+            continue
+        rows: dict[NFMonomial, dict[int, Cyclo]] = {}
+        for t, m in enumerate(pool):
+            prod = multiply(u, NCPoly.monomial(m), rs)
+            for mm, c in prod.terms.items():
+                rows.setdefault(mm, {})[t] = c
+        basis = _linalg.nullspace(rows.values(), list(range(len(pool))))
+        for vec in basis:
+            v = NCPoly({pool[t]: c for t, c in vec.items()})
+            if not v.is_zero() and multiply(u, v, rs).is_zero():
+                return ZeroDivisorReport(True, u, v, notes)
+    return ZeroDivisorReport(False, None, None, notes)

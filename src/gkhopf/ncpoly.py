@@ -49,8 +49,7 @@ letter runs in front of ``i``.
   B, where the next u starts the same walk.  A bulk step moves k u's
   across B with factor ``prod c_w^(k * count of w in B)`` and k |B| steps,
   plus the k cancellations.
-* Every other rule, and every step of the rightmost strategy, fires one
-  rule application at a time.
+* Every other rule fires one rule application at a time.
 
 After a step changes the word from position c on, a redex can start no
 earlier than c - (longest left-hand side - 1), so the scan for the next
@@ -233,17 +232,18 @@ class RewriteSystem:
         self._max_lhs = max((len(rule.lhs) for rule in self.rules), default=1)
         # rule shapes for bulk steps: the first rule on each letter pair, the
         # swaps v u -> c u v and cancels a b -> c among them (by pair), and
-        # the shortest letter power of each letter
+        # the shortest letter power l^p with a rule (l's exponent in a normal
+        # word is < p; p = 1, a rule l -> ..., turns bulk steps off)
         self._bulk = all(len(r.lhs) == 2 or (len(r.lhs) > 2 and len(set(r.lhs)) == 1)
                          for r in self.rules)
         self._pairs: dict[tuple[int, int], int] = {}
         self._swaps: dict[tuple[int, int], int] = {}
         self._cancels: dict[tuple[int, int], int] = {}
-        self._min_power: dict[int, int] = {}
+        self.min_power: dict[int, int] = {}
         for idx, rule in enumerate(self.rules):
             lhs = rule.lhs
-            if len(lhs) > 1 and len(set(lhs)) == 1:
-                self._min_power[lhs[0]] = min(len(lhs), self._min_power.get(lhs[0], len(lhs)))
+            if len(set(lhs)) == 1:
+                self.min_power[lhs[0]] = min(len(lhs), self.min_power.get(lhs[0], len(lhs)))
             if len(lhs) != 2 or lhs in self._pairs:
                 continue
             self._pairs[lhs] = idx
@@ -304,10 +304,9 @@ class RewriteSystem:
     def format_word(self, word: Word) -> str:
         return "*".join(self.letter_names[l] for l in word)
 
-    def _find_redex(self, word: Word, start: int = 0, from_right: bool = False):
-        """The leftmost (rightmost) redex and its rule; leftmost scans from ``start``."""
-        rng = range(len(word) - 1, -1, -1) if from_right else range(start, len(word))
-        for i in rng:
+    def _find_redex(self, word: Word, start: int = 0):
+        """The leftmost redex at or after ``start`` and its rule."""
+        for i in range(start, len(word)):
             for idx, rule in self._by_first.get(word[i], ()):
                 lhs = rule.lhs
                 if word[i : i + len(lhs)] == lhs:
@@ -358,7 +357,7 @@ class RewriteSystem:
                 k = min(run, s - 1 - t)
         else:
             k = 1 if (u, word[s]) in self._pairs else run
-            p = self._min_power.get(u)
+            p = self.min_power.get(u)
             if p is not None:
                 r = 0  # the u-run in front of the block
                 while r < s and word[s - 1 - r] == u:
@@ -416,7 +415,7 @@ def _as_terms(p: RawTerms, rs: RewriteSystem) -> list[tuple[Cyclo, Word]]:
     return [(Cyclo.promote(c), tuple(w)) for c, w in p]
 
 
-def normal_form(p: RawTerms, rs: RewriteSystem, *, from_right: bool = False) -> NCPoly:
+def normal_form(p: RawTerms, rs: RewriteSystem) -> NCPoly:
     """Exhaustively rewrite a linear combination of words to its normal form.
 
     Each stack entry carries the position before which its word holds no
@@ -425,17 +424,16 @@ def normal_form(p: RawTerms, rs: RewriteSystem, *, from_right: bool = False) -> 
     stack = [(c, w, 0) for c, w in _as_terms(p, rs)]
     steps = 0
     back = rs._max_lhs - 1
-    bulk = rs._bulk and not from_right
     while stack:
         coeff, word, start = stack.pop()
         if coeff.is_zero():
             continue
-        hit = rs._find_redex(word, start, from_right)
+        hit = rs._find_redex(word, start)
         if hit is None:
             irreducible.append((rs.monomial_of_word(word), coeff))
             continue
         i, idx, rule = hit
-        bulk_step = rs._bulk_step(word, i, idx) if bulk else None
+        bulk_step = rs._bulk_step(word, i, idx) if rs._bulk else None
         steps += 1 if bulk_step is None else bulk_step[0]
         if steps > rs.step_budget:
             raise BudgetExceeded(rs.step_budget, word, rs.format_word(word))

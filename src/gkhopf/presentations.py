@@ -15,7 +15,9 @@ Four families are supported:
 ``validate`` reports the defining parameter conditions one by one,
 ``to_b_form`` recovers a base root for coprime K-parameters, and ``build``
 derives the oriented rewrite system together with the coproduct, counit and
-antipode tables on the generators.
+antipode tables on the generators: for K, B and A through one skew-Laurent
+constructor (A is its rank-one case without power rules), for C on its own.
+``free_shapes`` reads the exponent bounds of normal words off the rules.
 """
 
 from __future__ import annotations
@@ -130,7 +132,6 @@ class CParams:
 class HopfPresentation:
     family: str  # "K", "B", "A", "C"
     kparams: Optional[KParams] = None
-    bparams: Optional[BParams] = None
     aparams: Optional[AParams] = None
     cparams: Optional[CParams] = None
 
@@ -140,7 +141,7 @@ class HopfPresentation:
 
     @staticmethod
     def from_b(params: BParams) -> "HopfPresentation":
-        return HopfPresentation("B", kparams=params.expand(), bparams=params)
+        return HopfPresentation("B", kparams=params.expand())
 
     @staticmethod
     def a_family(n: int, q: ScalarLike) -> "HopfPresentation":
@@ -157,8 +158,13 @@ class ValidationReport:
     messages: list[str]
 
     @property
+    def structural_failures(self) -> list[str]:
+        """The failed flags outside INFORMATIONAL, in reporting order."""
+        return [k for k, v in self.flags.items() if not v and k not in INFORMATIONAL]
+
+    @property
     def ok(self) -> bool:
-        return all(v for k, v in self.flags.items() if k not in INFORMATIONAL)
+        return not self.structural_failures
 
 
 def validate(params: KParams) -> ValidationReport:
@@ -215,10 +221,9 @@ class BFormResult:
 def to_b_form(params: KParams) -> Optional[BFormResult]:
     """Recover a base root q with q_i = q^{ell/p_i}, after sorting the p_i."""
     report = validate(params)
-    hard = [k for k in ("sizes", "degree_split", "q_nonzero", "q_primitive", "q_cross")
-            if not report.flags[k]]
-    if hard:
-        raise ValueError(f"parameters fail structural validation: {', '.join(hard)}")
+    if report.structural_failures:
+        raise ValueError("parameters fail structural validation: "
+                         + ", ".join(report.structural_failures))
     if not report.flags["p_coprime"]:
         return None
     order = tuple(sorted(range(params.s), key=lambda i: params.p[i]))
@@ -292,8 +297,11 @@ class BuiltPresentation:
                 yield NFMonomial(w0, w)
 
     def free_shapes(self, degree_cap: int) -> list[tuple[int, ...]]:
+        """Exponent vectors of the free letters with weighted degree <= cap.
+        A letter with a letter-power rule l^p -> ... has exponent < p in a
+        normal word; a letter without one is unbounded."""
         weights = self.rs.letter_weights[2:]
-        bounds = self._shape_bounds()
+        powers = [self.rs.min_power.get(l + 2) for l in range(len(weights))]
         shapes: list[tuple[int, ...]] = []
 
         def rec(i: int, acc: list[int], left: int):
@@ -301,18 +309,11 @@ class BuiltPresentation:
                 shapes.append(tuple(acc))
                 return
             e = 0
-            while e * weights[i] <= left and (bounds[i] is None or e <= bounds[i]):
+            while e * weights[i] <= left and (powers[i] is None or e < powers[i]):
                 rec(i + 1, acc + [e], left - e * weights[i])
                 e += 1
         rec(0, [], degree_cap)
         return shapes
-
-    def _shape_bounds(self) -> list[Optional[int]]:
-        if self.family in ("K", "B"):
-            params = self.presentation.kparams
-            pivot = min(range(params.s), key=lambda i: params.p[i])
-            return [None if i == pivot else params.p[i] - 1 for i in range(params.s)]
-        return [None]
 
 
 def build(pres: HopfPresentation, step_budget: int = 1_000_000) -> BuiltPresentation:
@@ -325,6 +326,31 @@ def build(pres: HopfPresentation, step_budget: int = 1_000_000) -> BuiltPresenta
     raise ValueError(f"unknown family {pres.family}")
 
 
+def _skew_laurent(pres: HopfPresentation, ys: Sequence[str], weights: Sequence[int],
+                  q: Sequence[Cyclo], n: Sequence[int], step_budget: int,
+                  extra_rules: Sequence[Rule] = (),
+                  central_exponent: Optional[int] = None) -> BuiltPresentation:
+    """k[x^{+-1}] with skew-primitive letters ``ys``: y_i x = q_i x y_i,
+    Delta(y_i) = y_i (x) 1 + x^{n_i} (x) y_i, eps(y_i) = 0 and
+    S(y_i) = -x^{-n_i} y_i; ``extra_rules`` follow the commutation rules."""
+    one = Cyclo.one()
+    rules = [Rule((1, 0), ((one, ()),), "x*x^-1"), Rule((0, 1), ((one, ()),), "x^-1*x")]
+    for i, (name, qi) in enumerate(zip(ys, q), start=2):
+        rules.append(Rule((i, 1), ((qi, (1, i)),), f"{name}*x"))
+        rules.append(Rule((i, 0), ((qi.inv(), (0, i)),), f"{name}*x^-1"))
+    rs = RewriteSystem(["x^-1", "x", *ys], [0, 0, *weights], rules + list(extra_rules), step_budget)
+    unit = rs.unit_monomial()
+    x1, xm1 = NFMonomial(1, unit.w), NFMonomial(-1, unit.w)
+    cops = [((one, xm1, xm1),), ((one, x1, x1),)]
+    antis = [NCPoly.monomial(x1), NCPoly.monomial(xm1)]
+    for i, ni in enumerate(n):
+        yi = NFMonomial(0, tuple(1 if t == i else 0 for t in range(len(n))))
+        cops.append(((one, yi, unit), (one, NFMonomial(ni, unit.w), yi)))
+        antis.append(NCPoly.monomial(NFMonomial(-ni, yi.w), -1))
+    eps = (one, one) + (Cyclo.zero(),) * len(n)
+    return BuiltPresentation(pres, rs, tuple(cops), eps, tuple(antis), tuple(n), central_exponent)
+
+
 def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     params = pres.kparams
     s = params.s
@@ -334,22 +360,11 @@ def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
         raise ValueError("q_i must be nonzero")
     if any(pi < 1 for pi in params.p):
         raise ValueError("p_i must be positive")
-    names = ["x^-1", "x"] + [f"y{i+1}" for i in range(s)]
-    ell = math.prod(params.p)
-    weights = [0, 0] + [ell // pi for pi in params.p]
     one = Cyclo.one()
-    rules = [
-        Rule((1, 0), ((one, ()),), "x*x^-1"),
-        Rule((0, 1), ((one, ()),), "x^-1*x"),
-    ]
-    for i in range(s):
-        yi = i + 2
-        rules.append(Rule((yi, 1), ((params.q[i], (1, yi)),), f"y{i+1}*x"))
-        rules.append(Rule((yi, 0), ((params.q[i].inv(), (0, yi)),), f"y{i+1}*x^-1"))
-    for i in range(s):
-        for j in range(i + 1, s):
-            qij = params.q[j] ** params.n[i]
-            rules.append(Rule((j + 2, i + 2), ((qij, (i + 2, j + 2)),), f"y{j+1}*y{i+1}"))
+    rules = []
+    for i, j in combinations(range(s), 2):
+        qij = params.q[j] ** params.n[i]
+        rules.append(Rule((j + 2, i + 2), ((qij, (i + 2, j + 2)),), f"y{j+1}*y{i+1}"))
     # the power rules rewrite onto the generator with the smallest exponent,
     # which keeps them strictly descending in the monomial order
     pivot = min(range(s), key=lambda i: params.p[i])
@@ -359,60 +374,15 @@ def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
         aj = params.alpha[j] - params.alpha[pivot]
         rhs = [(one, (pivot + 2,) * params.p[pivot])]
         if not aj.is_zero():
-            rhs.append((aj, (1,) * params.M))
-            rhs.append((-aj, ()))
+            rhs += [(aj, (1,) * params.M), (-aj, ())]
         rules.append(Rule((j + 2,) * params.p[j], tuple(rhs), f"y{j+1}^p"))
-    rs = RewriteSystem(names, weights, rules, step_budget)
-
-    unit = rs.unit_monomial()
-    x1 = NFMonomial(1, unit.w)
-    xm1 = NFMonomial(-1, unit.w)
-    cops = [((one, xm1, xm1),), ((one, x1, x1),)]
-    eps = [one, one]
-    antis = [NCPoly.monomial(x1), NCPoly.monomial(xm1)]
-    for i in range(s):
-        yi = NFMonomial(0, tuple(1 if t == i else 0 for t in range(s)))
-        xw = NFMonomial(params.n[i], unit.w)
-        cops.append(((one, yi, unit), (one, xw, yi)))
-        eps.append(Cyclo.zero())
-        antis.append(NCPoly.monomial(NFMonomial(-params.n[i], yi.w), -1))
-    return BuiltPresentation(
-        presentation=pres,
-        rs=rs,
-        coproducts=tuple(cops),
-        counits=tuple(eps),
-        antipodes=tuple(antis),
-        skew_weights=tuple(params.n),
-        central_exponent=params.M,
-    )
+    ell = math.prod(params.p)
+    return _skew_laurent(pres, [f"y{i+1}" for i in range(s)], [ell // pi for pi in params.p],
+                         params.q, params.n, step_budget, rules, params.M)
 
 
 def _build_a(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
-    params = pres.aparams
-    one = Cyclo.one()
-    rules = [
-        Rule((1, 0), ((one, ()),), "x*x^-1"),
-        Rule((0, 1), ((one, ()),), "x^-1*x"),
-        Rule((2, 1), ((params.q, (1, 2)),), "y*x"),
-        Rule((2, 0), ((params.q.inv(), (0, 2)),), "y*x^-1"),
-    ]
-    rs = RewriteSystem(["x^-1", "x", "y"], [0, 0, 1], rules, step_budget)
-    unit = rs.unit_monomial()
-    x1, xm1, y = NFMonomial(1, (0,)), NFMonomial(-1, (0,)), NFMonomial(0, (1,))
-    cops = (
-        ((one, xm1, xm1),),
-        ((one, x1, x1),),
-        ((one, y, unit), (one, NFMonomial(params.n, (0,)), y)),
-    )
-    eps = (one, one, Cyclo.zero())
-    antis = (
-        NCPoly.monomial(x1),
-        NCPoly.monomial(xm1),
-        NCPoly.monomial(NFMonomial(-params.n, (1,)), -1),
-    )
-    return BuiltPresentation(pres, rs, cops, eps, antis,
-                             skew_weights=(params.n,),
-                             central_exponent=None)
+    return _skew_laurent(pres, ["y"], [1], [pres.aparams.q], [pres.aparams.n], step_budget)
 
 
 def _build_c(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:

@@ -175,7 +175,7 @@ def test_ext1_on_noncoprime_instances():
 
 
 def test_zero_divisors_noncoprime(k22):
-    report = find_zero_divisors(k22, 4, budget=10 ** 6)
+    report = find_zero_divisors(k22, 4)
     assert report.found
     prod = multiply(report.left, report.right, k22.rs)
     assert prod.is_zero()
@@ -206,7 +206,7 @@ def test_domain_predicate_matches_search_on_seeded_grid():
         if not seeded:
             continue
         built = build(HopfPresentation.from_k(params))
-        found = bool(find_zero_divisors(built, 4, budget=10 ** 6))
+        found = bool(find_zero_divisors(built, 4))
         assert found == (not is_domain(params)), params.p
         checked += 1
     assert checked >= 10

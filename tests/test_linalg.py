@@ -218,6 +218,6 @@ def test_zero_divisor_systems_match_reference(monkeypatch, k22):
     seeded = hopfops._seeded_zero_divisors
     monkeypatch.setattr(hopfops, "_seeded_zero_divisors",
                         lambda built, notes: (None, seeded(built, notes)[1]))
-    systems = _recorded_systems(monkeypatch, lambda: find_zero_divisors(k22, 4, budget=10 ** 6))
+    systems = _recorded_systems(monkeypatch, lambda: find_zero_divisors(k22, 4))
     for rows, columns in systems:
         assert_same_as_reference(rows, columns)

@@ -63,6 +63,14 @@ def test_to_b_form_noncoprime_absent():
     assert to_b_form(params) is None
 
 
+def test_to_b_form_refuses_trivial_p():
+    # coprime, primitive and cross-consistent, but p_1 = 1 is no B-form
+    params = KParams.make(2, (2, 1), (1, 2), [Cyclo.one(), Cyclo.from_rational(-1)], (0, 1))
+    with pytest.raises(ValueError, match="structural validation: p_nontrivial"):
+        to_b_form(params)
+    assert validate(params).structural_failures == ["p_nontrivial"]
+
+
 def test_to_b_form_sorts_p():
     params = BParams.make(1, (2, 3), make_root(6, 1), (0, 1)).expand()
     shuffled = KParams.make(params.M, params.n[::-1], params.p[::-1],

@@ -6,6 +6,8 @@ left for the first redex, applies one rule and counts one step, and returns
 the step count beside the normal form.  ``normal_form`` must give the same
 ordered term list on every input, confluent systems or not, and must pass
 at ``step_budget`` = the oracle's step count and raise one step below it.
+With ``rightmost`` the copy fires the rightmost redex instead, an
+independent strategy that a confluent system must agree with.
 """
 
 import random
@@ -22,8 +24,8 @@ from gkhopf.scalars import Cyclo, add_terms, make_root
 from helpers import built_b, corrupted_b23, search_k_instances
 
 
-def _letter_find_redex(word, by_first):
-    for i in range(len(word)):
+def _letter_find_redex(word, by_first, rightmost=False):
+    for i in (range(len(word) - 1, -1, -1) if rightmost else range(len(word))):
         for idx, rule in by_first.get(word[i], ()):
             lhs = rule.lhs
             if word[i : i + len(lhs)] == lhs:
@@ -31,7 +33,7 @@ def _letter_find_redex(word, by_first):
     return None
 
 
-def letter_normal_form(p, rs):
+def letter_normal_form(p, rs, rightmost=False):
     """Normal form of ``p`` and the number of letter steps taken."""
     by_first = {}
     for idx, rule in enumerate(rs.rules):
@@ -43,7 +45,7 @@ def letter_normal_form(p, rs):
         coeff, word = stack.pop()
         if coeff.is_zero():
             continue
-        hit = _letter_find_redex(word, by_first)
+        hit = _letter_find_redex(word, by_first, rightmost)
         if hit is None:
             irreducible.append((rs.monomial_of_word(word), coeff))
             continue
