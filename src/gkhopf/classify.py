@@ -9,45 +9,34 @@ alpha differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .presentations import KParams, validate
+from .presentations import KParams, require_structural
 from .scalars import Cyclo, ScalarLike, nth_root_in_cyclotomics
-
-
-def _require_structural(params: KParams) -> None:
-    bad = validate(params).structural_failures
-    if bad:
-        raise ValueError(f"invalid parameters: {', '.join(bad)}")
 
 
 def is_domain(params: KParams) -> bool:
     """True iff the p_i are pairwise coprime."""
-    _require_structural(params)
-    return all(math.gcd(a, b) == 1 for a, b in combinations(params.p, 2))
+    return require_structural(params).flags["p_coprime"]
 
 
 def ext_vanishes(params: KParams) -> bool:
     """True iff the degree-one Ext group of the trivial module vanishes,
     i.e. some pair of alpha values differs."""
-    _require_structural(params)
-    return any(params.alpha[i] != params.alpha[j]
-               for i, j in combinations(range(params.s), 2))
+    return require_structural(params).flags["alpha_separated"]
 
 
 def invariant_set(params: KParams) -> list[int]:
     """The multiset {n_1, ..., n_s, M}, sorted."""
-    _require_structural(params)
+    require_structural(params)
     return sorted(list(params.n) + [params.M])
 
 
 def gldim_finite(params: KParams) -> bool:
     """Finite global dimension happens exactly for s = 2 with separated alphas."""
-    _require_structural(params)
-    return params.s == 2 and params.alpha[0] != params.alpha[1]
+    return require_structural(params).flags["alpha_separated"] and params.s == 2
 
 
 @dataclass

@@ -12,11 +12,13 @@ Four families are supported:
 * ``C``: the differential-operator family on k[y^{+-1}] with grouplike y
   and x y = y x + y^n - y.
 
-``validate`` reports the defining parameter conditions one by one,
-``to_b_form`` recovers a base root for coprime K-parameters, and ``build``
-derives the oriented rewrite system together with the coproduct, counit and
-antipode tables on the generators: for K, B and A through one skew-Laurent
-constructor (A is its rank-one case without power rules), for C on its own.
+``validate`` reports the defining parameter conditions one by one, and
+``require_structural`` refuses parameters that fail a structural one.
+``to_b_form`` reads a base root for coprime K-parameters off the q_i by the
+Chinese remainder theorem.  ``build`` derives the oriented rewrite system
+with the coproduct, counit and antipode tables on the generators: for K, B
+and A through one skew-Laurent constructor (A is its rank-one case without
+power rules), for C on its own.
 ``free_shapes`` reads the exponent bounds of normal words off the rules.
 """
 
@@ -29,7 +31,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .ncpoly import NCPoly, NFMonomial, RewriteSystem, Rule, normal_form
-from .scalars import CONDUCTOR_LIMIT, Cyclo, ScalarLike, is_primitive_pth_root, make_root
+from .scalars import (CONDUCTOR_LIMIT, Cyclo, RootOfUnity, ScalarLike, is_primitive_pth_root,
+                      make_root)
 
 # validation flags, in reporting order; the starred ones are informational
 CONDITION_NAMES = (
@@ -211,39 +214,35 @@ def validate_presentation(pres: HopfPresentation) -> ValidationReport:
     return ValidationReport({"well_formed": True}, [])
 
 
-@dataclass
-class BFormResult:
-    bparams: BParams
-    base_exponents: list[int]   # every admissible exponent k with q = zeta_ell^k
-    permutation: tuple[int, ...]  # sorted position -> original index
-
-
-def to_b_form(params: KParams) -> Optional[BFormResult]:
-    """Recover a base root q with q_i = q^{ell/p_i}, after sorting the p_i."""
+def require_structural(params: KParams) -> ValidationReport:
+    """``validate(params)``, raising ValueError if a structural condition fails."""
     report = validate(params)
     if report.structural_failures:
         raise ValueError("parameters fail structural validation: "
                          + ", ".join(report.structural_failures))
-    if not report.flags["p_coprime"]:
+    return report
+
+
+@dataclass
+class BFormResult:
+    bparams: BParams
+    base_exponents: list[int]   # the one exponent k with q = zeta_ell^k
+    permutation: tuple[int, ...]  # sorted position -> original index
+
+
+def to_b_form(params: KParams) -> Optional[BFormResult]:
+    """The base root q = zeta_ell^k with q_i = q^{ell/p_i}, after sorting the p_i,
+    or None unless they are pairwise coprime.  With q_i = zeta_{p_i}^{k_i}, k is
+    the residue mod ell = p_1...p_s with k = k_i mod p_i for every i (by CRT)."""
+    if not require_structural(params).flags["p_coprime"]:
         return None
     order = tuple(sorted(range(params.s), key=lambda i: params.p[i]))
-    p_sorted = tuple(params.p[i] for i in order)
-    q_sorted = tuple(params.q[i] for i in order)
-    a_sorted = tuple(params.alpha[i] for i in order)
-    ell = math.prod(p_sorted)
-    if params.M % ell:
-        return None
-    hits = []
-    for k in range(ell):
-        if math.gcd(k, ell) != 1:
-            continue
-        q = make_root(ell, k)
-        if all(q ** (ell // p_sorted[i]) == q_sorted[i] for i in range(params.s)):
-            hits.append(k)
-    if not hits:
-        return None
-    q = make_root(ell, hits[0])
-    return BFormResult(BParams(params.M // ell, p_sorted, q, a_sorted), hits, order)
+    ell = math.prod(params.p)
+    k = sum(RootOfUnity.from_cyclo(params.q[i]).exponent * (ell // params.p[i])
+            * pow(ell // params.p[i], -1, params.p[i]) for i in order) % ell
+    bparams = BParams(params.M // ell, tuple(params.p[i] for i in order), make_root(ell, k),
+                      tuple(params.alpha[i] for i in order))
+    return BFormResult(bparams, [k], order)
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +458,6 @@ def scalar_from_json(obj) -> Cyclo:
             return Cyclo(L, coeffs)
         return make_root(L, int(obj["k"]))
     raise ValueError(f"cannot read a scalar from {obj!r}")
-
-
-def scalar_to_json(value: Cyclo) -> dict:
-    from .scalars import euler_phi
-
-    poly = []
-    for e in range(euler_phi(value.conductor)):
-        c = value.coeffs.get(e, Fraction(0))
-        poly.append([c.numerator, c.denominator])
-    while len(poly) > 1 and poly[-1] == [0, 1]:
-        poly.pop()
-    return {"L": value.conductor, "poly": poly}
 
 
 def _int_list(data: dict, key: str) -> list[int]:

@@ -444,12 +444,12 @@ def make_root(L: int, k: int) -> Cyclo:
 
 
 @lru_cache(maxsize=None)
-def _root_exponents(c: int) -> dict[tuple[tuple[int, int], ...], int]:
-    """Sorted coefficient items of each root of unity in Q(zeta_c) -> its exponent k.
+def _roots(c: int) -> dict[tuple[tuple[int, int], ...], RootOfUnity]:
+    """Sorted coefficient items of each root of unity in Q(zeta_c) -> that root.
 
-    The root is zeta_N^k with N = lcm(2, c): the roots of unity in Q(zeta_c)
-    are exactly the +-zeta_c^j, and zeta_c^j is the single term x^j for
-    j < phi(c) and a row of ``_power_table(c)`` otherwise.
+    The roots of unity in Q(zeta_c) are exactly the +-zeta_c^j, and zeta_c^j
+    is the single term x^j for j < phi(c) and a row of ``_power_table(c)``
+    otherwise.
     """
     N = math.lcm(2, c)
     phi = euler_phi(c)
@@ -458,34 +458,28 @@ def _root_exponents(c: int) -> dict[tuple[tuple[int, int], ...], int]:
     for j in range(c):
         row = ((j, 1),) if j < phi else table[j - phi]
         k = j * (N // c)
-        out[row] = k
-        out[tuple((i, -v) for i, v in row)] = (k + N // 2) % N
+        out[row] = RootOfUnity(N, k)
+        out[tuple((i, -v) for i, v in row)] = RootOfUnity(N, k + N // 2)
     return out
 
 
-def _root_exponent(a: Cyclo) -> Optional[int]:
-    """k with a == zeta_N^k, N = lcm(2, a.conductor); None if a is no root of unity."""
+def _as_root(a: Cyclo) -> Optional[RootOfUnity]:
+    """``a`` as a root of unity, None if it is none; read off its coefficients."""
     if a.is_zero():
         raise ValueError("0 has no multiplicative order")
-    return _root_exponents(a.conductor).get(tuple(sorted(a.coeffs.items())))
+    return _roots(a.conductor).get(tuple(sorted(a.coeffs.items())))
 
 
 def order_of(a: ScalarLike) -> Optional[int]:
     """Multiplicative order of ``a`` if it is a root of unity, else None."""
-    a = Cyclo.promote(a)
-    k = _root_exponent(a)
-    if k is None:
-        return None
-    N = math.lcm(2, a.conductor)
-    return N // math.gcd(N, k)
+    root = _as_root(Cyclo.promote(a))
+    return None if root is None else root.order
 
 
 def is_primitive_pth_root(a: ScalarLike, p: int) -> bool:
     """True iff ``a`` is a primitive p-th root of unity."""
     a = Cyclo.promote(a)
-    if a.is_zero():
-        return False
-    return order_of(a) == p
+    return bool(a) and order_of(a) == p
 
 
 @lru_cache(maxsize=None)
@@ -533,41 +527,39 @@ def _int_nth_root(x: int, n: int) -> Optional[int]:
 
 
 def nth_root_in_cyclotomics(value: ScalarLike, p: int) -> Optional[Cyclo]:
-    """A gamma with gamma**p == value, searched inside cyclotomic fields.
+    """A gamma with gamma**p == value, for value a rational times a root of unity.
 
-    Handles roots of unity and rational-times-root-of-unity values whose
-    rational part is a perfect power.  Returns None when no such gamma is
-    found (the caller reports the witness as unavailable in the coefficient
-    field).
+    With n0 = lcm(2, conductor), rho is the positive rational (p*n0)-th root
+    of |value^n0|, value / rho^p is a root of unity zeta_N^k, and gamma is
+    rho * zeta_{Np}^k.  Returns None when value^n0 is not rational, |value^n0|
+    is no (p*n0)-th power of a rational, or the conductor of zeta_{Np}^k is
+    past CONDUCTOR_LIMIT (the caller reports the witness as unavailable in
+    the coefficient field).  Other cyclotomic roots, such as sqrt(2), are not
+    found.
     """
     value = Cyclo.promote(value)
     if p < 1:
         raise ValueError("root index must be positive")
     if value.is_zero():
         return _CYCLO_ZERO
-    k = _root_exponent(value)
-    if k is not None:
-        root = RootOfUnity(math.lcm(2, value.conductor), k)
-        return make_root(root.order * p, root.exponent)
     n0 = math.lcm(2, value.conductor)
     big = value ** n0
     if not big.is_rational():
         return None
     r = big.as_fraction()
-    total = p * n0
-    num = _int_nth_root(abs(r.numerator), total)
-    den = _int_nth_root(r.denominator, total)
+    num = _int_nth_root(abs(r.numerator), p * n0)
+    den = _int_nth_root(r.denominator, p * n0)
     if num is None or den is None:
         return None
     rho = Cyclo.from_rational(Fraction(num, den))
-    order = 2 * total
-    if order > CONDUCTOR_LIMIT:
+    root = _as_root(value / rho ** p)  # its n0-th power is r / |r| = +-1
+    root = RootOfUnity(root.order * p, root.exponent)
+    L, k = root.order, root.exponent
+    if L % 4 == 2:  # zeta_L^k = -zeta_{L/2}^{(k + L/2)/2} has conductor L/2
+        L, k, rho = L // 2, (k + L // 2) // 2, -rho
+    if L > CONDUCTOR_LIMIT:
         return None
-    for j in range(order):
-        cand = rho * make_root(order, j)
-        if cand ** p == value:
-            return cand
-    return None
+    return rho * make_root(L, k)
 
 
 class RootOfUnity:
@@ -600,11 +592,10 @@ class RootOfUnity:
 
     @staticmethod
     def from_cyclo(z: ScalarLike) -> "RootOfUnity":
-        z = Cyclo.promote(z)
-        k = _root_exponent(z)
-        if k is None:
+        root = _as_root(Cyclo.promote(z))
+        if root is None:
             raise ValueError(f"{z} is not a root of unity")
-        return RootOfUnity(math.lcm(2, z.conductor), k)
+        return root
 
     def to_cyclo(self) -> Cyclo:
         return make_root(self.order, self.exponent)

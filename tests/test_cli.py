@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gkhopf.cli import main
 from gkhopf.expr import MAX_NESTING, ExprError, evaluate, parse_expression, poly_text
+from gkhopf.scalars import make_root
 
 from helpers import ev
 
@@ -137,6 +138,28 @@ def test_cli_iso(tmp_path, capsys):
     assert report["witnesses"]["scale"] == "2"
     code, report = _run(capsys, "iso", a, c)
     assert code == 1 and not report["verdicts"]["isomorphic"]
+
+
+def test_cli_iso_witness_past_conductor_limit(tmp_path, capsys):
+    # the generator scales are a square root of zeta_255, zeta_510 = -zeta_255^128,
+    # and a cube root, zeta_765, of conductor past CONDUCTOR_LIMIT
+    a = _write(tmp_path, "a.json", B23)
+    b = _write(tmp_path, "b.json", dict(B23, alpha=[0, {"L": 255, "k": 1}]))
+    code, report = _run(capsys, "iso", a, b)
+    assert code == 0 and report["verdicts"]["isomorphic"]
+    assert report["witnesses"]["generator_scales"] == [str(-make_root(255, 128)), None]
+    assert report["witnesses"]["field_note"] == "witness scalar outside coefficient field"
+
+
+def test_cli_structural_error_is_one_line(tmp_path, capsys):
+    path = _write(tmp_path, "k11.json", dict(K22, n=[2, 2], p=[1, 1], q=[1, 1]))
+    lines = []
+    for argv in (["classify", path], ["iso", path, path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.append(captured.err)
+    assert lines[0] == lines[1] == "error: parameters fail structural validation: p_nontrivial\n"
 
 
 def test_cli_nichols(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 
 from gkhopf.ncpoly import NFMonomial
 from gkhopf.presentations import (BParams, HopfPresentation, KParams, build,
-                                  presentation_from_json, scalar_from_json,
-                                  scalar_to_json, to_b_form, validate)
+                                  presentation_from_json, scalar_from_json, to_b_form,
+                                  validate)
 from gkhopf.scalars import Cyclo, make_root
 
 from helpers import b_grid, k_grid, search_k_instances
@@ -45,7 +45,7 @@ def test_to_b_form_unique_candidate():
     assert result is not None
     assert result.bparams.p == (2, 3) and result.bparams.n == 1
     assert result.bparams.q == make_root(6, 1)
-    # exhaustive search: only k=1 satisfies q^3 = -1 and q^2 = zeta_3
+    # k = 1 is the one unit mod 6 with q^3 = -1 and q^2 = zeta_3
     assert result.base_exponents == [1]
 
 
@@ -150,11 +150,15 @@ def test_json_round_trip():
         presentation_from_json({"family": "X"})
 
 
-def test_scalar_json_round_trip():
+def test_scalar_from_json_pins():
     from fractions import Fraction
 
-    for value in (Cyclo.from_rational(-3), make_root(6, 1), make_root(5, 2) + 2):
-        assert scalar_from_json(scalar_to_json(value)) == value
+    assert scalar_from_json({"L": 6, "poly": [[0, 1], [1, 1]]}) == make_root(6, 1)
+    assert scalar_from_json({"L": 1, "poly": [[-3, 1]]}) == Cyclo.from_rational(-3)
+    assert scalar_from_json({"L": 5, "poly": [[2, 1], [0, 1], [1, 1]]}) == make_root(5, 2) + 2
+    # 1 + zeta_3 = -zeta_3^2 = zeta_6, and a constant at L = 4 descends to Q
+    assert scalar_from_json({"L": 3, "poly": [[1, 1], [1, 1]]}) == make_root(6, 1)
+    assert scalar_from_json({"L": 4, "poly": [[1, 2]]}) == Cyclo.from_rational(Fraction(1, 2))
     assert scalar_from_json("2/3") == Cyclo.from_rational(Fraction(2, 3))
     assert scalar_from_json([1, 2]) == Cyclo.from_rational(Fraction(1, 2))
 

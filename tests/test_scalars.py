@@ -206,6 +206,21 @@ def test_nth_root_of_roots_of_unity():
                     assert nth_root_in_cyclotomics(-z, p) ** p == -z, (n, k, p)
 
 
+def test_nth_root_order_bound():
+    # rho * zeta_{Np}^k needs only its own conductor within CONDUCTOR_LIMIT:
+    # the search refused 4*zeta_35 (2*p*lcm(2, 35) = 280), zeta_3 has the
+    # 43rd root zeta_129 although lcm(2, 3) * 43 = 258, and zeta_510 is
+    # -zeta_255^128
+    assert nth_root_in_cyclotomics(4 * make_root(35, 1), 2) == -2 * make_root(35, 18)
+    assert nth_root_in_cyclotomics(make_root(3, 1), 43) == make_root(129, 1)
+    assert nth_root_in_cyclotomics(make_root(255, 1), 2) == -make_root(255, 128)
+    assert nth_root_in_cyclotomics(make_root(128, 1), 2) == make_root(256, 1)
+    # zeta_765 and zeta_512 lie past it: no root rather than a conductor error
+    assert nth_root_in_cyclotomics(make_root(255, 1), 3) is None
+    assert nth_root_in_cyclotomics(make_root(128, 1), 4) is None
+    assert nth_root_in_cyclotomics(-make_root(37, 2), 4) is None
+
+
 def test_nth_root_of_large_rationals_is_exact():
     # a float root loses the last digits of a 21-digit root and overflows past 1e308
     big = 10 ** 20 + 7
