@@ -479,7 +479,9 @@ def order_of(a: ScalarLike) -> Optional[int]:
 def is_primitive_pth_root(a: ScalarLike, p: int) -> bool:
     """True iff ``a`` is a primitive p-th root of unity."""
     a = Cyclo.promote(a)
-    return bool(a) and order_of(a) == p
+    if a.is_zero():
+        return False
+    return order_of(a) == p
 
 
 @lru_cache(maxsize=None)
