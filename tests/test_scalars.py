@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from gkhopf.scalars import (CONDUCTOR_LIMIT, Cyclo, RootOfUnity, cyclotomic_poly
                             is_primitive_pth_root, make_root, nth_root_in_cyclotomics, order_of,
                             qbinom)
 from gkhopf.scalars import (_ONE, _ZERO, _canonicalize, _divisors, _int_nth_root, _poly_divmod,
-                            _prime_factors, _reduce_mod_phi, _try_descend)
+                            _prime_factors, _reduce_mod_phi, add_terms)
 
 ONE = Cyclo.one()
 ZERO = Cyclo.zero()
@@ -487,6 +488,89 @@ def test_identity_operands_match_slow_path():
         assert 0 + x == x + 0 == x and 1 * x == x * 1 == x and x * -1 == -x
 
 
+# -- the RREF descent and square-and-multiply powering, kept as references -------
+#
+# ``_descent_solver`` and ``_try_descend`` are verbatim copies of the Gauss-Jordan
+# test for membership of Q(zeta_{L/p}) in Q(zeta_L) that ``_canonicalize`` once
+# ran, and ``reference_pow`` is the square-and-multiply ``Cyclo.__pow__`` for
+# every value.  The conductor and the powers in ``gkhopf.scalars`` must give
+# the same value, or raise the same exception type.
+
+
+@lru_cache(maxsize=None)
+def _descent_solver(L: int, p: int):
+    """RREF data for testing membership of Q(zeta_{L/p}) inside Q(zeta_L)."""
+    d = L // p
+    cols = []
+    for j in range(euler_phi(d)):
+        cols.append(_reduce_mod_phi(L, {(p * j) % L: _ONE}))
+    basis: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+    for j, col in enumerate(cols):
+        col = dict(col)
+        coord = {j: _ONE}
+        for piv, bcol, bcoord in basis:
+            c = col.get(piv)
+            if c:
+                add_terms(col, bcol.items(), -c)
+                add_terms(coord, bcoord.items(), -c)
+        assert col, "embedded basis vectors must stay independent"
+        piv = min(col)
+        inv = 1 / col[piv]
+        col = {e: v * inv for e, v in col.items()}
+        coord = {e: v * inv for e, v in coord.items()}
+        for opiv, ocol, ocoord in basis:
+            c = ocol.get(piv)
+            if c:
+                add_terms(ocol, col.items(), -c)
+                add_terms(ocoord, coord.items(), -c)
+        basis.append((piv, col, coord))
+    return tuple(basis)
+
+
+def _try_descend(L: int, p: int, coeffs: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:
+    res = dict(coeffs)
+    coord: dict[int, Fraction] = {}
+    for piv, col, cvec in _descent_solver(L, p):
+        c = res.get(piv)
+        if not c:
+            continue
+        add_terms(res, col.items(), -c)
+        add_terms(coord, cvec.items(), c)
+    if res:
+        return None
+    return coord
+
+
+def reference_canonicalize(L, coeffs):
+    """``_canonicalize`` with the RREF descent."""
+    coeffs = {e: c for e, c in coeffs.items() if c != 0}
+    while True:
+        if not coeffs or set(coeffs) == {0}:
+            return 1, coeffs
+        for p in _prime_factors(L):
+            if L // p == 1:
+                continue
+            down = _try_descend(L, p, coeffs)
+            if down is not None:
+                L, coeffs = L // p, down
+                break
+        else:
+            return L, coeffs
+
+
+def reference_pow(self, n: int) -> "Cyclo":
+    if n < 0:
+        return self.inv() ** (-n)
+    result = Cyclo.one()
+    base = self
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 def canonicalize_with_half_step(L, coeffs):
     """``_canonicalize`` with the L = 2 mod 4 shortcut it used to take first."""
     coeffs = {e: c for e, c in coeffs.items() if c != 0}
@@ -526,3 +610,64 @@ def test_canonicalize_matches_half_step_oracle():
             got = _canonicalize(L, coeffs)
             want = canonicalize_with_half_step(L, coeffs)
             assert (got[0], sorted(got[1].items())) == (want[0], sorted(want[1].items())), (L, coeffs)
+
+
+def _same_canonical(L, coeffs):
+    got = _canonicalize(L, coeffs)
+    want = reference_canonicalize(L, coeffs)
+    assert (got[0], sorted(got[1].items())) == (want[0], sorted(want[1].items())), (L, coeffs)
+
+
+def _random_coeffs(rng, L):
+    return {rng.randrange(euler_phi(L)): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+            for _ in range(rng.randrange(1, 5))}
+
+
+def test_canonicalize_matches_rref_descent():
+    rng = random.Random(10)
+    for L in range(1, CONDUCTOR_LIMIT + 1):
+        # every zeta_L^k up to L = 64, then k = 0, 1, L - 1 and five more
+        ks = range(L) if L <= 64 else [0, 1, L - 1] + rng.sample(range(2, L - 1), 5)
+        for k in ks:
+            _same_canonical(L, _reduce_mod_phi(L, {k: _ONE}))
+        for _ in range(3):
+            _same_canonical(L, _random_coeffs(rng, L))
+        # a random value of each subfield Q(zeta_d), written in Q(zeta_L)
+        for d in _divisors(L):
+            raw = {e * (L // d): c for e, c in _random_coeffs(rng, d).items()}
+            _same_canonical(L, _reduce_mod_phi(L, raw))
+
+
+@pytest.fixture
+def reference_powers(monkeypatch):
+    """Run a callable with square-and-multiply powering for every value."""
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(Cyclo, "__pow__", reference_pow)
+            return _outcome(fn, *args)
+    return run
+
+
+def test_powers_match_square_and_multiply(reference_powers):
+    # the reference takes a second or more to power a dense value of a large
+    # conductor through n = 39, so past L = 16 only the roots of the cheap
+    # 2-power conductors and -zeta_255, whose cube zeta_510^261 has conductor 85
+    rng = random.Random(12)
+    values = [ZERO, -make_root(255, 1)]
+    for L in list(range(1, 17)) + [64, 128, 256]:
+        for k in (1, rng.randrange(L)):
+            z = make_root(L, k)
+            values += [z, -z, rat(2) * z]
+        if L <= 16:
+            values.append(make_root(L, 1) + 1)
+    for z in values:
+        for n in range(-6, 40):
+            assert _outcome(pow, z, n) == reference_powers(pow, z, n), (z, n)
+
+
+def test_make_root_matches_cyclo():
+    rng = random.Random(14)
+    for L in range(1, CONDUCTOR_LIMIT + 1):
+        ks = range(-L, L) if L <= 30 else [0, 1, -1, L // 2, L + 1] + rng.sample(range(L), 3)
+        for k in ks:
+            assert make_root(L, k) == Cyclo(L, {k % L: 1}), (L, k)
