@@ -10,13 +10,14 @@ the augmentation ideal, and a seeded zero-divisor search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _linalg
 from .ncpoly import NCPoly, NFMonomial, SparseTerms, _product_of_monomials, multiply
 from .presentations import BuiltPresentation
-from .scalars import Cyclo, add_terms, nth_root_in_cyclotomics, order_of
+from .scalars import CONDUCTOR_LIMIT, Cyclo, add_terms, make_root, nth_root_in_cyclotomics, order_of
 
 
 class TensorPoly(SparseTerms):
@@ -435,8 +436,6 @@ def _seeded_zero_divisors(built: BuiltPresentation, notes: list[str]):
     product of the P linear factors (zeta a + b - eta gamma zeta) is zero.
     The first vanishing prefix product splits into a witness pair.
     """
-    from .scalars import make_root
-
     params = built.presentation.kparams
     rs = built.rs
     factor_pool = []
@@ -456,6 +455,11 @@ def _seeded_zero_divisors(built: BuiltPresentation, notes: list[str]):
                              f"no degree-{params.p[i]} root of alpha_{j+1}-alpha_{i+1}")
                 continue
             P = params.p[i]
+            conductor = math.lcm(gamma.conductor, P if P % 2 else 2 * P)  # of Q(zeta_{2P}, gamma)
+            if conductor > CONDUCTOR_LIMIT:
+                notes.append(f"witness unavailable in coefficient field: zeta_{2 * P} and the degree-{P} "
+                             f"root of alpha_{j+1}-alpha_{i+1} need conductor {conductor}")
+                continue
             a = NCPoly({built.free_monomial(i): Cyclo.one(),
                         built.group_monomial(params.n[i]): gamma})
             b = NCPoly.monomial(built.free_monomial(j))

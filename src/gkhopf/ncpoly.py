@@ -252,7 +252,6 @@ class RewriteSystem:
                     self._swaps[lhs] = idx
                 elif not rule.rhs[0][1]:
                     self._cancels[lhs] = idx
-        self._const_powers: dict[tuple[int, int], Cyclo] = {}
         self._product_cache: dict[tuple[NFMonomial, NFMonomial], tuple[tuple[NFMonomial, Cyclo], ...]] = {}
 
     # -- order -----------------------------------------------------------
@@ -313,13 +312,6 @@ class RewriteSystem:
                     return i, idx, rule
         return None
 
-    def _const_power(self, idx: int, n: int) -> Cyclo:
-        """c^n for the single right-hand coefficient c of rule ``idx``."""
-        c = self._const_powers.get((idx, n))
-        if c is None:
-            c = self._const_powers[(idx, n)] = self.rules[idx].rhs[0][0] ** n
-        return c
-
     def _bulk_step(self, word: Word, i: int, idx: int):
         """The chain of steps that leftmost rewriting takes from the redex of
         rule ``idx`` at ``i``, taken at once: ``(letter steps, coefficient,
@@ -338,7 +330,7 @@ class RewriteSystem:
             while t >= 0 and word[t] == v:
                 t -= 1
             k = min(run, i - t)
-            return k, self._const_power(idx, k), word[:i + 1 - k] + word[i + 1 + k:], i + 1 - k
+            return k, self.rules[idx].rhs[0][0] ** k, word[:i + 1 - k] + word[i + 1 + k:], i + 1 - k
         # the block word[s..i] of letters that each swap with u
         swaps = self._swaps
         s = i
@@ -363,14 +355,14 @@ class RewriteSystem:
                 while r < s and word[s - 1 - r] == u:
                     r += 1
                 k = min(k, p - r)
-        coeff = None if cancel is None else self._const_power(cancel, k)
+        coeff = None if cancel is None else self.rules[cancel].rhs[0][0] ** k
         t = s
         while t <= i:
             w = word[t]
             e = t + 1
             while e <= i and word[e] == w:
                 e += 1
-            c = self._const_power(swaps[(w, u)], (e - t) * k)
+            c = self.rules[swaps[(w, u)]].rhs[0][0] ** ((e - t) * k)
             coeff = c if coeff is None else coeff * c
             t = e
         steps = k * (i + 1 - s)

@@ -11,7 +11,7 @@ the result back down, so roots of unity of any order can be combined freely
 ("the field is enlarged on demand").
 
 The arithmetic skips work whose result is known in advance, which relies on
-three invariants:
+these invariants:
 
 - values are immutable: nothing writes to a ``Cyclo``'s ``coeffs`` after
   construction, so ``x + 0``, ``x * 1`` and ``1 * x`` return ``x`` itself;
@@ -19,7 +19,11 @@ three invariants:
   phi(L) <= e < L, so reduction mod Phi_L is a sparse sum of rows;
 - every root of unity in Q(zeta_c) is +-zeta_c^j, so a root is recognised
   from its coefficients at its own conductor c, without powering it and
-  without any field larger than Q(zeta_c).
+  without any field larger than Q(zeta_c);
+- a root's powers are read off its exponent, and ``make_root`` writes a
+  root of order n at conductor n, or n/2 for n = 2 mod 4, without a descent;
+- a value lies in Q(zeta_{L/p}) iff p divides its exponents (p | L/p) or
+  the trace to Q(zeta_{L/p}) over p - 1 fixes it (otherwise).
 """
 
 from __future__ import annotations
@@ -172,48 +176,27 @@ def _reduce_mod_phi(L: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
     return {e: out[e] for e in sorted(out) if out[e] != 0}
 
 
-@lru_cache(maxsize=None)
-def _descent_solver(L: int, p: int):
-    """RREF data for testing membership of Q(zeta_{L/p}) inside Q(zeta_L)."""
-    d = L // p
-    cols = []
-    for j in range(euler_phi(d)):
-        cols.append(_reduce_mod_phi(L, {(p * j) % L: _ONE}))
-    basis: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
-    for j, col in enumerate(cols):
-        col = dict(col)
-        coord = {j: _ONE}
-        for piv, bcol, bcoord in basis:
-            c = col.get(piv)
-            if c:
-                add_terms(col, bcol.items(), -c)
-                add_terms(coord, bcoord.items(), -c)
-        assert col, "embedded basis vectors must stay independent"
-        piv = min(col)
-        inv = 1 / col[piv]
-        col = {e: v * inv for e, v in col.items()}
-        coord = {e: v * inv for e, v in coord.items()}
-        for opiv, ocol, ocoord in basis:
-            c = ocol.get(piv)
-            if c:
-                add_terms(ocol, col.items(), -c)
-                add_terms(ocoord, coord.items(), -c)
-        basis.append((piv, col, coord))
-    return tuple(basis)
-
-
-def _try_descend(L: int, p: int, coeffs: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:
-    res = dict(coeffs)
-    coord: dict[int, Fraction] = {}
-    for piv, col, cvec in _descent_solver(L, p):
-        c = res.get(piv)
-        if not c:
-            continue
-        add_terms(res, col.items(), -c)
-        add_terms(coord, cvec.items(), c)
-    if res:
+def _descend(L: int, p: int, coeffs: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:
+    """Coordinates in Q(zeta_m), m = L/p, of a value of Q(zeta_L); None if it
+    lies outside.  For p | m, Phi_L(x) = Phi_m(x^p): x^e is zeta_m^{e/p}, and
+    the value lies in Q(zeta_m) iff p divides each exponent.  Otherwise the
+    trace to Q(zeta_m) over p - 1 fixes zeta_L^e if p | e and else gives
+    -zeta_L^f / (p - 1), with f = e mod m and f = 0 mod p; the value lies in
+    Q(zeta_m) iff it equals this projection.
+    """
+    m = L // p
+    if m % p == 0:
+        if any(e % p for e in coeffs):
+            return None
+        return {e // p: c for e, c in coeffs.items()}
+    p_inv = pow(p, -1, m)
+    down: dict[int, Fraction] = {}  # the projection, zeta_L^f written as zeta_m^{f/p}
+    for e, c in coeffs.items():
+        f = e * p_inv % m
+        down[f] = down.get(f, _ZERO) + (c if e % p == 0 else -c / (p - 1))
+    if _reduce_mod_phi(L, {f * p: c for f, c in down.items()}) != coeffs:
         return None
-    return coord
+    return _reduce_mod_phi(m, down)
 
 
 def _canonicalize(L: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
@@ -224,7 +207,7 @@ def _canonicalize(L: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, F
         for p in _prime_factors(L):
             if L // p == 1:
                 continue
-            down = _try_descend(L, p, coeffs)
+            down = _descend(L, p, coeffs)
             if down is not None:
                 L, coeffs = L // p, down
                 break
@@ -377,6 +360,9 @@ class Cyclo:
         return Cyclo.promote(other) * self.inv()
 
     def __pow__(self, n: int) -> "Cyclo":
+        root = _as_root(self) if self.coeffs else None
+        if root is not None:
+            return (root ** n).to_cyclo()
         if n < 0:
             return self.inv() ** (-n)
         result = _CYCLO_ONE
@@ -437,10 +423,20 @@ _CYCLO_ONE = Cyclo(1, {0: _ONE}, _canonical=True)
 
 @lru_cache(maxsize=None)
 def make_root(L: int, k: int) -> Cyclo:
-    """The root of unity zeta_L^k as a canonical field scalar."""
-    if L < 1:
-        raise ValueError("order must be a positive integer")
-    return Cyclo(L, {k % L: _ONE})
+    """The root of unity zeta_L^k as a canonical field scalar.
+
+    In lowest terms zeta_L^k is zeta_n^k' with n = L / gcd(L, k) its order,
+    and zeta_n^k' has conductor n, except that for n = 2 mod 4 it is
+    -zeta_{n/2}^{(k'+n/2)/2} of conductor n/2.  So no descent is needed, and
+    ValueError is raised only when that conductor is past CONDUCTOR_LIMIT.
+    """
+    root = RootOfUnity(L, k)  # raises for L < 1
+    n, k = root.order, root.exponent
+    if n % 4 == 2:
+        return -make_root(n // 2, (k + n // 2) // 2)
+    if n > CONDUCTOR_LIMIT:
+        raise ValueError(f"conductor {n} exceeds CONDUCTOR_LIMIT={CONDUCTOR_LIMIT}")
+    return Cyclo(n, _reduce_mod_phi(n, {k: _ONE}), _canonical=True)
 
 
 @lru_cache(maxsize=None)
@@ -555,13 +551,10 @@ def nth_root_in_cyclotomics(value: ScalarLike, p: int) -> Optional[Cyclo]:
         return None
     rho = Cyclo.from_rational(Fraction(num, den))
     root = _as_root(value / rho ** p)  # its n0-th power is r / |r| = +-1
-    root = RootOfUnity(root.order * p, root.exponent)
-    L, k = root.order, root.exponent
-    if L % 4 == 2:  # zeta_L^k = -zeta_{L/2}^{(k + L/2)/2} has conductor L/2
-        L, k, rho = L // 2, (k + L // 2) // 2, -rho
-    if L > CONDUCTOR_LIMIT:
+    try:
+        return rho * make_root(root.order * p, root.exponent)
+    except ValueError:  # its conductor is past CONDUCTOR_LIMIT
         return None
-    return rho * make_root(L, k)
 
 
 class RootOfUnity:

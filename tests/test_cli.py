@@ -184,6 +184,18 @@ def test_cli_zerodiv(tmp_path, capsys):
     assert code == 1 and not report["verdicts"]["found"]
 
 
+def test_cli_zerodiv_witness_past_conductor_limit(tmp_path, capsys):
+    # the square root of zeta_255 has conductor 255 and zeta_4 conductor 4;
+    # the square root of -zeta_255 has conductor 1020
+    path = _write(tmp_path, "k.json", dict(K22, alpha=[0, {"L": 255, "k": 1}]))
+    code, report = _run(capsys, "zerodiv", path, "--cap", "3")
+    assert code == 1 and not report["verdicts"]["found"]
+    assert report["verdicts"]["notes"] == [
+        "witness unavailable in coefficient field: zeta_4 and the degree-2 root of alpha_2-alpha_1 "
+        "need conductor 1020",
+        "witness unavailable in coefficient field: no degree-2 root of alpha_1-alpha_2"]
+
+
 def test_cli_deterministic_output(tmp_path, capsys):
     path = _write(tmp_path, "b.json", B23)
     main(["classify", path])

@@ -42,6 +42,14 @@ def test_make_root_pins():
     assert make_root(6, 3) == rat(-1)
 
 
+def test_make_root_conductor_limit():
+    # the conductor, not the order L given, is held to CONDUCTOR_LIMIT
+    with pytest.raises(ValueError, match="conductor 296 exceeds CONDUCTOR_LIMIT=256"):
+        make_root(296, 41)
+    assert make_root(510, 300) == make_root(17, 10)
+    assert make_root(510, 1) == -make_root(255, 128)
+
+
 def test_field_op_pins():
     z3 = make_root(3, 1)
     assert z3 * make_root(3, 2) == ONE
@@ -626,11 +634,11 @@ def _random_coeffs(rng, L):
 def test_canonicalize_matches_rref_descent():
     rng = random.Random(10)
     for L in range(1, CONDUCTOR_LIMIT + 1):
-        # every zeta_L^k up to L = 64, then k = 0, 1, L - 1 and five more
-        ks = range(L) if L <= 64 else [0, 1, L - 1] + rng.sample(range(2, L - 1), 5)
+        # every zeta_L^k up to L = 64, then k = 0, 1, L - 1 and three more
+        ks = range(L) if L <= 64 else [0, 1, L - 1] + rng.sample(range(2, L - 1), 3)
         for k in ks:
             _same_canonical(L, _reduce_mod_phi(L, {k: _ONE}))
-        for _ in range(3):
+        for _ in range(2):
             _same_canonical(L, _random_coeffs(rng, L))
         # a random value of each subfield Q(zeta_d), written in Q(zeta_L)
         for d in _divisors(L):
@@ -650,15 +658,19 @@ def reference_powers(monkeypatch):
 
 def test_powers_match_square_and_multiply(reference_powers):
     # the reference takes a second or more to power a dense value of a large
-    # conductor through n = 39, so past L = 16 only the roots of the cheap
-    # 2-power conductors and -zeta_255, whose cube zeta_510^261 has conductor 85
+    # conductor through n = 39, so past L = 10 only the roots of the cheap
+    # 2-power conductors, and -zeta_255, whose cube zeta_510^261 has conductor
+    # 85, up to n = 8
     rng = random.Random(12)
-    values = [ZERO, -make_root(255, 1)]
-    for L in list(range(1, 17)) + [64, 128, 256]:
+    z = -make_root(255, 1)
+    for n in range(-6, 9):
+        assert _outcome(pow, z, n) == reference_powers(pow, z, n), (z, n)
+    values = [ZERO]
+    for L in list(range(1, 11)) + [64, 128, 256]:
         for k in (1, rng.randrange(L)):
             z = make_root(L, k)
             values += [z, -z, rat(2) * z]
-        if L <= 16:
+        if L <= 10:
             values.append(make_root(L, 1) + 1)
     for z in values:
         for n in range(-6, 40):
