@@ -190,11 +190,11 @@ def _descend(L: int, p: int, coeffs: dict[int, Fraction]) -> Optional[dict[int, 
             return None
         return {e // p: c for e, c in coeffs.items()}
     p_inv = pow(p, -1, m)
-    down: dict[int, Fraction] = {}  # the projection, zeta_L^f written as zeta_m^{f/p}
+    down: dict[int, Fraction] = {}  # the projection, zeta_L^f written as zeta_m^j, j = f/p = e/p mod m
     for e, c in coeffs.items():
-        f = e * p_inv % m
-        down[f] = down.get(f, _ZERO) + (c if e % p == 0 else -c / (p - 1))
-    if _reduce_mod_phi(L, {f * p: c for f, c in down.items()}) != coeffs:
+        j = e * p_inv % m
+        down[j] = down.get(j, _ZERO) + (c if e % p == 0 else -c / (p - 1))
+    if _reduce_mod_phi(L, {j * p: c for j, c in down.items()}) != coeffs:
         return None
     return _reduce_mod_phi(m, down)
 

@@ -567,6 +567,7 @@ def reference_canonicalize(L, coeffs):
 
 
 def reference_pow(self, n: int) -> "Cyclo":
+    """``Cyclo.__pow__`` by square-and-multiply; ``reference_powers`` installs it."""
     if n < 0:
         return self.inv() ** (-n)
     result = Cyclo.one()
