@@ -1,0 +1,143 @@
+"""The golden CLI corpus: argument lists with the exit code and the sha256 of
+stdout and stderr each one gives.
+
+``tests/test_cli_corpus.py`` replays every entry of ``cli_corpus.json`` in
+process and compares.  A change that alters a report on purpose regenerates
+the table in the same commit and names every changed entry:
+
+    PYTHONPATH=src python3 tests/cli_corpus.py
+
+Every command runs in a directory that holds the input files under the
+names below, and names them relatively, so an error line that quotes a file
+name is the same wherever the corpus runs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from gkhopf.cli import main
+
+TABLE = Path(__file__).resolve().parent / "cli_corpus.json"
+
+K22 = {"family": "K", "s": 2, "M": 2, "n": [1, 1], "p": [2, 2],
+       "q": [{"L": 2, "k": 1}, {"L": 2, "k": 1}], "alpha": [0, 1]}
+B23 = {"family": "B", "n": 1, "p": [2, 3], "q": {"L": 6, "k": 1}, "alpha": [0, 1]}
+ZETA_255 = {"L": 255, "k": 1}
+
+PRESENTATIONS = {
+    "b23": B23,
+    "b25": {"family": "B", "n": 1, "p": [2, 5], "q": {"L": 10, "k": 3}, "alpha": [0, 2]},
+    "b34": {"family": "B", "n": 1, "p": [3, 4], "q": {"L": 12, "k": 5}, "alpha": [0, 1]},
+    "b235": {"family": "B", "n": 1, "p": [2, 3, 5], "q": {"L": 30, "k": 7}, "alpha": [0, 1, 2]},
+    "k22": K22,
+    "k11": dict(K22, n=[2, 2], p=[1, 1], q=[1, 1]),
+    "k523": {"family": "K", "M": 30, "n": [6, 15, 10], "p": [5, 2, 3],
+             "q": [{"L": 5, "k": 1}, {"L": 2, "k": 1}, {"L": 3, "k": 1}], "alpha": [0, 1, 2]},
+    "a25": {"family": "A", "n": 2, "q": {"L": 5, "k": 1}},
+    "c3": {"family": "C", "n": 3},
+    "k22z": dict(K22, alpha=[0, ZETA_255]),
+    "b23z": dict(B23, alpha=[0, ZETA_255]),
+}
+
+NICHOLS = {"data": [
+    {"n1": n1, "n2": n2, "q1": {"L": L, "k": k1}, "q2": {"L": L, "k": k2}, **extra}
+    for L, n1, n2, k1, k2, extra in (
+        (5, 1, 1, 1, 2, {}), (5, 1, 1, 1, 4, {"epsilon": 5}), (7, 1, 2, 1, 3, {}),
+        (10, 1, 1, 3, 7, {"epsilon": 2}), (21, 2, 1, 4, 5, {}), (3, 1, 1, 1, 1, {"epsilon": 3}),
+        (12, 3, 2, 5, 7, {}), (30, 1, 1, 7, 11, {"epsilon": 1}), (2, 1, 1, 1, 1, {}),
+        (1, 1, 1, 0, 0, {}),
+    )]}
+
+# expressions for every presentation, by the names of its generators
+_NF_XY = ["y1*y2", "y2*y1", "y2^2*y2", "x^-3*y1 + zeta(6,1)*(x^6 - 1)", "(x + y1)^5",
+          "x^-2*y2*x^3*y1", "(x^-1*y1 - 2)*(y1 + 1/3)", "(zeta(15,2) + 1)^3*x^-4",
+          "zeta(4,1)^-3*y1^3*x^-7", "(x^-5*y1*y2)^2"]
+_NF_A = ["y*x", "x^-3*y^4*x^2", "(x + y)^6", "zeta(5,2)^-2*(x^-1*y - y*x^-1)^3"]
+_NF_C = ["x*y", "x*y^-2", "y^-1*x + 2", "(x + y)^4", "x^3*y^-2"]
+
+# (file, expression, the least budget it passes at): each runs one step below
+# that budget, where it trips, and at it
+BUDGET_CASES = [
+    ("b23", "y1*y2*x^5", 10), ("b23", "x^-2*y1*x^3", 5), ("k22", "x^-3*y2*y2", 3),
+    ("k523", "x^-40*y1*y1*y1*y1*y1", 31), ("k523", "x^-20*y1^4*x^-3*y1^2", 26),
+    ("a25", "y*x", 1), ("c3", "x*y^3", 4), ("c3", "x*y^-2", 4), ("b235", "(x^-1*y3)^3", 2),
+    ("b235", "x^-9*y3^4*y3^3", 10),
+]
+
+
+def commands() -> list[list[str]]:
+    """Every argument list of the corpus, in table order."""
+    out = []
+    for name, doc in PRESENTATIONS.items():
+        path = f"{name}.json"
+        out.append(["validate", path])
+        out.append(["pbw-check", path])
+        out.append(["ext1", path])
+        out.append(["classify", path])
+        out.append(["hopf-check", path, "--cap", "3", "--window", "4"])
+        out.append(["zerodiv", path, "--cap", "3"])
+        for w in range(-6, 7):
+            out.append(["primitives", path, "--weight", str(w), "--cap", "4", "--window", "8"])
+        texts = {"A": _NF_A, "C": _NF_C}.get(doc["family"], _NF_XY)
+        for text in texts:
+            out.append(["nf", path, text])
+    for a in PRESENTATIONS:
+        for b in PRESENTATIONS:
+            out.append(["iso", f"{a}.json", f"{b}.json"])
+    out.append(["nichols", "nichols.json"])
+    out.append(["--budget", "3", "nf", "b23.json", "y1*y2*x^5"])
+    for name, text, least in BUDGET_CASES:
+        for budget in (least - 1, least):
+            out.append(["--budget", str(budget), "nf", f"{name}.json", text])
+    return out
+
+
+def write_inputs(directory: Path) -> None:
+    for name, doc in PRESENTATIONS.items():
+        (directory / f"{name}.json").write_text(json.dumps(doc))
+    (directory / "nichols.json").write_text(json.dumps(NICHOLS))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(argv: list[str]) -> dict:
+    """One table entry: run ``main(argv)`` in the current directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": _sha(out.getvalue()),
+            "stderr": _sha(err.getvalue())}
+
+
+def run_all(directory: Path) -> list[dict]:
+    """Every entry, run in ``directory`` after the input files are written there."""
+    write_inputs(directory)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        return [run(argv) for argv in commands()]
+    finally:
+        os.chdir(cwd)
+
+
+def _main() -> int:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = run_all(Path(tmp))
+    TABLE.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    print(f"wrote {len(entries)} entries to {TABLE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main())
