@@ -12,8 +12,10 @@ with whitespace ignored, parentheses nested at most ``MAX_NESTING`` deep
 and every exponent at most ``EXPONENT_LIMIT`` in absolute value.
 Generator symbols depend on the presentation: ``x`` and ``y1..ys`` for the
 Laurent-times-skew families, ``y`` (invertible) and ``x`` for the
-differential-operator family.  Negative powers are accepted on nonzero
-scalars and on the invertible generator only.
+differential-operator family.  A negative power is accepted on a nonzero
+number (``3``, ``1/2``), on a ``zeta(L,k)`` atom and on the invertible
+generator, and nowhere else: ``(zeta(15,2)+1)^-3`` is refused although its
+base is a nonzero scalar.
 
 A text is parsed whole before anything is evaluated, so a syntax error
 stops a command before any work starts.  Evaluation then stays in normal

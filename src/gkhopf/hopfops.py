@@ -54,28 +54,36 @@ def _coproduct_word(word, built: BuiltPresentation) -> TensorPoly:
     return TensorPoly(current)
 
 
-def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
-    """Delta(m), cached per monomial.
+def _fill_from_suffix(m: NFMonomial, built: BuiltPresentation, cache: dict, unit, extend):
+    """The value of ``m``, which ``cache`` misses, filled into ``cache``.
 
-    Every suffix of a normal word is normal and Delta is multiplicative, so
-    Delta(m) = Delta(first letter) * Delta(rest): the suffixes are peeled
-    off until one is cached, then filled back one left product each.
+    Every suffix of a normal word is normal, so the suffixes are peeled off
+    until one is cached (or the unit, of value ``unit``), then filled back
+    one ``extend(letter, value of the suffix behind it)`` each.
     """
-    cache = built.coproduct_cache
-    hit = cache.get(m)
-    if hit is not None:
-        return hit
     rs = built.rs
     word = rs.word_of_monomial(m)
     chain = [m]  # chain[k] is the monomial of word[k:]; only the last may be cached
     while chain[-1] not in cache and len(chain) <= len(word):
         chain.append(rs.monomial_of_word(word[len(chain):]))
-    d = cache.get(chain[-1])
-    if d is None:  # the unit
-        d = cache[chain[-1]] = TensorPoly({(chain[-1], chain[-1]): Cyclo.one()})
+    value = cache.get(chain[-1])
+    if value is None:
+        value = cache[chain[-1]] = unit
     for k in range(len(chain) - 2, -1, -1):
-        d = cache[chain[k]] = TensorPoly(_left_times(built.coproducts[word[k]], d.terms, rs))
-    return d
+        value = cache[chain[k]] = extend(word[k], value)
+    return value
+
+
+def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
+    """Delta(m), cached per monomial: Delta is multiplicative, so
+    Delta(m) = Delta(first letter) * Delta(rest)."""
+    hit = built.coproduct_cache.get(m)
+    if hit is not None:
+        return hit
+    unit = built.rs.unit_monomial()
+    return _fill_from_suffix(
+        m, built, built.coproduct_cache, TensorPoly({(unit, unit): Cyclo.one()}),
+        lambda letter, d: TensorPoly(_left_times(built.coproducts[letter], d.terms, built.rs)))
 
 
 def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
@@ -109,11 +117,13 @@ def _antipode_word(word, built: BuiltPresentation) -> NCPoly:
 
 
 def antipode_monomial(m: NFMonomial, built: BuiltPresentation) -> NCPoly:
-    cache = built.antipode_cache
-    hit = cache.get(m)
-    if hit is None:
-        hit = cache[m] = _antipode_word(built.rs.word_of_monomial(m), built)
-    return hit
+    """S(m), cached per monomial: S reverses products, so
+    S(m) = S(rest) * S(first letter), the chain ``_antipode_word`` takes."""
+    hit = built.antipode_cache.get(m)
+    if hit is not None:
+        return hit
+    return _fill_from_suffix(m, built, built.antipode_cache, built.unit(),
+                             lambda letter, s: multiply(s, built.antipodes[letter], built.rs))
 
 
 def antipode(p: NCPoly, built: BuiltPresentation) -> NCPoly:
@@ -157,13 +167,16 @@ def _collapse_counit(d: TensorPoly, built: BuiltPresentation, leg: int) -> NCPol
 
 
 def _collapse_antipode(d: TensorPoly, built: BuiltPresentation, leg: int) -> NCPoly:
+    """S(l) r summed over the terms l (x) r of ``d`` (leg 0), or l S(r) (leg 1)."""
+    rs = built.rs
     out: dict[NFMonomial, Cyclo] = {}
     for (l, r), c in d.terms.items():
         if leg == 0:
-            part = multiply(antipode_monomial(l, built), NCPoly.monomial(r), built.rs)
+            for m, cm in antipode_monomial(l, built).terms.items():
+                add_terms(out, _product_of_monomials(m, r, rs), c * cm)
         else:
-            part = multiply(NCPoly.monomial(l), antipode_monomial(r, built), built.rs)
-        add_terms(out, part.terms.items(), c)
+            for m, cm in antipode_monomial(r, built).terms.items():
+                add_terms(out, _product_of_monomials(l, m, rs), c * cm)
     return NCPoly(out)
 
 

@@ -54,6 +54,13 @@ letter runs in front of ``i``.
 After a step changes the word from position c on, a redex can start no
 earlier than c - (longest left-hand side - 1), so the scan for the next
 redex resumes there.
+
+Products of basis monomials are cached per pair.  Where every free letter
+swaps with x and x^-1 (K, B and A), a product is read off the
+Ore-extension formula ``x^a y^u * x^b y^v = c x^(a+b) (y^u * y^v)``, and
+only ``y^u * y^v`` is rewritten, once per pair of shapes; the product
+counts the letter steps that rewriting its joined word takes (see
+``_ore_product``).  Any other system rewrites the joined word.
 """
 
 from __future__ import annotations
@@ -252,7 +259,21 @@ class RewriteSystem:
                     self._swaps[lhs] = idx
                 elif not rule.rhs[0][1]:
                     self._cancels[lhs] = idx
+        # products by the Ore-extension formula (``_ore_product``) need every
+        # free letter to swap with x and x^-1, the two to cancel to 1, no other
+        # rule to read x or x^-1, and no rule but the swaps to write x^-1
+        ore = [self._cancels.get((1, 0)), self._cancels.get((0, 1))]
+        ore += [self._swaps.get((l, x)) for l in range(2, len(letter_names)) for x in (0, 1)]
+        others = [rule for idx, rule in enumerate(self.rules) if idx not in ore]
+        self._ore = (None not in ore
+                     and all(self.rules[idx].rhs[0][0] == Cyclo.one() for idx in ore[:2])
+                     and not any({0, 1} & set(rule.lhs) or any(0 in w for _, w in rule.rhs)
+                                 for rule in others))
         self._product_cache: dict[tuple[NFMonomial, NFMonomial], tuple[tuple[NFMonomial, Cyclo], ...]] = {}
+        # y^u * y^v per shape pair (u, v): its terms, its letter steps and the
+        # x-exponents of the leaves its rewriting reaches; None if y^u is
+        # not irreducible
+        self._shape_products: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple]] = {}
 
     # -- order -----------------------------------------------------------
 
@@ -407,8 +428,9 @@ def _as_terms(p: RawTerms, rs: RewriteSystem) -> list[tuple[Cyclo, Word]]:
     return [(Cyclo.promote(c), tuple(w)) for c, w in p]
 
 
-def normal_form(p: RawTerms, rs: RewriteSystem) -> NCPoly:
-    """Exhaustively rewrite a linear combination of words to its normal form.
+def _rewrite(p: RawTerms, rs: RewriteSystem) -> tuple[list[tuple[NFMonomial, Cyclo]], int]:
+    """The irreducible leaves that exhaustive leftmost rewriting reaches, in
+    order and unmerged, and the letter steps it takes.
 
     Each stack entry carries the position before which its word holds no
     redex, so the leftmost scan resumes there instead of at 0."""
@@ -437,15 +459,78 @@ def normal_form(p: RawTerms, rs: RewriteSystem) -> NCPoly:
         else:
             _, factor, new_word, changed = bulk_step
             stack.append((coeff * factor, new_word, max(0, changed - back)))
-    return NCPoly(add_terms({}, irreducible))
+    return irreducible, steps
+
+
+def normal_form(p: RawTerms, rs: RewriteSystem) -> NCPoly:
+    """Exhaustively rewrite a linear combination of words to its normal form."""
+    return NCPoly(add_terms({}, _rewrite(p, rs)[0]))
+
+
+def _shape_product(u: tuple[int, ...], v: tuple[int, ...], rs: RewriteSystem):
+    """The ``rs._shape_products`` entry of (u, v), rewritten on a miss.  Raises
+    BudgetExceeded if y^u * y^v alone takes more steps than the budget."""
+    key = (u, v)
+    if key in rs._shape_products:
+        return rs._shape_products[key]
+    yu = rs.word_of_monomial(NFMonomial(0, u))
+    shape = None
+    if rs._find_redex(yu) is None:
+        leaves, steps = _rewrite(yu + rs.word_of_monomial(NFMonomial(0, v)), rs)
+        shape = (tuple(add_terms({}, leaves).items()), steps, tuple(m.w0 for m, _ in leaves if m.w0))
+    rs._shape_products[key] = shape
+    return shape
+
+
+def _ore_product(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
+    """m1 * m2 by x^a y^u * x^b y^v = (prod_i c_i^(u_i |b|)) x^(a+b) (y^u * y^v),
+    c_i the constant of the swap of y_i with the letter of x^b; None if the
+    letter steps it replaces exceed the budget or y^u is not irreducible.
+
+    Leftmost rewriting of the joined word moves each letter of x^b across
+    y^u (|b| |u| swaps) and cancels it against x^a while it can, then
+    rewrites y^u y^v behind x^(a+b).  The x's that this rewriting writes
+    move to the front at once, where a leaf x^e of y^u * y^v cancels
+    min(-(a+b), e) of them against a negative prefix.  No other step
+    differs, so the terms are those of ``normal_form`` in the same order,
+    and the sum is the letter-step count that the budget bounds."""
+    try:
+        shape = _shape_product(m1.w, m2.w, rs)
+    except BudgetExceeded:
+        return None
+    if shape is None:
+        return None
+    terms, steps, exponents = shape
+    a, b = m1.w0, m2.w0
+    k = a + b
+    steps += abs(b) * sum(m1.w)
+    if a * b < 0:
+        steps += min(abs(a), abs(b))
+    if k < 0:
+        steps += sum(min(-k, e) for e in exponents)
+    if steps > rs.step_budget:
+        return None
+    factor = None
+    if b:
+        for letter, e in enumerate(m1.w, start=2):
+            if e:
+                c = rs.rules[rs._swaps[(letter, 1 if b > 0 else 0)]].rhs[0][0] ** (e * abs(b))
+                factor = c if factor is None else factor * c
+    if factor is None:
+        return tuple((NFMonomial(m.w0 + k, m.w), c) for m, c in terms)
+    return tuple((NFMonomial(m.w0 + k, m.w), c * factor) for m, c in terms)
 
 
 def _product_of_monomials(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
+    """The terms of m1 * m2, cached per pair: by the Ore-extension formula
+    where it applies, else by rewriting the joined word, which also raises
+    BudgetExceeded where letter rewriting stops."""
     cached = rs._product_cache.get((m1, m2))
     if cached is None:
-        word = rs.word_of_monomial(m1) + rs.word_of_monomial(m2)
-        nf = normal_form(word, rs)
-        cached = tuple(nf.terms.items())
+        cached = _ore_product(m1, m2, rs) if rs._ore else None
+        if cached is None:
+            word = rs.word_of_monomial(m1) + rs.word_of_monomial(m2)
+            cached = tuple(normal_form(word, rs).terms.items())
         rs._product_cache[(m1, m2)] = cached
     return cached
 

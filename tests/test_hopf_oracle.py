@@ -1,4 +1,4 @@
-"""Differential oracles for the coproduct and the skew-primitive solver.
+"""Differential oracles for the coproduct, the antipode and the skew-primitive solver.
 
 ``reference_coproduct_word`` is a verbatim copy of the coproduct that
 ``hopfops`` started from: it multiplies the generator coproduct tables
@@ -8,14 +8,18 @@ that builds the whole defect system ``Delta(m) - m(x)1 - g(x)m`` again for
 every weight.  ``coproduct_monomial`` must equal the reference as a
 TensorPoly on every window monomial, and ``skew_primitives`` must give the
 same elements (as sorted term lists), commutators, levels and trivial
-dimension at every weight.
+dimension at every weight.  ``reference_antipode_word`` is a verbatim copy of
+the antipode that multiplies the generator antipodes once per letter from
+the right end of the word; ``antipode_monomial`` must give the same terms in
+the same order, whichever order its cache is filled in.
 """
 
 import pytest
 
 from gkhopf import _linalg
-from gkhopf.hopfops import TensorPoly, coproduct_monomial, skew_primitives, weight_commutator
-from gkhopf.ncpoly import NCPoly, NFMonomial, _product_of_monomials
+from gkhopf.hopfops import (TensorPoly, antipode_monomial, coproduct_monomial, skew_primitives,
+                            weight_commutator)
+from gkhopf.ncpoly import NCPoly, NFMonomial, _product_of_monomials, multiply
 from gkhopf.presentations import HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, add_terms, make_root
 
@@ -40,6 +44,13 @@ def reference_coproduct_word(word, built) -> TensorPoly:
                               scale * cl)
         current = nxt
     return TensorPoly(current)
+
+
+def reference_antipode_word(word, built) -> NCPoly:
+    out = built.unit()
+    for letter in reversed(word):
+        out = multiply(out, built.antipodes[letter], built.rs)
+    return out
 
 
 def reference_defect(m, g, built) -> TensorPoly:
@@ -118,6 +129,21 @@ def test_coproduct_of_a_long_monomial():
     m = NFMonomial(-1100, (0, 1))
     want = reference_coproduct_word(built.rs.word_of_monomial(m), built)
     assert coproduct_monomial(m, built) == want
+
+
+# -- antipode -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("longest_first", [True, False])
+@pytest.mark.parametrize("name", ["b23", "b235", "k22", "a25", "c3"])
+def test_antipode_monomial_matches_reference(name, longest_first):
+    built = BUILDERS[name]()
+    rs = built.rs
+    window_monomials = sorted(built.nf_monomials(3, 4), key=lambda m: len(rs.word_of_monomial(m)),
+                              reverse=longest_first)
+    for m in window_monomials:
+        want = reference_antipode_word(rs.word_of_monomial(m), built)
+        assert list(antipode_monomial(m, built).terms.items()) == list(want.terms.items()), m
 
 
 # -- skew primitives ----------------------------------------------------------

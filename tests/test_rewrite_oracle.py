@@ -8,6 +8,12 @@ ordered term list on every input, confluent systems or not, and must pass
 at ``step_budget`` = the oracle's step count and raise one step below it.
 With ``rightmost`` the copy fires the rightmost redex instead, an
 independent strategy that a confluent system must agree with.
+
+A product of two basis monomials does not rewrite its joined word where the
+Ore-extension formula applies, so ``_product_of_monomials`` is held to the
+same standard directly: the terms of letter rewriting in the same order, and
+a formula that passes at ``step_budget`` = the letter step count of the
+joined word and hands over to rewriting, which raises, one step below it.
 """
 
 import random
@@ -16,8 +22,8 @@ import pytest
 
 from gkhopf import ncpoly
 from gkhopf.hopfops import check_hopf_axioms
-from gkhopf.ncpoly import (BudgetExceeded, NCPoly, RewriteSystem, Rule, _as_terms,
-                           certify_confluence, normal_form)
+from gkhopf.ncpoly import (BudgetExceeded, NCPoly, NFMonomial, RewriteSystem, Rule, _as_terms,
+                           _ore_product, _product_of_monomials, certify_confluence, normal_form)
 from gkhopf.presentations import HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, add_terms, make_root
 
@@ -194,9 +200,63 @@ def test_hopf_window_products_match_letter_steps(monkeypatch):
     for built in builts:
         seen = _recorded_inputs(monkeypatch, lambda: (check_hopf_axioms(built, 3, 5),
                                                       certify_confluence(built.rs)))
-        assert len(seen) > 50
         for p in seen:
             assert_agrees(p, built.rs)
+
+
+def assert_product_agrees(m1, m2, rs):
+    want, steps = letter_normal_form(rs.word_of_monomial(m1) + rs.word_of_monomial(m2), rs)
+    saved = rs.step_budget
+    try:
+        rs.step_budget = steps
+        got = _ore_product(m1, m2, rs)
+        assert got is not None and list(got) == list(want.terms.items()), (m1, m2)
+        if steps:
+            rs.step_budget = steps - 1
+            rs._product_cache.pop((m1, m2), None)
+            assert _ore_product(m1, m2, rs) is None, (m1, m2)
+            with pytest.raises(BudgetExceeded):
+                _product_of_monomials(m1, m2, rs)
+    finally:
+        rs.step_budget = saved
+
+
+def _k523():
+    """K(M=30, p=(5,2,3)) with alpha (0,1,2): the power rules of y1 and y3 write x^30."""
+    q = [make_root(5, 1), Cyclo.from_rational(-1), make_root(3, 1)]
+    return build(HopfPresentation.from_k(KParams.make(30, (6, 15, 10), (5, 2, 3), q, (0, 1, 2))))
+
+
+# (presentation, degree cap, x-exponents): every pair of the monomials x^a y^w,
+# w a free shape up to the cap; the caps reach products that fire power rules,
+# and K523's exponents put -(a+b) below, at and above the 30 of x^30
+PRODUCT_CASES = {
+    "b23": (lambda: built_b(1, (2, 3), 1, (0, 1)), 7, range(-3, 4)),
+    "b25": (lambda: built_b(1, (2, 5), 3, (0, 1)), 9, range(-2, 3)),
+    "b34": (lambda: built_b(1, (3, 4), 5, (0, 2)), 9, range(-2, 3)),
+    "b235": (lambda: built_b(1, (2, 3, 5), 7, (0, 1, 2)), 24, range(-1, 2)),
+    "k22": (lambda: build(HopfPresentation.from_k(
+        KParams.make(2, (1, 1), (2, 2), [Cyclo.from_rational(-1)] * 2, (0, 2)))), 6, range(-3, 4)),
+    "k523": (_k523, 20, (-16, -15, -14, 0, 1)),
+    "a25": (lambda: build(HopfPresentation.a_family(2, make_root(5, 1))), 4, range(-3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_products_match_letter_steps(name):
+    make, cap, xs = PRODUCT_CASES[name]
+    built = make()
+    assert built.rs._ore
+    monomials = [NFMonomial(a, w) for w in built.free_shapes(cap) for a in xs]
+    for m1 in monomials:
+        for m2 in monomials:
+            assert_product_agrees(m1, m2, built.rs)
+
+
+def test_ore_formula_needs_the_swap_and_cancel_rules(b23, c3):
+    assert b23.rs._ore and not c3.rs._ore
+    assert corrupted_b23(b23)._ore  # a changed swap constant is read off like any other
+    assert not _hybrid_system()._ore
 
 
 def test_confluence_grid_resolutions_match_letter_steps(monkeypatch):
