@@ -12,18 +12,26 @@ dimension at every weight.  ``reference_antipode_word`` is a verbatim copy of
 the antipode that multiplies the generator antipodes once per letter from
 the right end of the word; ``antipode_monomial`` must give the same terms in
 the same order, whichever order its cache is filled in.
+``reference_counit_word`` is a verbatim copy of the counit that multiplies
+the generator counits letter by letter from the left end of the word.  The
+word maps ``_coproduct_word``, ``_antipode_word`` and ``_counit_word`` must
+agree with the references on every rule word and window monomial, with
+cold caches and with caches that ``check_hopf_axioms`` has filled.
 """
+
+import dataclasses
 
 import pytest
 
 from gkhopf import _linalg
-from gkhopf.hopfops import (TensorPoly, antipode_monomial, coproduct_monomial, skew_primitives,
-                            weight_commutator)
+from gkhopf.hopfops import (TensorPoly, _antipode_word, _coproduct_word, _counit_word,
+                            antipode_monomial, check_hopf_axioms, coproduct_monomial,
+                            skew_primitives, weight_commutator)
 from gkhopf.ncpoly import NCPoly, NFMonomial, _product_of_monomials, multiply
 from gkhopf.presentations import HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, add_terms, make_root
 
-from helpers import built_b
+from helpers import built_b, corrupted_b23
 
 
 # -- reference ----------------------------------------------------------------
@@ -50,6 +58,15 @@ def reference_antipode_word(word, built) -> NCPoly:
     out = built.unit()
     for letter in reversed(word):
         out = multiply(out, built.antipodes[letter], built.rs)
+    return out
+
+
+def reference_counit_word(word, built) -> Cyclo:
+    out = Cyclo.one()
+    for letter in word:
+        out = out * built.counits[letter]
+        if out.is_zero():
+            break
     return out
 
 
@@ -144,6 +161,41 @@ def test_antipode_monomial_matches_reference(name, longest_first):
     for m in window_monomials:
         want = reference_antipode_word(rs.word_of_monomial(m), built)
         assert list(antipode_monomial(m, built).terms.items()) == list(want.terms.items()), m
+
+
+# -- words --------------------------------------------------------------------
+
+
+def _k11():
+    one = Cyclo.one()
+    return build(HopfPresentation.from_k(KParams.make(2, (2, 2), (1, 1), [one, one], (0, 1))))
+
+
+def _corrupted_b23():
+    """B{2,3} on the non-confluent system of ``corrupted_b23``."""
+    built = BUILDERS["b23"]()
+    return dataclasses.replace(built, rs=corrupted_b23(built))
+
+
+WORD_CASES = {"b23": BUILDERS["b23"], "b235": BUILDERS["b235"], "k22": BUILDERS["k22"],
+              "k11": _k11, "a25": BUILDERS["a25"], "c3": BUILDERS["c3"],
+              "b23_corrupted": _corrupted_b23}
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("name", WORD_CASES)
+def test_word_maps_match_reference(name, warm):
+    built = WORD_CASES[name]()
+    rs = built.rs
+    if warm:
+        check_hopf_axioms(built, 3, 4)
+    words = [w for rule in rs.rules for w in (rule.lhs, *(w for _, w in rule.rhs))]
+    words += [rs.word_of_monomial(m) for m in built.nf_monomials(3, 4)]
+    for word in words:
+        assert _coproduct_word(word, built) == reference_coproduct_word(word, built), word
+        want = reference_antipode_word(word, built)
+        assert list(_antipode_word(word, built).terms.items()) == list(want.terms.items()), word
+        assert _counit_word(word, built) == reference_counit_word(word, built), word
 
 
 # -- skew primitives ----------------------------------------------------------
