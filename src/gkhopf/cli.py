@@ -25,8 +25,8 @@ from .expr import evaluate, parse_expression, poly_text
 from .heckenberger import (DiagonalDatum, lemma41_case, omega_checks, prop42_case, remark43_finite,
                            supplementary_type)
 from .ncpoly import BudgetExceeded, certify_confluence
-from .presentations import (HopfPresentation, build, presentation_from_json, scalar_from_json,
-                            to_b_form, validate_presentation)
+from .presentations import (SIZE_LIMIT, HopfPresentation, build, presentation_from_json,
+                            scalar_from_json, to_b_form, validate_presentation)
 
 SCHEMA_VERSION = 1
 
@@ -268,6 +268,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < 0:
                 raise InputError(f"--{name} must be non-negative, got {value}")
+            if name != "budget" and value is not None and value > SIZE_LIMIT:
+                raise InputError(f"--{name}={value} exceeds SIZE_LIMIT={SIZE_LIMIT}")
         load = _load_batch if args.command == "nichols" else _load
         documents, inputs = zip(*(load(getattr(args, dest)) for dest in args.files))
         verdicts, code, witnesses = args.func(args, *inputs)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .ncpoly import NCPoly, multiply, normal_form, power
 from .presentations import EXPONENT_LIMIT, BuiltPresentation
@@ -71,7 +71,7 @@ class EAdd:
 
 
 class _Parser:
-    def __init__(self, src: str, built: Optional[BuiltPresentation]):
+    def __init__(self, src: str, built: BuiltPresentation):
         self.src = src
         self.pos = 0
         self.depth = 0
@@ -96,7 +96,7 @@ class _Parser:
     def _uint(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and "0" <= self.src[self.pos] <= "9":
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
@@ -155,8 +155,7 @@ class _Parser:
                 raise self.error("division by zero")
             return
         if isinstance(atom, EGen):
-            invertible = "x" if self.built is None else self.built.rs.letter_names[1]
-            if atom.name != invertible:
+            if atom.name != self.built.rs.letter_names[1]:
                 raise self.error(f"negative power of the non-invertible generator {atom.name}")
             return
         raise self.error("negative power of a compound expression")
@@ -172,7 +171,7 @@ class _Parser:
             self.depth -= 1
             self.expect(")")
             return node
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = self._uint()
             if self.peek() == "/":
                 self.pos += 1
@@ -201,8 +200,6 @@ class _Parser:
         raise self.error("expected an atom")
 
     def _resolve_generator(self, name: str, pos: int) -> str:
-        if self.built is None:
-            return name
         names = self.built.rs.letter_names
         if name in names:
             return name
@@ -213,7 +210,7 @@ class _Parser:
         raise ExprError(f"unknown generator {name!r}", pos)
 
 
-def parse_expression(src: str, built: Optional[BuiltPresentation] = None):
+def parse_expression(src: str, built: BuiltPresentation):
     """Parse to an AST; generator names are checked against the presentation."""
     return _Parser(src, built).parse()
 

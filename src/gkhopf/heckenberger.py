@@ -36,7 +36,6 @@ def _root(z: RootLike) -> RootOfUnity:
     return RootOfUnity.from_cyclo(z)  # raises for non-roots
 
 
-_ONE = RootOfUnity.one()
 _MINUS_ONE = RootOfUnity.minus_one()
 
 

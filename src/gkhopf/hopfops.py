@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _linalg
-from .ncpoly import NCPoly, NFMonomial, SparseTerms, _product_of_monomials, multiply
+from .ncpoly import NCPoly, NFMonomial, SparseTerms, StructureError, _product_of_monomials, multiply
 from .presentations import BuiltPresentation
 from .scalars import CONDUCTOR_LIMIT, Cyclo, add_terms, make_root, nth_root_in_cyclotomics, order_of
 
@@ -46,44 +46,49 @@ def _left_times(table, d: dict, rs) -> dict:
     return out
 
 
-def _coproduct_word(word, built: BuiltPresentation) -> TensorPoly:
-    unit = built.rs.unit_monomial()
-    current: dict[tuple[NFMonomial, NFMonomial], Cyclo] = {(unit, unit): Cyclo.one()}
-    for letter in reversed(word):
-        current = _left_times(built.coproducts[letter], current, built.rs)
-    return TensorPoly(current)
+def _walk(word, built: BuiltPresentation, cache: dict, unit, extend):
+    """The value of ``word`` under a map fixed on the letters and extended
+    letter by letter from the right: ``extend(letter, value of the rest)``.
 
-
-def _fill_from_suffix(m: NFMonomial, built: BuiltPresentation, cache: dict, unit, extend):
-    """The value of ``m``, which ``cache`` misses, filled into ``cache``.
-
-    Every suffix of a normal word is normal, so the suffixes are peeled off
-    until one is cached (or the unit, of value ``unit``), then filled back
-    one ``extend(letter, value of the suffix behind it)`` each.
+    The longest suffix of basis shape starts where ``monomial_of_word``
+    stops raising.  Its value comes from its longest suffix in ``cache`` (or
+    from ``unit``), and each suffix passed on the way back is cached, even a
+    reducible one such as a power rule's y_j^{p_j}: an entry is always the
+    walk's value on its word.  The letters in front, which only a rule's
+    left-hand side has, are extended without caching.
     """
     rs = built.rs
-    word = rs.word_of_monomial(m)
-    chain = [m]  # chain[k] is the monomial of word[k:]; only the last may be cached
-    while chain[-1] not in cache and len(chain) <= len(word):
-        chain.append(rs.monomial_of_word(word[len(chain):]))
+    start = 0
+    while True:
+        try:
+            chain = [rs.monomial_of_word(word[start:])]
+            break
+        except StructureError:
+            start += 1
+    # chain[k] is the monomial of word[start + k:]; only the last may be cached
+    while chain[-1] not in cache and start + len(chain) <= len(word):
+        chain.append(rs.monomial_of_word(word[start + len(chain):]))
     value = cache.get(chain[-1])
     if value is None:
         value = cache[chain[-1]] = unit
     for k in range(len(chain) - 2, -1, -1):
-        value = cache[chain[k]] = extend(word[k], value)
+        value = cache[chain[k]] = extend(word[start + k], value)
+    for letter in reversed(word[:start]):
+        value = extend(letter, value)
     return value
 
 
-def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
-    """Delta(m), cached per monomial: Delta is multiplicative, so
-    Delta(m) = Delta(first letter) * Delta(rest)."""
-    hit = built.coproduct_cache.get(m)
-    if hit is not None:
-        return hit
+def _coproduct_word(word, built: BuiltPresentation) -> TensorPoly:
+    """Delta(word): Delta is multiplicative, so Delta(first letter) * Delta(rest)."""
     unit = built.rs.unit_monomial()
-    return _fill_from_suffix(
-        m, built, built.coproduct_cache, TensorPoly({(unit, unit): Cyclo.one()}),
-        lambda letter, d: TensorPoly(_left_times(built.coproducts[letter], d.terms, built.rs)))
+    return _walk(word, built, built.coproduct_cache, TensorPoly({(unit, unit): Cyclo.one()}),
+                 lambda letter, d: TensorPoly(_left_times(built.coproducts[letter], d.terms, built.rs)))
+
+
+def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
+    """Delta(m), cached per monomial."""
+    hit = built.coproduct_cache.get(m)
+    return hit if hit is not None else _coproduct_word(built.rs.word_of_monomial(m), built)
 
 
 def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
@@ -94,36 +99,34 @@ def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
 
 
 def _counit_word(word, built: BuiltPresentation) -> Cyclo:
-    out = Cyclo.one()
-    for letter in word:
-        out = out * built.counits[letter]
-        if out.is_zero():
-            break
-    return out
+    """epsilon(word), the product of the letter counits; a free letter's zero
+    counit stands at the right end of a basis word, where the walk starts."""
+    return _walk(word, built, built.counit_cache, Cyclo.one(),
+                 lambda letter, e: e if e.is_zero() else built.counits[letter] * e)
+
+
+def _counit_monomial(m: NFMonomial, built: BuiltPresentation) -> Cyclo:
+    hit = built.counit_cache.get(m)
+    return hit if hit is not None else _counit_word(built.rs.word_of_monomial(m), built)
 
 
 def counit(p: NCPoly, built: BuiltPresentation) -> Cyclo:
     out = Cyclo.zero()
     for m, c in p.terms.items():
-        out = out + c * _counit_word(built.rs.word_of_monomial(m), built)
+        out = out + c * _counit_monomial(m, built)
     return out
 
 
 def _antipode_word(word, built: BuiltPresentation) -> NCPoly:
-    out = built.unit()
-    for letter in reversed(word):
-        out = multiply(out, built.antipodes[letter], built.rs)
-    return out
+    """S(word): S reverses products, so S(rest) * S(first letter)."""
+    return _walk(word, built, built.antipode_cache, built.unit(),
+                 lambda letter, s: multiply(s, built.antipodes[letter], built.rs))
 
 
 def antipode_monomial(m: NFMonomial, built: BuiltPresentation) -> NCPoly:
-    """S(m), cached per monomial: S reverses products, so
-    S(m) = S(rest) * S(first letter), the chain ``_antipode_word`` takes."""
+    """S(m), cached per monomial."""
     hit = built.antipode_cache.get(m)
-    if hit is not None:
-        return hit
-    return _fill_from_suffix(m, built, built.antipode_cache, built.unit(),
-                             lambda letter, s: multiply(s, built.antipodes[letter], built.rs))
+    return hit if hit is not None else _antipode_word(built.rs.word_of_monomial(m), built)
 
 
 def antipode(p: NCPoly, built: BuiltPresentation) -> NCPoly:
@@ -161,8 +164,7 @@ def _collapse_counit(d: TensorPoly, built: BuiltPresentation, leg: int) -> NCPol
     out: dict[NFMonomial, Cyclo] = {}
     for (l, r), c in d.terms.items():
         kept, dropped = (r, l) if leg == 0 else (l, r)
-        eps = _counit_word(built.rs.word_of_monomial(dropped), built)
-        add_terms(out, ((kept, c * eps),))
+        add_terms(out, ((kept, c * _counit_monomial(dropped, built)),))
     return NCPoly(out)
 
 
@@ -196,8 +198,7 @@ def check_hopf_axioms(built: BuiltPresentation, degree_cap: int,
             report.failures.append(f"coassociativity fails on {rs.format_poly(mono)}")
         if _collapse_counit(d, built, 0) != mono or _collapse_counit(d, built, 1) != mono:
             report.failures.append(f"counit axiom fails on {rs.format_poly(mono)}")
-        eps = _counit_word(rs.word_of_monomial(m), built)
-        target = built.unit().scale(eps)
+        target = built.unit().scale(_counit_monomial(m, built))
         if _collapse_antipode(d, built, 0) != target or _collapse_antipode(d, built, 1) != target:
             report.failures.append(f"antipode axiom fails on {rs.format_poly(mono)}")
     for rule in rs.rules:
@@ -367,7 +368,7 @@ def weight_commutator(rec: NCPoly, built: BuiltPresentation) -> tuple[int, Cyclo
     if _group_part_only(rec):
         return (g_exp, Cyclo.one(), 0)
     conj = _conjugate(rec, g_exp, built)
-    probe = max((m for m in rec.terms if not m.is_group_power()), key=lambda m: (m.w0, m.w))
+    probe = max(m for m in rec.terms if not m.is_group_power())
     lam = conj.coefficient(probe) / rec.coefficient(probe)
     if lam.is_zero():
         raise ValueError("commutator of finite level does not exist")

@@ -66,7 +66,7 @@ counts the letter steps that rewriting its joined word takes (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .scalars import Cyclo, ScalarLike, add_terms
 
@@ -92,9 +92,8 @@ class StructureError(RewriteError):
     """An irreducible word fell outside the expected basis shape."""
 
 
-@dataclass(frozen=True)
-class NFMonomial:
-    """Basis monomial g^{w0} f_1^{w_1}...f_s^{w_s}."""
+class NFMonomial(NamedTuple):
+    """Basis monomial g^{w0} f_1^{w_1}...f_s^{w_s}; ordered as the tuple (w0, w)."""
 
     w0: int
     w: tuple[int, ...]
@@ -201,7 +200,7 @@ class NCPoly(SparseTerms):
         return hash(tuple(self.sorted_terms()))
 
     def sorted_terms(self) -> list[tuple[NFMonomial, Cyclo]]:
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].w0, kv[0].w))
+        return sorted(self.terms.items())
 
 
 RawTerms = Union[NCPoly, Word, Iterable[tuple[ScalarLike, Word]]]

@@ -261,11 +261,12 @@ class BuiltPresentation:
     antipodes: tuple[NCPoly, ...]       # per letter
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
-    # coproduct and antipode of each basis monomial, and the weight-free rows
-    # of each skew-primitive system per (shape, x_window), filled on first
-    # use; init=False keeps dataclasses.replace from copying them into a
-    # changed copy
+    # coproduct, counit and antipode of each basis-shaped word, and the
+    # weight-free rows of each skew-primitive system per (shape, x_window),
+    # filled on first use; init=False keeps dataclasses.replace from copying
+    # them into a changed copy
     coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    counit_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     antipode_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     primitive_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -283,9 +284,9 @@ class BuiltPresentation:
     def group_monomial(self, k: int) -> NFMonomial:
         return NFMonomial(k, (0,) * self.num_free)
 
-    def free_monomial(self, i: int, e: int = 1) -> NFMonomial:
+    def free_monomial(self, i: int) -> NFMonomial:
         w = [0] * self.num_free
-        w[i] = e
+        w[i] = 1
         return NFMonomial(0, tuple(w))
 
     def nf_monomials(self, degree_cap: int, x_window: int):

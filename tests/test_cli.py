@@ -48,10 +48,10 @@ def test_parse_examples(b23):
         parse_expression("y1 + ", b23)
 
 
-def test_parse_positions():
+def test_parse_positions(b23):
     err = None
     try:
-        parse_expression("1 + $")
+        parse_expression("1 + $", b23)
     except ExprError as exc:
         err = exc
     assert err is not None and err.pos == 4
@@ -94,6 +94,15 @@ def test_cli_nf(tmp_path, capsys):
     assert report["verdicts"]["normal_form"] == "-1 + y1^2 + x^6"
     code, _ = _run(capsys, "nf", path, "y1^-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["y1^\u0663", "y1^\u00b2"])
+def test_cli_nf_reads_only_ascii_digits(tmp_path, capsys, text):
+    # an Arabic-Indic three and a superscript two are digits to str.isdigit
+    code = main(["nf", _write(tmp_path, "b.json", B23), text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: at position 3: expected an integer\n"
 
 
 def test_cli_pbw_check(tmp_path, capsys):
@@ -265,6 +274,33 @@ def test_cli_rejects_negative_cap_and_window(tmp_path, capsys, monkeypatch, argv
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("error:") == 1 and "must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hopf-check", "--cap", "1000000000"),
+    ("hopf-check", "--window", "1000000000"),
+    ("primitives", "--weight", "0", "--cap", "1000000000"),
+    ("primitives", "--weight", "0", "--window", "1000000000"),
+    ("zerodiv", "--cap", "1000000000"),
+])
+def test_cli_rejects_cap_and_window_above_size_limit(tmp_path, capsys, monkeypatch, argv):
+    import gkhopf.cli as cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "_load", no_work)
+    path = _write(tmp_path, "b.json", B23)
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "exceeds SIZE_LIMIT=256" in captured.err
+
+
+def test_cli_accepts_cap_and_window_at_size_limit(tmp_path, capsys):
+    path = _write(tmp_path, "b.json", B23)
+    code, report = _run(capsys, "primitives", path, "--weight", "0", "--cap", "0", "--window", "256")
+    assert code == 0 and report["verdicts"]["x_window"] == 256
 
 
 @pytest.mark.parametrize("budget", ["-1", "-5"])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gkhopf.ncpoly import (NCPoly, RewriteSystem, Rule, certify_confluence,
+from gkhopf.ncpoly import (NCPoly, NFMonomial, RewriteSystem, Rule, certify_confluence,
                            enumerate_ambiguities, multiply, normal_form, power)
 from gkhopf.presentations import HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, make_root
@@ -97,7 +97,8 @@ def test_central_elements(b23, b235, k22):
         rs = built.rs
         pivot = min(range(params.s), key=lambda i: params.p[i])
         for central in (NCPoly.monomial(built.group_monomial(params.M)),
-                        NCPoly.monomial(built.free_monomial(pivot, params.p[pivot]))):
+                        NCPoly.monomial(NFMonomial(0, tuple(params.p[i] if i == pivot else 0
+                                                            for i in range(params.s))))):
             for letter in range(len(rs.letter_names)):
                 g = normal_form((letter,), rs)
                 assert multiply(central, g, rs) == multiply(g, central, rs)
