@@ -496,6 +496,40 @@ def test_identity_operands_match_slow_path():
         assert 0 + x == x + 0 == x and 1 * x == x * 1 == x and x * -1 == -x
 
 
+def _fresh(x):
+    """A value equal to ``x`` but a distinct object with its own coefficient map."""
+    return Cyclo(x.conductor, dict(x.coeffs), _canonical=True)
+
+
+def test_products_match_slow_path_cold_warm_and_fresh():
+    # irrational pairs of mixed conductors up to 60, and each irrational value
+    # against +-1 on either side; every case runs cold, again on the same
+    # objects, and on equal but distinct objects
+    rng = random.Random(15)
+    irrational = []
+    while len(irrational) < 60:
+        L = rng.randrange(3, 61)
+        x = Cyclo(L, {rng.randrange(L): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                      for _ in range(rng.randrange(1, 4))})
+        if x.conductor > 1:
+            irrational.append(x)
+    irrational += [make_root(L, 1) for L in (3, 4, 5, 7, 12, 15, 20, 60)]
+    cases = []
+    for x in irrational:
+        partners = [y for y in irrational if y.conductor != x.conductor
+                    and math.lcm(x.conductor, y.conductor) <= 60]
+        cases += [(x, y) for y in rng.sample(partners, min(3, len(partners)))]
+        cases += [(x, x), (x, ONE), (ONE, x), (x, rat(-1)), (rat(-1), x)]
+    cases += [(ONE, ONE), (ONE, rat(-1)), (rat(-1), rat(-1))]
+    want = [(slow_mul(x, y), slow_add(x, y)) for x, y in cases]
+    for run in ("cold", "warm", "fresh"):
+        for (x, y), (product, total) in zip(cases, want):
+            if run == "fresh":
+                x, y = _fresh(x), _fresh(y)
+            assert x * y == product and y * x == product, (run, x, y)
+            assert x + y == total and y + x == total, (run, x, y)
+
+
 # -- the RREF descent and square-and-multiply powering, kept as references -------
 #
 # ``_descent_solver`` and ``_try_descend`` are verbatim copies of the Gauss-Jordan
