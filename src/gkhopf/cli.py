@@ -30,6 +30,10 @@ from .presentations import (SIZE_LIMIT, HopfPresentation, build, presentation_fr
 
 SCHEMA_VERSION = 1
 
+# monomials in the ``primitives`` ansatz: free shapes of weighted degree <= cap
+# times the 2 * window + 1 powers of x
+ANSATZ_LIMIT = 16384
+
 
 class InputError(Exception):
     pass
@@ -118,6 +122,11 @@ def _cmd_hopf_check(args, pres):
 
 def _cmd_primitives(args, pres):
     built = build(pres, args.budget)
+    window = hopfops.default_window(built, args.cap) if args.window is None else args.window
+    size = len(built.free_shapes(args.cap)) * (2 * window + 1)
+    if size > ANSATZ_LIMIT:
+        raise InputError(f"--cap={args.cap} with an x-window of {window} makes an ansatz of "
+                         f"{size} monomials, above ANSATZ_LIMIT={ANSATZ_LIMIT}")
     report = hopfops.skew_primitives(built, args.weight, args.cap, args.window)
     entries = []
     for entry in report.entries:

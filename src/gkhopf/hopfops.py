@@ -51,7 +51,9 @@ def _walk(word, built: BuiltPresentation, cache: dict, unit, extend):
     letter by letter from the right: ``extend(letter, value of the rest)``.
 
     The longest suffix of basis shape starts where ``monomial_of_word``
-    stops raising.  Its value comes from its longest suffix in ``cache`` (or
+    stops raising; each shorter suffix is of basis shape too, and its
+    monomial is the previous one with the exponent of the dropped letter
+    lowered.  Its value comes from its longest suffix in ``cache`` (or
     from ``unit``), and each suffix passed on the way back is cached, even a
     reducible one such as a power rule's y_j^{p_j}: an entry is always the
     walk's value on its word.  The letters in front, which only a rule's
@@ -67,7 +69,13 @@ def _walk(word, built: BuiltPresentation, cache: dict, unit, extend):
             start += 1
     # chain[k] is the monomial of word[start + k:]; only the last may be cached
     while chain[-1] not in cache and start + len(chain) <= len(word):
-        chain.append(rs.monomial_of_word(word[start + len(chain):]))
+        m, letter = chain[-1], word[start + len(chain) - 1]
+        if letter >= 2:
+            w = list(m.w)
+            w[letter - 2] -= 1
+            chain.append(NFMonomial(m.w0, tuple(w)))
+        else:
+            chain.append(NFMonomial(m.w0 - 1 if letter else m.w0 + 1, m.w))
     value = cache.get(chain[-1])
     if value is None:
         value = cache[chain[-1]] = unit
@@ -253,7 +261,8 @@ class PrimitiveSpaceReport:
         return sum(e.dimension for e in self.entries)
 
 
-def _default_window(built: BuiltPresentation, degree_cap: int) -> int:
+def default_window(built: BuiltPresentation, degree_cap: int) -> int:
+    """The x-window of ``skew_primitives`` when none is given."""
     if built.central_exponent:
         return degree_cap * built.central_exponent
     return degree_cap * max(1, max(abs(w) for w in built.skew_weights))
@@ -289,7 +298,7 @@ def skew_primitives(built: BuiltPresentation, g_exponent: int, degree_cap: int,
     primitive spanned by g - 1.
     """
     if x_window is None:
-        x_window = _default_window(built, degree_cap)
+        x_window = default_window(built, degree_cap)
     if abs(g_exponent) > x_window:
         raise ValueError("weight exponent lies outside the search window")
     trivial = _solve_primitive_shape((0,) * built.num_free, g_exponent, built, x_window)

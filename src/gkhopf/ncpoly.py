@@ -273,6 +273,9 @@ class RewriteSystem:
         # x-exponents of the leaves its rewriting reaches; None if y^u is
         # not irreducible
         self._shape_products: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple]] = {}
+        # prod_i c_i^(u_i |b|) per (u, b): the swap constants that x^b picks
+        # up in crossing y^u
+        self._swap_factors: dict[tuple[tuple[int, ...], int], Cyclo] = {}
 
     # -- order -----------------------------------------------------------
 
@@ -509,14 +512,13 @@ def _ore_product(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
         steps += sum(min(-k, e) for e in exponents)
     if steps > rs.step_budget:
         return None
-    factor = None
-    if b:
-        for letter, e in enumerate(m1.w, start=2):
-            if e:
-                c = rs.rules[rs._swaps[(letter, 1 if b > 0 else 0)]].rhs[0][0] ** (e * abs(b))
-                factor = c if factor is None else factor * c
+    factor = rs._swap_factors.get((m1.w, b))
     if factor is None:
-        return tuple((NFMonomial(m.w0 + k, m.w), c) for m, c in terms)
+        factor = Cyclo.one()
+        for letter, e in enumerate(m1.w, start=2):
+            if e and b:
+                factor = factor * rs.rules[rs._swaps[(letter, 1 if b > 0 else 0)]].rhs[0][0] ** (e * abs(b))
+        rs._swap_factors[(m1.w, b)] = factor
     return tuple((NFMonomial(m.w0 + k, m.w), c * factor) for m, c in terms)
 
 

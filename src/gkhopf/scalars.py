@@ -14,7 +14,13 @@ The arithmetic skips work whose result is known in advance, which relies on
 these invariants:
 
 - values are immutable: nothing writes to a ``Cyclo``'s ``coeffs`` after
-  construction, so ``x + 0``, ``x * 1`` and ``1 * x`` return ``x`` itself;
+  construction, so ``x + 0``, ``x * 1`` and ``1 * x`` return ``x`` itself,
+  and a product of two irrational values can be memoized by value
+  (``_product``, bounded by ``PRODUCT_MEMO_SIZE``);
+- 0, 1 and -1 come back as the singletons ``_CYCLO_ZERO``, ``_CYCLO_ONE``
+  and ``_CYCLO_MINUS_ONE`` from ``from_rational``, negation, ``make_root``
+  and any product or sum of conductor 1, so a unit operand is recognised
+  by identity (``x * 1``, and a unit ``factor`` of ``add_terms``);
 - row ``e - phi(L)`` of ``_power_table(L)`` is x^e mod Phi_L for
   phi(L) <= e < L, so reduction mod Phi_L is a sparse sum of rows;
 - every root of unity in Q(zeta_c) is +-zeta_c^j, so a root is recognised
@@ -37,6 +43,9 @@ from typing import Optional, Union
 # classification tables); the bound only guards against runaway lcm growth.
 CONDUCTOR_LIMIT = 256
 
+# distinct pairs of irrational operands whose product ``_product`` keeps
+PRODUCT_MEMO_SIZE = 4096
+
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Cyclo", int, Fraction]
 
@@ -48,10 +57,13 @@ def add_terms(out: dict, items, factor=None) -> dict:
     """Add ``factor * value`` (``value`` if no factor) to ``out[key]`` for each
     ``(key, value)`` in ``items``, keeping only nonzero sums; returns ``out``.
 
-    Works for ``Fraction`` and ``Cyclo`` values, both falsy exactly at zero.
+    Works for ``Fraction`` and ``Cyclo`` values, both falsy exactly at zero;
+    a ``factor`` that is the unit ``_CYCLO_ONE`` counts as no factor.
     A new key is appended and a key whose sum vanishes is deleted, so the key
     order is that of the first nonzero contribution since the last deletion.
     """
+    if factor is _CYCLO_ONE:
+        factor = None
     for key, value in items:
         if factor is not None:
             value = factor * value
@@ -230,8 +242,7 @@ class Cyclo:
 
     @staticmethod
     def from_rational(r: RationalLike) -> "Cyclo":
-        r = Fraction(r)
-        return Cyclo(1, {0: r} if r else {}, _canonical=True)
+        return _scalar(1, {0: Fraction(r)})
 
     @staticmethod
     def zero() -> "Cyclo":
@@ -280,12 +291,12 @@ class Cyclo:
         L = math.lcm(self.conductor, other.conductor)
         a = self._lift(L) if L != self.conductor else dict(self.coeffs)
         b = other._lift(L) if L != other.conductor else other.coeffs
-        return Cyclo(*_canonicalize(L, add_terms(a, b.items())), _canonical=True)
+        return _scalar(*_canonicalize(L, add_terms(a, b.items())))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.conductor, {e: -c for e, c in self.coeffs.items()}, _canonical=True)
+        return _scalar(self.conductor, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: ScalarLike) -> "Cyclo":
         return self + (-Cyclo.promote(other))
@@ -294,8 +305,12 @@ class Cyclo:
         return Cyclo.promote(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> "Cyclo":
+        if other is _CYCLO_ONE:
+            return self
         other = Cyclo.promote(other)
         if self.conductor == 1:
+            if self is _CYCLO_ONE:
+                return other
             r = self.coeffs.get(0, _ZERO)
             if not r:
                 return _CYCLO_ZERO
@@ -303,18 +318,10 @@ class Cyclo:
                 return other
             if r == -1:
                 return -other
-            return Cyclo(other.conductor, {e: c * r for e, c in other.coeffs.items()}, _canonical=True)
+            return _scalar(other.conductor, {e: c * r for e, c in other.coeffs.items()})
         if other.conductor == 1:
             return other * self
-        L = math.lcm(self.conductor, other.conductor)
-        a = self._lift(L) if L != self.conductor else self.coeffs
-        b = other._lift(L) if L != other.conductor else other.coeffs
-        raw: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = (e1 + e2) % L
-                raw[e] = raw.get(e, _ZERO) + c1 * c2
-        return Cyclo(*_canonicalize(L, _reduce_mod_phi(L, raw)), _canonical=True)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -419,6 +426,34 @@ class Cyclo:
 
 _CYCLO_ZERO = Cyclo(1, {}, _canonical=True)
 _CYCLO_ONE = Cyclo(1, {0: _ONE}, _canonical=True)
+_CYCLO_MINUS_ONE = Cyclo(1, {0: -_ONE}, _canonical=True)
+
+
+def _scalar(L: int, coeffs: dict[int, Fraction]) -> Cyclo:
+    """The value with canonical coordinates (L, coeffs); 0, 1 and -1 as their singletons."""
+    if L == 1:
+        r = coeffs.get(0, _ZERO)
+        if not r:
+            return _CYCLO_ZERO
+        if r == 1:
+            return _CYCLO_ONE
+        if r == -1:
+            return _CYCLO_MINUS_ONE
+    return Cyclo(L, coeffs, _canonical=True)
+
+
+@lru_cache(maxsize=PRODUCT_MEMO_SIZE)
+def _product(x: Cyclo, y: Cyclo) -> Cyclo:
+    """x * y for two irrational values, in Q(zeta_lcm) and reduced back down."""
+    L = math.lcm(x.conductor, y.conductor)
+    a = x._lift(L) if L != x.conductor else x.coeffs
+    b = y._lift(L) if L != y.conductor else y.coeffs
+    raw: dict[int, Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = (e1 + e2) % L
+            raw[e] = raw.get(e, _ZERO) + c1 * c2
+    return _scalar(*_canonicalize(L, _reduce_mod_phi(L, raw)))
 
 
 @lru_cache(maxsize=None)
@@ -436,7 +471,7 @@ def make_root(L: int, k: int) -> Cyclo:
         return -make_root(n // 2, (k + n // 2) // 2)
     if n > CONDUCTOR_LIMIT:
         raise ValueError(f"conductor {n} exceeds CONDUCTOR_LIMIT={CONDUCTOR_LIMIT}")
-    return Cyclo(n, _reduce_mod_phi(n, {k: _ONE}), _canonical=True)
+    return _scalar(n, _reduce_mod_phi(n, {k: _ONE}))
 
 
 @lru_cache(maxsize=None)

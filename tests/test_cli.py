@@ -303,6 +303,43 @@ def test_cli_accepts_cap_and_window_at_size_limit(tmp_path, capsys):
     assert code == 0 and report["verdicts"]["x_window"] == 256
 
 
+@pytest.mark.parametrize("options, size", [
+    (("--cap", "64"), 49216),                    # 64 shapes x (2 * 384 + 1)
+    (("--cap", "32", "--window", "256"), 16416),  # 32 shapes x 513
+])
+def test_cli_rejects_primitives_ansatz_above_limit(tmp_path, capsys, monkeypatch, options, size):
+    import gkhopf.cli as cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the ansatz size was checked")
+
+    monkeypatch.setattr(cli.hopfops, "skew_primitives", no_work)
+    path = _write(tmp_path, "b.json", B23)
+    code = main(["primitives", path, "--weight", "0", *options])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert f"ansatz of {size} monomials, above ANSATZ_LIMIT=16384" in captured.err
+
+
+@pytest.mark.parametrize("options, window", [
+    (("--cap", "32"), 192),                     # 32 shapes x 385 = 12,320 monomials
+    (("--cap", "32", "--window", "255"), 255),  # 32 shapes x 511 = 16,352
+])
+def test_cli_accepts_primitives_ansatz_within_limit(tmp_path, capsys, monkeypatch, options, window):
+    import gkhopf.cli as cli
+
+    def empty_report(built, g_exponent, degree_cap, x_window=None):
+        if x_window is None:
+            x_window = cli.hopfops.default_window(built, degree_cap)
+        return cli.hopfops.PrimitiveSpaceReport(g_exponent, [], 0, degree_cap, x_window)
+
+    monkeypatch.setattr(cli.hopfops, "skew_primitives", empty_report)
+    path = _write(tmp_path, "b.json", B23)
+    code, report = _run(capsys, "primitives", path, "--weight", "0", *options)
+    assert code == 0 and report["verdicts"]["x_window"] == window
+
+
 @pytest.mark.parametrize("budget", ["-1", "-5"])
 @pytest.mark.parametrize("argv", [
     ("nf", "y1*y2"),
