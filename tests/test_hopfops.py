@@ -120,6 +120,36 @@ def test_primitive_weight_scan(b23):
     assert sorted(g for g, d in scan.items() if d > 0) == [2, 3, 6]
 
 
+def _primitive_report(rep):
+    return (rep.g_exponent, rep.trivial_dimension, rep.total_dimension, rep.x_window,
+            [(entry.commutator, entry.dimension,
+              [(list(rec.element.terms.items()), rec.level, rec.is_major, rec.commutator)
+               for rec in entry.records])
+             for entry in rep.entries])
+
+
+def _row_snapshot(base):
+    return [(pair, list(row.items())) for pair, row in base.items()]
+
+
+@pytest.mark.parametrize("name, cap, window", [("b23", 6, None), ("b235", 10, 30), ("k22", 6, None)])
+def test_warm_primitive_solves_match_fresh_builds(request, name, cap, window):
+    # one built presentation answers every weight from its cached rows; each
+    # weight must get the answer of a presentation built afresh for it, and
+    # the cached rows must come out of the scan as they went in
+    warm = build(request.getfixturevalue(name).presentation)
+    snapshots = {}
+    for g in range(-12, 13):
+        got = _primitive_report(skew_primitives(warm, g, cap, window))
+        want = _primitive_report(skew_primitives(build(warm.presentation), g, cap, window))
+        assert got == want, (name, g)
+        for key, base in warm.primitive_rows.items():
+            snapshots.setdefault(key, _row_snapshot(base))
+    assert snapshots
+    for key, base in warm.primitive_rows.items():
+        assert _row_snapshot(base) == snapshots[key], key
+
+
 def test_primitive_dimension_bound(b23, b235):
     for built in (b23, b235):
         for g in range(-8, 9):

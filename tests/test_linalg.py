@@ -183,6 +183,68 @@ def test_single_entry_rows_and_back_substitution():
     assert pivots == {"a": {"a": Cyclo.one()}, "b": {"b": Cyclo.one()}}
 
 
+def singleton_heavy_system(rng: random.Random) -> tuple[list[dict], list]:
+    """Mostly single-entry rows, as in the skew-primitive systems, mixed with
+    the wider rows whose pivots the single-entry rows meet: repeated
+    single-entry rows, single-entry rows on the least column of a wider row
+    (the column it takes as pivot unless reduced first), and wider rows
+    followed by single-entry rows on all their other columns, which
+    back-substitution strips down to one entry."""
+    columns = rng.sample(COLUMN_KEYS, rng.randint(2, len(COLUMN_KEYS)))
+    rows: list[dict] = []
+    for _ in range(rng.randint(1, 24)):
+        kind = rng.random()
+        singles = [r for r in rows if len(r) == 1]
+        wide = [r for r in rows if len(r) > 1]
+        if kind < 0.4 or not rows:
+            rows.append({rng.choice(columns): _scalar(rng)})
+        elif kind < 0.55 and singles:
+            row = rng.choice(singles)
+            rows.append(row if rng.random() < 0.5 else {next(iter(row)): _scalar(rng)})
+        elif kind < 0.7 and wide:
+            rows.append({min(rng.choice(wide), key=_col_key): _scalar(rng)})
+        elif kind < 0.85:
+            row = {c: _scalar(rng) for c in rng.sample(columns, min(len(columns), rng.randint(2, 4)))}
+            rows.append(row)
+            rest = sorted(row, key=_col_key)[1:]
+            for c in rng.sample(rest, rng.randint(0, len(rest))):
+                rows.append({c: _scalar(rng)})
+            if rng.random() < 0.5:
+                rows.append({min(row, key=_col_key): _scalar(rng)})
+        else:
+            rows.append(_combine(rng, rows))
+    return [r for r in rows if r], columns
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_singleton_heavy_systems_match_reference(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(60):
+        rows, columns = singleton_heavy_system(rng)
+        assert_same_as_reference(rows, columns)
+
+
+def test_single_entry_rows_on_every_kind_of_pivot():
+    one, two, z = Cyclo.one(), Cyclo.from_rational(2), make_root(6, 1)
+    w = make_root(4, 1) - make_root(12, 1)
+    columns = ["a", "b", "c", "d"]
+    # repeated single-entry rows, the same object and equal copies
+    single = {"b": z}
+    cases = [[single, single, {"b": z}, {"b": two}, {"a": one}, {"a": w}, single]]
+    # single-entry rows on the pivot column of a wider pivot row
+    cases.append([{"a": z, "b": two}, {"a": two}, {"c": one}])
+    cases.append([{"a": z, "b": two, "c": w}, {"a": one}, {"a": z}, {"b": two}])
+    # a wider pivot row that back-substitution shrinks to one entry, then
+    # single-entry rows on its column
+    cases.append([{"a": z, "b": two}, {"b": w}, {"a": two}, {"a": z}])
+    cases.append([{"a": z, "b": two, "c": one}, {"c": z}, {"b": one}, {"a": w}, {"d": two}])
+    for rows in cases:
+        assert_same_as_reference(rows, columns)
+    # the wider pivot row of "a" really is down to one entry
+    assert reference_rref([{"a": z, "b": two}, {"b": w}])["a"] == {"a": one}
+    assert len(reference_rref([{"a": z, "b": two}])["a"]) == 2
+
+
 # -- the systems the Hopf computations build ----------------------------------
 
 
