@@ -10,6 +10,14 @@ Reducing a row against it only drops column ``c``; ``_eliminate`` does
 that with a deletion instead of Cyclo arithmetic.  Back-substitution only
 removes columns, so a single-entry pivot row stays single-entry.  In the
 skew-primitive systems nearly every row and pivot row has one entry.
+
+``rref`` therefore keeps the pivot rows with more than one entry apart, in
+``dense``: a new pivot column can only occur in those, so only they are
+ever back-substituted into (a row that back-substitution strips to one
+entry leaves ``dense``), and a single-entry row on the column of a
+single-entry pivot row reduces to zero, so it is skipped without a copy.
+Every other row is reduced as before, so the pivots, their rows and the
+dict order of both are those of the plain reduction.
 """
 
 from __future__ import annotations
@@ -35,8 +43,19 @@ def rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
     that column order: the same pivots and rows for every order of the
     input rows.  Only the dict order of the result depends on it.
     """
+    one = Cyclo.one()
     pivots: dict[Hashable, dict] = {}
+    dense: dict[Hashable, dict] = {}  # the pivot rows with more than one entry
     for row in rows:
+        if len(row) == 1:
+            [piv] = row
+            if piv not in pivots:
+                row = pivots[piv] = {piv: one}
+                if dense:
+                    _back_substitute(dense, piv, row)
+                continue
+            if piv not in dense:
+                continue  # a multiple of the pivot row {piv: 1}
         row = dict(row)
         # a pivot row holds no other pivot column, so clearing one pivot
         # column brings in none: one pass clears them all
@@ -46,16 +65,26 @@ def rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
             continue
         if len(row) == 1:
             piv = next(iter(row))
-            row = {piv: Cyclo.one()}
+            row = {piv: one}
         else:
             piv = min(row, key=_col_key)
             inv = row[piv].inv()
             row = {c: v * inv for c, v in row.items()}
-        for prow in pivots.values():
-            if piv in prow:
-                _eliminate(prow, piv, row)
+        _back_substitute(dense, piv, row)
         pivots[piv] = row
+        if len(row) > 1:
+            dense[piv] = row
     return pivots
+
+
+def _back_substitute(dense: dict, piv: Hashable, row: dict) -> None:
+    """Clear the new pivot column ``piv`` from the multi-entry pivot rows
+    ``dense`` with its pivot row ``row``; a row left with one entry leaves."""
+    for col in [c for c, prow in dense.items() if piv in prow]:
+        prow = dense[col]
+        _eliminate(prow, piv, row)
+        if len(prow) == 1:
+            del dense[col]
 
 
 def _col_key(col):

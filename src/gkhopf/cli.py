@@ -30,9 +30,10 @@ from .presentations import (SIZE_LIMIT, HopfPresentation, build, presentation_fr
 
 SCHEMA_VERSION = 1
 
-# monomials in the ``primitives`` ansatz: free shapes of weighted degree <= cap
-# times the 2 * window + 1 powers of x
+# monomials in the ``primitives`` ansatz and in the ``hopf-check`` window:
+# free shapes of weighted degree <= cap times the 2 * window + 1 powers of x
 ANSATZ_LIMIT = 16384
+WINDOW_LIMIT = 6144
 
 
 class InputError(Exception):
@@ -109,8 +110,20 @@ def _cmd_pbw_check(args, pres):
     return verdicts, 0 if report.all_resolved else 1, None
 
 
+def _require_monomials(built, cap: int, window: int, what: str, limit_name: str, limit: int) -> None:
+    """Refuse, before any work, a monomial set of ``cap`` and ``window``
+    larger than ``limit``."""
+    size = len(built.free_shapes(cap)) * (2 * window + 1)
+    if size > limit:
+        raise InputError(f"--cap={cap} with an x-window of {window} makes {what} of "
+                         f"{size} monomials, above {limit_name}={limit}")
+
+
 def _cmd_hopf_check(args, pres):
-    report = hopfops.check_hopf_axioms(build(pres, args.budget), args.cap, args.window)
+    built = build(pres, args.budget)
+    window = args.cap if args.window is None else args.window
+    _require_monomials(built, args.cap, window, "a window", "WINDOW_LIMIT", WINDOW_LIMIT)
+    report = hopfops.check_hopf_axioms(built, args.cap, window)
     verdicts = {
         "monomials_checked": report.monomials_checked,
         "relation_checks": report.relation_checks,
@@ -123,10 +136,7 @@ def _cmd_hopf_check(args, pres):
 def _cmd_primitives(args, pres):
     built = build(pres, args.budget)
     window = hopfops.default_window(built, args.cap) if args.window is None else args.window
-    size = len(built.free_shapes(args.cap)) * (2 * window + 1)
-    if size > ANSATZ_LIMIT:
-        raise InputError(f"--cap={args.cap} with an x-window of {window} makes an ansatz of "
-                         f"{size} monomials, above ANSATZ_LIMIT={ANSATZ_LIMIT}")
+    _require_monomials(built, args.cap, window, "an ansatz", "ANSATZ_LIMIT", ANSATZ_LIMIT)
     report = hopfops.skew_primitives(built, args.weight, args.cap, args.window)
     entries = []
     for entry in report.entries:

@@ -269,22 +269,26 @@ def default_window(built: BuiltPresentation, degree_cap: int) -> int:
 
 
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
-    ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
     minus_one = Cyclo.from_rational(-1)
-    # rows of Delta(m) - m (x) 1, one column per ansatz monomial m
-    base = built.primitive_rows.get((shape, x_window))
-    if base is None:
-        base = built.primitive_rows[(shape, x_window)] = {}
+    # primitive_rows[(shape, window)]: the ansatz and its rows of Delta(m) - m (x) 1, free of g
+    cached = built.primitive_rows.get((shape, x_window))
+    if cached is None:
+        ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
+        base: dict = {}
         unit = built.rs.unit_monomial()
         for t, m in enumerate(ansatz):
             d = add_terms(dict(coproduct_monomial(m, built).terms), (((m, unit), minus_one),))
             for pair, c in d.items():
                 base.setdefault(pair, {})[t] = c
-    # - g (x) m touches one row per ansatz monomial
+        cached = built.primitive_rows[(shape, x_window)] = (ansatz, base)
+    ansatz, base = cached
+    # - g (x) m touches one row per ansatz monomial; base holds a row at
+    # (g, m) for at most a few m, and that row is copied, never changed
     g = built.group_monomial(g_exponent)
     rows = dict(base)
     for t, m in enumerate(ansatz):
-        rows[(g, m)] = add_terms(dict(base.get((g, m), ())), ((t, minus_one),))
+        row = base.get((g, m))
+        rows[(g, m)] = {t: minus_one} if row is None else add_terms(dict(row), ((t, minus_one),))
     basis = _linalg.nullspace(rows.values(), list(range(len(ansatz))))
     return [NCPoly({ansatz[t]: c for t, c in vec.items()}) for vec in basis]
 

@@ -276,6 +276,9 @@ class RewriteSystem:
         # prod_i c_i^(u_i |b|) per (u, b): the swap constants that x^b picks
         # up in crossing y^u
         self._swap_factors: dict[tuple[tuple[int, ...], int], Cyclo] = {}
+        # c^k per (idx, k) for the constant c of the one-term rule idx: the
+        # swap and cancel factors of bulk steps and Ore products
+        self._rule_powers: dict[tuple[int, int], Cyclo] = {}
 
     # -- order -----------------------------------------------------------
 
@@ -335,6 +338,12 @@ class RewriteSystem:
                     return i, idx, rule
         return None
 
+    def _rule_power(self, idx: int, k: int) -> Cyclo:
+        power = self._rule_powers.get((idx, k))
+        if power is None:
+            power = self._rule_powers[(idx, k)] = self.rules[idx].rhs[0][0] ** k
+        return power
+
     def _bulk_step(self, word: Word, i: int, idx: int):
         """The chain of steps that leftmost rewriting takes from the redex of
         rule ``idx`` at ``i``, taken at once: ``(letter steps, coefficient,
@@ -353,7 +362,7 @@ class RewriteSystem:
             while t >= 0 and word[t] == v:
                 t -= 1
             k = min(run, i - t)
-            return k, self.rules[idx].rhs[0][0] ** k, word[:i + 1 - k] + word[i + 1 + k:], i + 1 - k
+            return k, self._rule_power(idx, k), word[:i + 1 - k] + word[i + 1 + k:], i + 1 - k
         # the block word[s..i] of letters that each swap with u
         swaps = self._swaps
         s = i
@@ -378,14 +387,14 @@ class RewriteSystem:
                 while r < s and word[s - 1 - r] == u:
                     r += 1
                 k = min(k, p - r)
-        coeff = None if cancel is None else self.rules[cancel].rhs[0][0] ** k
+        coeff = None if cancel is None else self._rule_power(cancel, k)
         t = s
         while t <= i:
             w = word[t]
             e = t + 1
             while e <= i and word[e] == w:
                 e += 1
-            c = self.rules[swaps[(w, u)]].rhs[0][0] ** ((e - t) * k)
+            c = self._rule_power(swaps[(w, u)], (e - t) * k)
             coeff = c if coeff is None else coeff * c
             t = e
         steps = k * (i + 1 - s)
@@ -517,7 +526,7 @@ def _ore_product(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
         factor = Cyclo.one()
         for letter, e in enumerate(m1.w, start=2):
             if e and b:
-                factor = factor * rs.rules[rs._swaps[(letter, 1 if b > 0 else 0)]].rhs[0][0] ** (e * abs(b))
+                factor = factor * rs._rule_power(rs._swaps[(letter, 1 if b > 0 else 0)], e * abs(b))
         rs._swap_factors[(m1.w, b)] = factor
     return tuple((NFMonomial(m.w0 + k, m.w), c * factor) for m, c in terms)
 

@@ -340,6 +340,47 @@ def test_cli_accepts_primitives_ansatz_within_limit(tmp_path, capsys, monkeypatc
     assert code == 0 and report["verdicts"]["x_window"] == window
 
 
+@pytest.mark.parametrize("options, size", [
+    (("--cap", "64", "--window", "63"), 8128),    # 64 shapes x (2 * 63 + 1)
+    (("--cap", "64", "--window", "128"), 16448),  # 64 shapes x 257
+    (("--cap", "256"), 131328),                   # the window defaults to the cap
+])
+def test_cli_rejects_hopf_check_window_above_limit(tmp_path, capsys, monkeypatch, options, size):
+    import gkhopf.cli as cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the window size was checked")
+
+    monkeypatch.setattr(cli.hopfops, "check_hopf_axioms", no_work)
+    path = _write(tmp_path, "b.json", B23)
+    code = main(["hopf-check", path, *options])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert f"window of {size} monomials, above WINDOW_LIMIT=6144" in captured.err
+
+
+@pytest.mark.parametrize("options, window", [
+    (("--cap", "32", "--window", "64"), 64),  # 32 shapes x 129 = 4,128 monomials
+    (("--cap", "48", "--window", "63"), 63),  # 48 shapes x 127 = 6,096
+    (("--cap", "48"), 48),                    # 48 shapes x 97 = 4,656
+])
+def test_cli_accepts_hopf_check_window_within_limit(tmp_path, capsys, monkeypatch, options, window):
+    import gkhopf.cli as cli
+
+    calls = []
+
+    def empty_report(built, degree_cap, x_window=None):
+        calls.append((degree_cap, x_window))
+        return cli.hopfops.AxiomReport(0, 0)
+
+    monkeypatch.setattr(cli.hopfops, "check_hopf_axioms", empty_report)
+    path = _write(tmp_path, "b.json", B23)
+    code, report = _run(capsys, "hopf-check", path, *options)
+    assert code == 0 and report["verdicts"]["all_passed"]
+    assert calls == [(int(options[1]), window)]
+
+
 @pytest.mark.parametrize("budget", ["-1", "-5"])
 @pytest.mark.parametrize("argv", [
     ("nf", "y1*y2"),
