@@ -537,6 +537,54 @@ def test_products_match_slow_path_cold_warm_and_fresh():
             assert x + y == total and y + x == total, (run, x, y)
 
 
+def unmemoized_pow(x, n: int):
+    """The ``Cyclo.__pow__`` body before powers were memoized, recursing into
+    itself instead of the operator."""
+    root = scalars._as_root(x) if x.coeffs else None
+    if root is not None:
+        return (root ** n).to_cyclo()
+    if n < 0:
+        return unmemoized_pow(x.inv(), -n)
+    result = ONE
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def test_powers_match_unmemoized_pow_cold_warm_and_fresh():
+    # roots and non-roots of conductors up to 60, each to the powers -7..12,
+    # and roots to 10**6; every case runs cold, again on the same objects,
+    # and on equal but distinct objects
+    rng = random.Random(17)
+    roots = [make_root(L, k) for L in range(1, 61) for k in {0, 1, L - 1, rng.randrange(L)}]
+    roots += [-z for z in roots[::7]]
+    others = [rat(2), rat(Fraction(-1, 3)), ONE + make_root(5, 1), rat(Fraction(3, 2)) * make_root(12, 1)]
+    while len(others) < 16:
+        L = rng.randrange(3, 61)
+        x = Cyclo(L, {rng.randrange(L): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                      for _ in range(rng.randrange(1, 4))})
+        if x and order_of(x) is None:
+            others.append(x)
+    cases = [(x, n) for x in roots + others for n in range(-7, 13)]
+    cases += [(x, 10 ** 6) for x in roots]
+    want = [unmemoized_pow(x, n) for x, n in cases]
+    scalars._product.cache_clear()
+    for run in ("cold", "warm", "fresh"):
+        for (x, n), value in zip(cases, want):
+            if run == "fresh":
+                x = _fresh(x)
+            assert x ** n == value, (run, x, n)
+        assert ZERO ** 0 is ONE and ZERO ** 3 == ZERO, run
+        with pytest.raises(ZeroDivisionError):
+            ZERO ** -1
+        with pytest.raises(ZeroDivisionError):
+            _fresh(ZERO) ** -1
+
+
 # -- the RREF descent and square-and-multiply powering, kept as references -------
 #
 # ``_descent_solver`` and ``_try_descend`` are verbatim copies of the Gauss-Jordan
