@@ -15,8 +15,8 @@ these invariants:
 
 - values are immutable: nothing writes to a ``Cyclo``'s ``coeffs`` after
   construction, so ``x + 0``, ``x * 1`` and ``1 * x`` return ``x`` itself,
-  and a product of two irrational values can be memoized by value
-  (``_product``, bounded by ``PRODUCT_MEMO_SIZE``);
+  and a product of two irrational values and a power can be memoized by
+  value (``_product`` and ``Cyclo.__pow__``, each bounded by ``MEMO_SIZE``);
 - 0, 1 and -1 come back as the singletons ``_CYCLO_ZERO``, ``_CYCLO_ONE``
   and ``_CYCLO_MINUS_ONE`` from ``from_rational``, negation, ``make_root``
   and any product or sum of conductor 1, so a unit operand is recognised
@@ -43,8 +43,8 @@ from typing import Optional, Union
 # classification tables); the bound only guards against runaway lcm growth.
 CONDUCTOR_LIMIT = 256
 
-# distinct pairs of irrational operands whose product ``_product`` keeps
-PRODUCT_MEMO_SIZE = 4096
+# entries that each of the value memos ``_product`` and ``Cyclo.__pow__`` keeps
+MEMO_SIZE = 4096
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Cyclo", int, Fraction]
@@ -366,6 +366,7 @@ class Cyclo:
     def __rtruediv__(self, other: ScalarLike) -> "Cyclo":
         return Cyclo.promote(other) * self.inv()
 
+    @lru_cache(maxsize=MEMO_SIZE)
     def __pow__(self, n: int) -> "Cyclo":
         root = _as_root(self) if self.coeffs else None
         if root is not None:
@@ -442,7 +443,7 @@ def _scalar(L: int, coeffs: dict[int, Fraction]) -> Cyclo:
     return Cyclo(L, coeffs, _canonical=True)
 
 
-@lru_cache(maxsize=PRODUCT_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _product(x: Cyclo, y: Cyclo) -> Cyclo:
     """x * y for two irrational values, in Q(zeta_lcm) and reduced back down."""
     L = math.lcm(x.conductor, y.conductor)
@@ -463,9 +464,10 @@ def make_root(L: int, k: int) -> Cyclo:
     In lowest terms zeta_L^k is zeta_n^k' with n = L / gcd(L, k) its order,
     and zeta_n^k' has conductor n, except that for n = 2 mod 4 it is
     -zeta_{n/2}^{(k'+n/2)/2} of conductor n/2.  So no descent is needed, and
-    ValueError is raised only when that conductor is past CONDUCTOR_LIMIT.
+    ValueError is raised only when L < 1 or that conductor is past
+    CONDUCTOR_LIMIT.
     """
-    root = RootOfUnity(L, k)  # raises for L < 1
+    root = RootOfUnity(L, k)
     n, k = root.order, root.exponent
     if n % 4 == 2:
         return -make_root(n // 2, (k + n // 2) // 2)

@@ -169,6 +169,20 @@ def test_confluence_across_instance_grid():
     assert checked >= 30
 
 
+def test_rebuilt_system_powers_from_the_scalar_memo():
+    # rule-constant powers are memoized by value, not per rewrite system, so a
+    # second build of the same presentation computes no power afresh
+    from helpers import built_b
+
+    misses = []
+    for _ in range(2):
+        before = Cyclo.__pow__.cache_info().misses
+        built = built_b(1, (2, 3), 1, (0, 1))
+        assert certify_confluence(built.rs).all_resolved
+        misses.append(Cyclo.__pow__.cache_info().misses - before)
+    assert misses[1] == 0, misses
+
+
 def test_negative_weight_comparison_family():
     from gkhopf.hopfops import check_hopf_axioms
     from gkhopf.scalars import make_root

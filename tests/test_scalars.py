@@ -363,19 +363,25 @@ def _outcome(fn, *args):
         return "raises", type(exc)
 
 
+def _clear_memos():
+    scalars._product.cache_clear()
+    Cyclo.__pow__.cache_clear()
+
+
 @pytest.fixture
 def reference_arithmetic(monkeypatch):
     """Run a callable with dense division in place of the power table.  The
-    product memo is cleared on entering and leaving, so that no product
-    computed outside skips the patched reduction, or is kept from inside."""
+    product and power memos are cleared on entering and leaving, so that no
+    value computed outside skips the patched reduction, or is kept from
+    inside."""
     def run(fn, *args):
         with monkeypatch.context() as m:
             m.setattr(scalars, "_reduce_mod_phi", reference_reduce_mod_phi)
-            scalars._product.cache_clear()
+            _clear_memos()
             try:
                 return _outcome(fn, *args)
             finally:
-                scalars._product.cache_clear()
+                _clear_memos()
     return run
 
 
@@ -528,7 +534,7 @@ def test_products_match_slow_path_cold_warm_and_fresh():
         cases += [(x, x), (x, ONE), (ONE, x), (x, rat(-1)), (rat(-1), x)]
     cases += [(ONE, ONE), (ONE, rat(-1)), (rat(-1), rat(-1))]
     want = [(slow_mul(x, y), slow_add(x, y)) for x, y in cases]
-    scalars._product.cache_clear()
+    _clear_memos()
     for run in ("cold", "warm", "fresh"):
         for (x, y), (product, total) in zip(cases, want):
             if run == "fresh":
@@ -572,7 +578,7 @@ def test_powers_match_unmemoized_pow_cold_warm_and_fresh():
     cases = [(x, n) for x in roots + others for n in range(-7, 13)]
     cases += [(x, 10 ** 6) for x in roots]
     want = [unmemoized_pow(x, n) for x, n in cases]
-    scalars._product.cache_clear()
+    _clear_memos()
     for run in ("cold", "warm", "fresh"):
         for (x, n), value in zip(cases, want):
             if run == "fresh":
