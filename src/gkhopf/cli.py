@@ -25,13 +25,13 @@ from .expr import evaluate, parse_expression, poly_text
 from .heckenberger import (DiagonalDatum, lemma41_case, omega_checks, prop42_case, remark43_finite,
                            supplementary_type)
 from .ncpoly import BudgetExceeded, certify_confluence
-from .presentations import (SIZE_LIMIT, HopfPresentation, build, presentation_from_json,
+from .presentations import (SIZE_LIMIT, HopfPresentation, build, int_from_json, presentation_from_json,
                             scalar_from_json, to_b_form, validate_presentation)
 
 SCHEMA_VERSION = 1
 
-# monomials in the ``primitives`` ansatz and in the ``hopf-check`` window:
-# free shapes of weighted degree <= cap times the 2 * window + 1 powers of x
+# monomials in the ``primitives`` ansatz, the ``hopf-check`` window and the ``zerodiv``
+# candidate pool: free shapes of weighted degree <= cap times the 2 * window + 1 powers of x
 ANSATZ_LIMIT = 16384
 WINDOW_LIMIT = 6144
 
@@ -202,9 +202,9 @@ def _cmd_iso(args, pres_a, pres_b):
 
 def _nichols_entry(obj) -> dict:
     try:
-        datum = DiagonalDatum.make(int(obj["n1"]), int(obj["n2"]),
+        datum = DiagonalDatum.make(int_from_json("n1", obj["n1"]), int_from_json("n2", obj["n2"]),
                                    scalar_from_json(obj["q1"]), scalar_from_json(obj["q2"]))
-        epsilon = int(obj["epsilon"]) if "epsilon" in obj else None
+        epsilon = int_from_json("epsilon", obj["epsilon"]) if "epsilon" in obj else None
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad diagonal datum {obj!r}: {exc}") from exc
     verdict = lemma41_case(datum.braiding_matrix())
@@ -226,6 +226,8 @@ def _cmd_nichols(args, items):
 
 def _cmd_zerodiv(args, pres):
     built = build(pres, args.budget)
+    window = hopfops.zero_divisor_window(built, args.cap)
+    _require_monomials(built, args.cap, window, "a candidate pool", "WINDOW_LIMIT", WINDOW_LIMIT)
     report = hopfops.find_zero_divisors(built, args.cap)
     witnesses = None
     if report.found:

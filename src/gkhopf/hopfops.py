@@ -268,6 +268,11 @@ def default_window(built: BuiltPresentation, degree_cap: int) -> int:
     return degree_cap * max(1, max(abs(w) for w in built.skew_weights))
 
 
+def zero_divisor_window(built: BuiltPresentation, degree_cap: int) -> int:
+    """The x-window of the candidate pool that ``find_zero_divisors`` searches."""
+    return min(degree_cap, built.central_exponent or degree_cap)
+
+
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
     minus_one = Cyclo.from_rational(-1)
     # primitive_rows[(shape, window)]: the ansatz and its rows of Delta(m) - m (x) 1, free of g
@@ -522,8 +527,7 @@ def find_zero_divisors(built: BuiltPresentation, degree_cap: int = 4) -> ZeroDiv
         candidates.extend(factors)
     for i in range(built.num_free):
         candidates.append(NCPoly.monomial(built.free_monomial(i)))
-    window = min(degree_cap, built.central_exponent or degree_cap)
-    pool = [m for m in built.nf_monomials(degree_cap, window)]
+    pool = list(built.nf_monomials(degree_cap, zero_divisor_window(built, degree_cap)))
     for u in candidates:
         if u.is_zero():
             continue

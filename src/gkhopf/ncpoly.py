@@ -60,7 +60,8 @@ swaps with x and x^-1 (K, B and A), a product is read off the
 Ore-extension formula ``x^a y^u * x^b y^v = c x^(a+b) (y^u * y^v)``, and
 only ``y^u * y^v`` is rewritten, once per pair of shapes; the product
 counts the letter steps that rewriting its joined word takes (see
-``_ore_product``).  Any other system rewrites the joined word.
+``_ore_product``).  Any other system rewrites the joined word.  A rule
+constant's power ``c^k`` comes from the value memo of ``Cyclo.__pow__``.
 """
 
 from __future__ import annotations

@@ -424,7 +424,15 @@ EXPONENT_LIMIT = 1000  # |N| of a power e^N in an nf expression
 SCALAR_TEXT_LIMIT = 100  # characters of a scalar written as a string
 
 
-def _sized(name: str, value: int) -> int:
+def int_from_json(name: str, value) -> int:
+    """The JSON integer field ``name``: an ``int`` and no ``bool``, else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _sized(name: str, value) -> int:
+    value = int_from_json(name, value)
     if abs(value) > SIZE_LIMIT:
         raise ValueError(f"{name}={value} exceeds SIZE_LIMIT={SIZE_LIMIT}")
     return value
@@ -440,7 +448,7 @@ def _fraction(*args) -> Fraction:
 def scalar_from_json(obj) -> Cyclo:
     """Scalars appear as ints, "a/b" strings, [num, den], {"L","k"} roots,
     or {"L","poly": [[num,den],...]} coefficient lists."""
-    if isinstance(obj, int):
+    if type(obj) is int:
         return Cyclo.from_rational(obj)
     if isinstance(obj, str):
         if len(obj) > SCALAR_TEXT_LIMIT:
@@ -448,26 +456,24 @@ def scalar_from_json(obj) -> Cyclo:
         if "e" in obj or "E" in obj:
             raise ValueError(f"scalar {obj!r} uses exponent notation")
         return Cyclo.from_rational(_fraction(obj))
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(isinstance(v, int) for v in obj):
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(type(v) is int for v in obj):
         return Cyclo.from_rational(_fraction(obj[0], obj[1]))
     if isinstance(obj, dict) and ("poly" in obj or "k" in obj):
-        L = int(obj["L"])
+        L = int_from_json("L", obj["L"])
         if not 1 <= L <= CONDUCTOR_LIMIT:
             raise ValueError(f"conductor L={L} outside 1..{CONDUCTOR_LIMIT}")
         if "poly" in obj:
-            coeffs = {e: _fraction(num, den) for e, (num, den) in enumerate(obj["poly"])}
-            return Cyclo(L, coeffs)
-        return make_root(L, int(obj["k"]))
+            return Cyclo(L, {e: _fraction(int_from_json("poly", num), int_from_json("poly", den))
+                             for e, (num, den) in enumerate(obj["poly"])})
+        return make_root(L, int_from_json("k", obj["k"]))
     raise ValueError(f"cannot read a scalar from {obj!r}")
 
 
 def _int_list(data: dict, key: str) -> list[int]:
     value = data[key]
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list):
         raise ValueError(f"field {key!r} must be a list of integers")
-    for i, v in enumerate(value):
-        _sized(f"{key}[{i}]", v)
-    return value
+    return [_sized(f"{key}[{i}]", v) for i, v in enumerate(value)]
 
 
 def presentation_from_json(data: dict) -> HopfPresentation:
@@ -480,18 +486,18 @@ def presentation_from_json(data: dict) -> HopfPresentation:
             raise ValueError(f"s={len(p)} exceeds LENGTH_LIMIT={LENGTH_LIMIT}")
         q = [scalar_from_json(v) for v in data["q"]]
         alpha = [scalar_from_json(v) for v in data["alpha"]]
-        if "s" in data and int(data["s"]) != len(p):
+        if "s" in data and int_from_json("s", data["s"]) != len(p):
             raise ValueError("field 's' disagrees with the length of 'p'")
-        M = _sized("M", int(data["M"]))
+        M = _sized("M", data["M"])
         return HopfPresentation.from_k(KParams.make(M, _int_list(data, "n"), p, q, alpha))
     if family == "B":
         q = scalar_from_json(data["q"])
         alpha = [scalar_from_json(v) for v in data["alpha"]]
-        n, p = _sized("n", int(data["n"])), _int_list(data, "p")
+        n, p = _sized("n", data["n"]), _int_list(data, "p")
         _sized("M = n*p_1*...*p_s", n * math.prod(p))
         return HopfPresentation.from_b(BParams.make(n, p, q, alpha))
     if family == "A":
-        return HopfPresentation.a_family(_sized("n", int(data["n"])), scalar_from_json(data["q"]))
+        return HopfPresentation.a_family(_sized("n", data["n"]), scalar_from_json(data["q"]))
     if family == "C":
-        return HopfPresentation.c_family(_sized("n", int(data["n"])))
+        return HopfPresentation.c_family(_sized("n", data["n"]))
     raise ValueError(f"unknown family {family!r}")

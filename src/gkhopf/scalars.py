@@ -373,14 +373,10 @@ class Cyclo:
             return (root ** n).to_cyclo()
         if n < 0:
             return self.inv() ** (-n)
-        result = _CYCLO_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n < 2:
+            return self if n else _CYCLO_ONE
+        half = self ** (n >> 1)  # through the memo, as are the products
+        return half * half * self if n & 1 else half * half
 
     # -- comparison ------------------------------------------------------
 
@@ -463,9 +459,8 @@ def make_root(L: int, k: int) -> Cyclo:
 
     In lowest terms zeta_L^k is zeta_n^k' with n = L / gcd(L, k) its order,
     and zeta_n^k' has conductor n, except that for n = 2 mod 4 it is
-    -zeta_{n/2}^{(k'+n/2)/2} of conductor n/2.  So no descent is needed, and
-    ValueError is raised only when L < 1 or that conductor is past
-    CONDUCTOR_LIMIT.
+    -zeta_{n/2}^{(k'+n/2)/2} of conductor n/2, so no descent is needed.
+    Raises ValueError only when L < 1 or that conductor is past CONDUCTOR_LIMIT.
     """
     root = RootOfUnity(L, k)
     n, k = root.order, root.exponent
@@ -512,9 +507,7 @@ def order_of(a: ScalarLike) -> Optional[int]:
 def is_primitive_pth_root(a: ScalarLike, p: int) -> bool:
     """True iff ``a`` is a primitive p-th root of unity."""
     a = Cyclo.promote(a)
-    if a.is_zero():
-        return False
-    return order_of(a) == p
+    return bool(a) and order_of(a) == p
 
 
 @lru_cache(maxsize=None)

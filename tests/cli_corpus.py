@@ -55,6 +55,13 @@ NICHOLS = {"data": [
         (1, 1, 1, 0, 0, {}),
     )]}
 
+# documents refused as input (exit 2): integer fields that are no JSON integer
+MALFORMED = {
+    "b23-float-n": dict(B23, n=1.9),
+    "b23-bool-n": dict(B23, n=True),
+    "b23-bool-alpha": dict(B23, alpha=[0, True]),
+}
+
 # expressions for every presentation, by the names of its generators
 _NF_XY = ["y1*y2", "y2*y1", "y2^2*y2", "x^-3*y1 + zeta(6,1)*(x^6 - 1)", "(x + y1)^5",
           "x^-2*y2*x^3*y1", "(x^-1*y1 - 2)*(y1 + 1/3)", "(zeta(15,2) + 1)^3*x^-4",
@@ -96,11 +103,14 @@ def commands() -> list[list[str]]:
     for name, text, least in BUDGET_CASES:
         for budget in (least - 1, least):
             out.append(["--budget", str(budget), "nf", f"{name}.json", text])
+    for name in MALFORMED:
+        out.append(["validate", f"{name}.json"])
+    out.append(["zerodiv", "c3.json", "--cap", "64"])  # a candidate pool above WINDOW_LIMIT
     return out
 
 
 def write_inputs(directory: Path) -> None:
-    for name, doc in PRESENTATIONS.items():
+    for name, doc in {**PRESENTATIONS, **MALFORMED}.items():
         (directory / f"{name}.json").write_text(json.dumps(doc))
     (directory / "nichols.json").write_text(json.dumps(NICHOLS))
 

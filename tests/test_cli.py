@@ -381,6 +381,27 @@ def test_cli_accepts_hopf_check_window_within_limit(tmp_path, capsys, monkeypatc
     assert calls == [(int(options[1]), window)]
 
 
+def test_cli_rejects_zerodiv_pool_above_limit(tmp_path, capsys, monkeypatch):
+    import gkhopf.cli as cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the candidate pool was checked")
+
+    monkeypatch.setattr(cli.hopfops, "find_zero_divisors", no_work)
+    code = main(["zerodiv", _write(tmp_path, "c3.json", C3), "--cap", "64"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    # 65 shapes x (2 * 64 + 1)
+    assert captured.err == ("error: --cap=64 with an x-window of 64 makes a candidate pool of "
+                            "8385 monomials, above WINDOW_LIMIT=6144\n")
+
+
+def test_cli_accepts_zerodiv_pool_within_limit(tmp_path, capsys):
+    # 33 shapes x (2 * 32 + 1) = 2,145 monomials, searched as before
+    code, report = _run(capsys, "zerodiv", _write(tmp_path, "c3.json", C3), "--cap", "32")
+    assert code == 1 and report["verdicts"] == {"found": False, "notes": []}
+
+
 @pytest.mark.parametrize("budget", ["-1", "-5"])
 @pytest.mark.parametrize("argv", [
     ("nf", "y1*y2"),
@@ -694,6 +715,51 @@ def test_cli_k_family_rejects_nonpositive_p(tmp_path, capsys, p):
     for command in ("pbw-check", "ext1", "hopf-check", "classify"):
         code = main([command, path])
         _check_error_report(code, capsys.readouterr())
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the entry at ``path`` (keys and list indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+# (command, document, path of an integer field in it)
+_INTEGER_FIELDS = [
+    ("validate", K22, ("M",)), ("validate", K22, ("s",)), ("validate", K22, ("n", 1)),
+    ("validate", K22, ("p", 0)), ("validate", B23, ("n",)), ("validate", B23, ("p", 1)),
+    ("validate", A25, ("n",)), ("validate", C3, ("n",)),
+    ("validate", B23, ("q", "L")), ("validate", B23, ("q", "k")),
+    ("validate", dict(B23, alpha=[0, {"L": 3, "poly": [[1, 2]]}]), ("alpha", 1, "poly", 0, 1)),
+    ("nichols", dict(N5, epsilon=5), ("n1",)), ("nichols", dict(N5, epsilon=5), ("n2",)),
+    ("nichols", dict(N5, epsilon=5), ("epsilon",)),
+]
+
+
+@pytest.mark.parametrize("value", [1.9, 2.0, True, False, "2"], ids=json.dumps)
+@pytest.mark.parametrize("command, doc, path", _INTEGER_FIELDS,
+                         ids=[f"{doc.get('family', 'nichols')}-{'.'.join(map(str, path))}"
+                              for _, doc, path in _INTEGER_FIELDS])
+def test_cli_reads_integer_fields_strictly(tmp_path, capsys, command, doc, path, value):
+    # the integer as given is read; a float, a bool or a numeric string in its place is refused
+    code = main([command, _write(tmp_path, "ok.json", doc)])
+    assert code in (0, 1) and capsys.readouterr().err == ""
+    code = main([command, _write(tmp_path, "bad.json", _with(doc, path, value))])
+    _check_error_report(code, captured := capsys.readouterr())
+    assert "must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("scalar", [True, False, [True, 2], [1, False]], ids=json.dumps)
+def test_cli_refuses_boolean_scalars(tmp_path, capsys, scalar):
+    for command, doc in (("validate", dict(B23, q=scalar)), ("validate", dict(B23, alpha=[0, scalar])),
+                         ("nichols", dict(N5, q1=scalar))):
+        code = main([command, _write(tmp_path, "bad.json", doc)])
+        _check_error_report(code, captured := capsys.readouterr())
+        assert "cannot read a scalar" in captured.err
 
 
 # JSON values for the fuzz below: integers in -3..40, and integers at and
