@@ -81,10 +81,6 @@ class NicholsVerdict:
     permutation_applied: bool
     all_matches: tuple[str, ...]
 
-    @property
-    def matched(self) -> bool:
-        return self.case_label != "none"
-
 
 def _lemma41_matches(q: BraidingMatrix) -> list[str]:
     q11, q22 = q.q11, q.q22

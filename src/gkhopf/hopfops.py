@@ -25,9 +25,6 @@ class TensorPoly(SparseTerms):
 
     __slots__ = ()
 
-    def add_term(self, left: NFMonomial, right: NFMonomial, c: Cyclo) -> None:
-        add_terms(self.terms, (((left, right), c),))
-
 
 def tensor_of(left: NCPoly, right: NCPoly) -> TensorPoly:
     return TensorPoly({(ml, mr): cl * cr

@@ -58,10 +58,13 @@ redex resumes there.
 Products of basis monomials are cached per pair.  Where every free letter
 swaps with x and x^-1 (K, B and A), a product is read off the
 Ore-extension formula ``x^a y^u * x^b y^v = c x^(a+b) (y^u * y^v)``, and
-only ``y^u * y^v`` is rewritten, once per pair of shapes; the product
-counts the letter steps that rewriting its joined word takes (see
+only ``y^u * y^v`` is rewritten, once per pair of shapes (see
 ``_ore_product``).  Any other system rewrites the joined word.  A rule
 constant's power ``c^k`` comes from the value memo of ``Cyclo.__pow__``.
+
+The step budget bounds each rewriting that runs, on its own, by its letter
+steps: a word, the joined word of a product, or ``y^u * y^v`` alone where
+the formula applies.  A product taken from a cache costs nothing.
 """
 
 from __future__ import annotations
@@ -270,9 +273,8 @@ class RewriteSystem:
                      and not any({0, 1} & set(rule.lhs) or any(0 in w for _, w in rule.rhs)
                                  for rule in others))
         self._product_cache: dict[tuple[NFMonomial, NFMonomial], tuple[tuple[NFMonomial, Cyclo], ...]] = {}
-        # y^u * y^v per shape pair (u, v): its terms, its letter steps and the
-        # x-exponents of the leaves its rewriting reaches; None if y^u is
-        # not irreducible
+        # the terms of y^u * y^v per shape pair (u, v); None if y^u is not
+        # irreducible
         self._shape_products: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple]] = {}
         # prod_i c_i^(u_i |b|) per (u, b): the swap constants that x^b picks
         # up in crossing y^u
@@ -431,9 +433,9 @@ def _as_terms(p: RawTerms, rs: RewriteSystem) -> list[tuple[Cyclo, Word]]:
     return [(Cyclo.promote(c), tuple(w)) for c, w in p]
 
 
-def _rewrite(p: RawTerms, rs: RewriteSystem) -> tuple[list[tuple[NFMonomial, Cyclo]], int]:
-    """The irreducible leaves that exhaustive leftmost rewriting reaches, in
-    order and unmerged, and the letter steps it takes.
+def normal_form(p: RawTerms, rs: RewriteSystem) -> NCPoly:
+    """Exhaustively rewrite a linear combination of words to its normal form:
+    the irreducible leaves that leftmost rewriting reaches, merged in order.
 
     Each stack entry carries the position before which its word holds no
     redex, so the leftmost scan resumes there instead of at 0."""
@@ -462,57 +464,38 @@ def _rewrite(p: RawTerms, rs: RewriteSystem) -> tuple[list[tuple[NFMonomial, Cyc
         else:
             _, factor, new_word, changed = bulk_step
             stack.append((coeff * factor, new_word, max(0, changed - back)))
-    return irreducible, steps
-
-
-def normal_form(p: RawTerms, rs: RewriteSystem) -> NCPoly:
-    """Exhaustively rewrite a linear combination of words to its normal form."""
-    return NCPoly(add_terms({}, _rewrite(p, rs)[0]))
+    return NCPoly(add_terms({}, irreducible))
 
 
 def _shape_product(u: tuple[int, ...], v: tuple[int, ...], rs: RewriteSystem):
-    """The ``rs._shape_products`` entry of (u, v), rewritten on a miss.  Raises
-    BudgetExceeded if y^u * y^v alone takes more steps than the budget."""
+    """The terms of y^u * y^v, rewritten once per shape pair (u, v); None if
+    y^u is not irreducible."""
     key = (u, v)
     if key in rs._shape_products:
         return rs._shape_products[key]
     yu = rs.word_of_monomial(NFMonomial(0, u))
-    shape = None
+    terms = None
     if rs._find_redex(yu) is None:
-        leaves, steps = _rewrite(yu + rs.word_of_monomial(NFMonomial(0, v)), rs)
-        shape = (tuple(add_terms({}, leaves).items()), steps, tuple(m.w0 for m, _ in leaves if m.w0))
-    rs._shape_products[key] = shape
-    return shape
+        terms = tuple(normal_form(yu + rs.word_of_monomial(NFMonomial(0, v)), rs).terms.items())
+    rs._shape_products[key] = terms
+    return terms
 
 
 def _ore_product(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
     """m1 * m2 by x^a y^u * x^b y^v = (prod_i c_i^(u_i |b|)) x^(a+b) (y^u * y^v),
-    c_i the constant of the swap of y_i with the letter of x^b; None if the
-    letter steps it replaces exceed the budget or y^u is not irreducible.
+    c_i the constant of the swap of y_i with the letter of x^b; None if y^u
+    is not irreducible.  Only y^u * y^v is rewritten, so only its steps count
+    against the budget.
 
     Leftmost rewriting of the joined word moves each letter of x^b across
-    y^u (|b| |u| swaps) and cancels it against x^a while it can, then
-    rewrites y^u y^v behind x^(a+b).  The x's that this rewriting writes
-    move to the front at once, where a leaf x^e of y^u * y^v cancels
-    min(-(a+b), e) of them against a negative prefix.  No other step
-    differs, so the terms are those of ``normal_form`` in the same order,
-    and the sum is the letter-step count that the budget bounds."""
-    try:
-        shape = _shape_product(m1.w, m2.w, rs)
-    except BudgetExceeded:
+    y^u and cancels it against x^a while it can, then rewrites y^u y^v
+    behind x^(a+b), whose x's move to the front.  So the terms are those of
+    ``normal_form`` on the joined word, in the same order."""
+    terms = _shape_product(m1.w, m2.w, rs)
+    if terms is None:
         return None
-    if shape is None:
-        return None
-    terms, steps, exponents = shape
-    a, b = m1.w0, m2.w0
-    k = a + b
-    steps += abs(b) * sum(m1.w)
-    if a * b < 0:
-        steps += min(abs(a), abs(b))
-    if k < 0:
-        steps += sum(min(-k, e) for e in exponents)
-    if steps > rs.step_budget:
-        return None
+    b = m2.w0
+    k = m1.w0 + b
     factor = rs._swap_factors.get((m1.w, b))
     if factor is None:
         factor = Cyclo.one()
@@ -525,8 +508,7 @@ def _ore_product(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
 
 def _product_of_monomials(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
     """The terms of m1 * m2, cached per pair: by the Ore-extension formula
-    where it applies, else by rewriting the joined word, which also raises
-    BudgetExceeded where letter rewriting stops."""
+    where it applies, else by rewriting the joined word."""
     cached = rs._product_cache.get((m1, m2))
     if cached is None:
         cached = _ore_product(m1, m2, rs) if rs._ore else None

@@ -431,6 +431,13 @@ def int_from_json(name: str, value) -> int:
     return value
 
 
+def _pair_from_json(name: str, value) -> tuple[int, int]:
+    """The JSON pair ``[num, den]`` of integers ``name``, else ValueError."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"field {name!r} must be a pair [num, den] of integers")
+    return int_from_json(name, value[0]), int_from_json(name, value[1])
+
+
 def _sized(name: str, value) -> int:
     value = int_from_json(name, value)
     if abs(value) > SIZE_LIMIT:
@@ -463,8 +470,10 @@ def scalar_from_json(obj) -> Cyclo:
         if not 1 <= L <= CONDUCTOR_LIMIT:
             raise ValueError(f"conductor L={L} outside 1..{CONDUCTOR_LIMIT}")
         if "poly" in obj:
-            return Cyclo(L, {e: _fraction(int_from_json("poly", num), int_from_json("poly", den))
-                             for e, (num, den) in enumerate(obj["poly"])})
+            if not isinstance(obj["poly"], list):
+                raise ValueError("field 'poly' must be a list of [num, den] pairs")
+            return Cyclo(L, {e: _fraction(*_pair_from_json(f"poly[{e}]", v))
+                             for e, v in enumerate(obj["poly"])})
         return make_root(L, int_from_json("k", obj["k"]))
     raise ValueError(f"cannot read a scalar from {obj!r}")
 

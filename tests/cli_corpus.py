@@ -29,6 +29,7 @@ TABLE = Path(__file__).resolve().parent / "cli_corpus.json"
 K22 = {"family": "K", "s": 2, "M": 2, "n": [1, 1], "p": [2, 2],
        "q": [{"L": 2, "k": 1}, {"L": 2, "k": 1}], "alpha": [0, 1]}
 B23 = {"family": "B", "n": 1, "p": [2, 3], "q": {"L": 6, "k": 1}, "alpha": [0, 1]}
+A25 = {"family": "A", "n": 2, "q": {"L": 5, "k": 1}}
 ZETA_255 = {"L": 255, "k": 1}
 
 PRESENTATIONS = {
@@ -40,7 +41,7 @@ PRESENTATIONS = {
     "k11": dict(K22, n=[2, 2], p=[1, 1], q=[1, 1]),
     "k523": {"family": "K", "M": 30, "n": [6, 15, 10], "p": [5, 2, 3],
              "q": [{"L": 5, "k": 1}, {"L": 2, "k": 1}, {"L": 3, "k": 1}], "alpha": [0, 1, 2]},
-    "a25": {"family": "A", "n": 2, "q": {"L": 5, "k": 1}},
+    "a25": A25,
     "c3": {"family": "C", "n": 3},
     "k22z": dict(K22, alpha=[0, ZETA_255]),
     "b23z": dict(B23, alpha=[0, ZETA_255]),
@@ -55,11 +56,17 @@ NICHOLS = {"data": [
         (1, 1, 1, 0, 0, {}),
     )]}
 
-# documents refused as input (exit 2): integer fields that are no JSON integer
+# documents refused as input (exit 2): integer fields that are no JSON
+# integer, and scalar coefficient lists that are no list of [num, den] pairs
 MALFORMED = {
     "b23-float-n": dict(B23, n=1.9),
     "b23-bool-n": dict(B23, n=True),
     "b23-bool-alpha": dict(B23, alpha=[0, True]),
+    "a25-poly-triple": dict(A25, q={"L": 3, "poly": [[1, 2, 3]]}),
+    "a25-poly-int": dict(A25, q={"L": 3, "poly": 5}),
+    "a25-poly-bare-entry": dict(A25, q={"L": 3, "poly": [7]}),
+    "a25-poly-short-entry": dict(A25, q={"L": 3, "poly": [[1, 2], [3]]}),
+    "a25-poly-object": dict(A25, q={"L": 3, "poly": {"a": 1}}),
 }
 
 # expressions for every presentation, by the names of its generators
@@ -70,12 +77,12 @@ _NF_A = ["y*x", "x^-3*y^4*x^2", "(x + y)^6", "zeta(5,2)^-2*(x^-1*y - y*x^-1)^3"]
 _NF_C = ["x*y", "x*y^-2", "y^-1*x + 2", "(x + y)^4", "x^3*y^-2"]
 
 # (file, expression, the least budget it passes at): each runs one step below
-# that budget, where it trips, and at it
+# that budget, where it trips, and at it; a least budget of 0 runs at 0 only
 BUDGET_CASES = [
-    ("b23", "y1*y2*x^5", 10), ("b23", "x^-2*y1*x^3", 5), ("k22", "x^-3*y2*y2", 3),
-    ("k523", "x^-40*y1*y1*y1*y1*y1", 31), ("k523", "x^-20*y1^4*x^-3*y1^2", 26),
-    ("a25", "y*x", 1), ("c3", "x*y^3", 4), ("c3", "x*y^-2", 4), ("b235", "(x^-1*y3)^3", 2),
-    ("b235", "x^-9*y3^4*y3^3", 10),
+    ("b23", "y1*y2*x^5", 0), ("b23", "x^-2*y1*x^3", 0), ("k22", "x^-3*y2*y2", 1),
+    ("k523", "x^-40*y1*y1*y1*y1*y1", 1), ("k523", "x^-20*y1^4*x^-3*y1^2", 3),
+    ("a25", "y*x", 0), ("c3", "x*y^3", 4), ("c3", "x*y^-2", 4), ("b235", "(x^-1*y3)^3", 0),
+    ("b235", "x^-9*y3^4*y3^3", 1),
 ]
 
 
@@ -99,9 +106,9 @@ def commands() -> list[list[str]]:
         for b in PRESENTATIONS:
             out.append(["iso", f"{a}.json", f"{b}.json"])
     out.append(["nichols", "nichols.json"])
-    out.append(["--budget", "3", "nf", "b23.json", "y1*y2*x^5"])
+    out.append(["--budget", "0", "nf", "k22.json", "y2*y2"])
     for name, text, least in BUDGET_CASES:
-        for budget in (least - 1, least):
+        for budget in range(max(least - 1, 0), least + 1):
             out.append(["--budget", str(budget), "nf", f"{name}.json", text])
     for name in MALFORMED:
         out.append(["validate", f"{name}.json"])
@@ -140,10 +147,19 @@ def run_all(directory: Path) -> list[dict]:
 
 
 def _main() -> int:
+    """Rewrite the table, and print each entry that is new, gone, or whose
+    exit code or digests changed, with its old and new exit code."""
     import tempfile
 
+    old = {tuple(e["argv"]): e for e in json.loads(TABLE.read_text())} if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         entries = run_all(Path(tmp))
+    for e in entries:
+        before = old.pop(tuple(e["argv"]), None)
+        if before != e:
+            print(f"{' '.join(e['argv'])}: exit {before['exit'] if before else 'new'} -> {e['exit']}")
+    for argv, e in old.items():
+        print(f"{' '.join(argv)}: exit {e['exit']} -> gone")
     TABLE.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
     print(f"wrote {len(entries)} entries to {TABLE}")
     return 0

@@ -466,9 +466,9 @@ def test_cli_rejects_json_scalar_past_conductor_limit(tmp_path, capsys, time_bou
 
 
 def test_cli_budget_error_names_the_word(tmp_path, capsys):
-    code = main(["--budget", "3", "nf", _write(tmp_path, "b.json", B23), "y1*y2*x^5"])
+    code = main(["--budget", "0", "nf", _write(tmp_path, "k.json", K22), "y2*y2"])
     _check_error_report(code, captured := capsys.readouterr())
-    assert captured.err == "error: rewriting exceeded 3 steps at y1*y2*x*x*x*x*x\n"
+    assert captured.err == "error: rewriting exceeded 0 steps at y2*y2\n"
     code = main(["--budget", "30", "nf", _write(tmp_path, "c.json", dict(C3, n=200)), "x*y^3"])
     _check_error_report(code, captured := capsys.readouterr())
     line = captured.err.rstrip("\n")
@@ -751,6 +751,16 @@ def test_cli_reads_integer_fields_strictly(tmp_path, capsys, command, doc, path,
     code = main([command, _write(tmp_path, "bad.json", _with(doc, path, value))])
     _check_error_report(code, captured := capsys.readouterr())
     assert "must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("poly, field", [
+    ([[1, 2, 3]], "poly[0]"), (5, "poly"), ([7], "poly[0]"), ([[1, 2], [3]], "poly[1]"),
+    ({"a": 1}, "poly"),
+], ids=lambda v: json.dumps(v))
+def test_cli_reads_poly_entries_as_pairs(tmp_path, capsys, poly, field):
+    code = main(["validate", _write(tmp_path, "bad.json", dict(A25, q={"L": 3, "poly": poly}))])
+    _check_error_report(code, captured := capsys.readouterr())
+    assert f"field '{field}' must be a" in captured.err
 
 
 @pytest.mark.parametrize("scalar", [True, False, [True, 2], [1, False]], ids=json.dumps)

@@ -73,8 +73,7 @@ def reference_counit_word(word, built) -> Cyclo:
 def reference_defect(m, g, built) -> TensorPoly:
     unit = built.rs.unit_monomial()
     d = TensorPoly(dict(reference_coproduct_word(built.rs.word_of_monomial(m), built).terms))
-    d.add_term(m, unit, Cyclo.from_rational(-1))
-    d.add_term(g, m, Cyclo.from_rational(-1))
+    add_terms(d.terms, (((m, unit), Cyclo.from_rational(-1)), ((g, m), Cyclo.from_rational(-1))))
     return d
 
 

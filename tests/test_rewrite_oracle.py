@@ -10,10 +10,10 @@ With ``rightmost`` the copy fires the rightmost redex instead, an
 independent strategy that a confluent system must agree with.
 
 A product of two basis monomials does not rewrite its joined word where the
-Ore-extension formula applies, so ``_product_of_monomials`` is held to the
-same standard directly: the terms of letter rewriting in the same order, and
-a formula that passes at ``step_budget`` = the letter step count of the
-joined word and hands over to rewriting, which raises, one step below it.
+Ore-extension formula applies, so ``_ore_product`` is held to the same
+standard directly: the terms of letter rewriting of the joined word in the
+same order, and a product that passes at ``step_budget`` = the letter step
+count of its shape word ``y^u y^v`` and raises one step below it.
 """
 
 import dataclasses
@@ -206,16 +206,21 @@ def test_hopf_window_products_match_letter_steps(monkeypatch):
 
 
 def assert_product_agrees(m1, m2, rs):
-    want, steps = letter_normal_form(rs.word_of_monomial(m1) + rs.word_of_monomial(m2), rs)
+    want, _ = letter_normal_form(rs.word_of_monomial(m1) + rs.word_of_monomial(m2), rs)
+    shape_word = rs.word_of_monomial(NFMonomial(0, m1.w)) + rs.word_of_monomial(NFMonomial(0, m2.w))
+    _, steps = letter_normal_form(shape_word, rs)
     saved = rs.step_budget
     try:
         rs.step_budget = steps
+        rs._shape_products.clear()
         got = _ore_product(m1, m2, rs)
         assert got is not None and list(got) == list(want.terms.items()), (m1, m2)
+        rs.step_budget = 0  # a cached shape product costs nothing
+        assert _ore_product(m1, m2, rs) == got, (m1, m2)
         if steps:
             rs.step_budget = steps - 1
+            rs._shape_products.clear()
             rs._product_cache.pop((m1, m2), None)
-            assert _ore_product(m1, m2, rs) is None, (m1, m2)
             with pytest.raises(BudgetExceeded):
                 _product_of_monomials(m1, m2, rs)
     finally:
