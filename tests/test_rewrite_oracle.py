@@ -14,6 +14,11 @@ Ore-extension formula applies, so ``_ore_product`` is held to the same
 standard directly: the terms of letter rewriting of the joined word in the
 same order, and a product that passes at ``step_budget`` = the letter step
 count of its shape word ``y^u y^v`` and raises one step below it.
+
+``letter_find_redex`` is a verbatim copy of the letter-by-letter scan that
+``RewriteSystem._find_redex`` ran before it searched one compiled pattern:
+both must return the same ``(position, rule index, rule)`` or None, for every
+word and start offset.
 """
 
 import dataclasses
@@ -37,6 +42,16 @@ def _letter_find_redex(word, by_first, rightmost=False):
             lhs = rule.lhs
             if word[i : i + len(lhs)] == lhs:
                 return i, rule
+    return None
+
+
+def letter_find_redex(by_first, word, start=0):
+    """``RewriteSystem._find_redex`` as a scan over the rules by first letter."""
+    for i in range(start, len(word)):
+        for idx, rule in by_first.get(word[i], ()):
+            lhs = rule.lhs
+            if word[i : i + len(lhs)] == lhs:
+                return i, idx, rule
     return None
 
 
@@ -176,6 +191,32 @@ def test_long_runs_match_letter_steps(b23):
             assert_agrees((0,) * a + (2, 3, 3) + (1,) * b, rs)
             assert_agrees((1,) * a + (3, 2, 3) + (0,) * b, rs)
             assert_agrees((3,) * a + (2,) * b + (0,) * a, rs)
+
+
+def test_find_redex_matches_letter_scan(b23, k22):
+    rng = random.Random(19)
+    systems = _random_word_systems(b23, k22)
+    k1015 = search_k_instances((10, 15), 30, (0, 1))[0]
+    systems["k1015"] = build(HopfPresentation.from_k(k1015)).rs
+    systems["no_rules"] = RewriteSystem(["x^-1", "x", "y1", "y2"], [0, 0, 1, 1], [])
+    # left-hand sides that match at one position: the first rule in index
+    # order wins, longer or shorter, and a repeated left-hand side too
+    one = Cyclo.one()
+    systems["ties"] = RewriteSystem(["x^-1", "x", "y1", "y2"], [0, 0, 1, 1], [
+        Rule((3, 3, 3), ((one, ()),)), Rule((3, 3), ((one, (2, 2)),)), Rule((3, 2), ((one, (2, 3)),)),
+        Rule((3, 2, 2), ((one, (2,)),)), Rule((3, 2), ((one, (2,)),))])
+    for name, rs in systems.items():
+        by_first = {}
+        for idx, rule in enumerate(rs.rules):
+            by_first.setdefault(rule.lhs[0], []).append((idx, rule))
+        letters = range(len(rs.letter_names))
+        # runs up to 16 reach the letter powers of K{10,15}
+        words = _random_words(rng, rs, 60) + [_runs(rng, letters, rng.randint(1, 4), 16)
+                                             for _ in range(40)]
+        for word in words:
+            for start in {0, len(word), len(word) + 1, rng.randint(0, len(word))}:
+                want = letter_find_redex(by_first, word, start)
+                assert rs._find_redex(word, start) == want, (name, word, start)
 
 
 def test_block_boundaries_match_letter_steps():
