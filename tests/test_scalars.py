@@ -779,3 +779,83 @@ def test_make_root_matches_cyclo():
         ks = range(-L, L) if L <= 30 else [0, 1, -1, L // 2, L + 1] + rng.sample(range(L), 3)
         for k in ks:
             assert make_root(L, k) == Cyclo(L, {k % L: 1}), (L, k)
+
+
+# -- extended Euclid inverses, kept as a reference -------------------------------
+#
+# ``euclid_inv`` is a verbatim copy of ``Cyclo.inv`` as it inverted every
+# irrational value by extended Euclid against Phi_L.  ``Cyclo.inv`` must give
+# the same canonical value, and so the same string and hash, on roots of
+# unity and on every other value; a value that is no root still runs Euclid.
+
+
+def euclid_inv(self) -> "Cyclo":
+    """``Cyclo.inv`` by extended Euclid in Q[x] for every irrational value."""
+    if self.is_zero():
+        raise ZeroDivisionError("inverse of zero")
+    if self.conductor == 1:
+        return Cyclo.from_rational(1 / self.coeffs[0])
+    L = self.conductor
+    phi = list(cyclotomic_polynomial(L))
+    a = [_ZERO] * euler_phi(L)
+    for e, c in self.coeffs.items():
+        a[e] = c
+    # extended Euclid in Q[x]: u*a + v*phi = gcd = const
+    r0, r1 = phi, a
+    s0: list[Fraction] = [_ZERO]
+    s1: list[Fraction] = [_ONE]
+    while True:
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        if len(r1) == 1:
+            break
+        quo, rem = _poly_divmod(r0, r1)
+        s2 = list(s0)
+        ln = len(quo) + len(s1) - 1
+        while len(s2) < ln:
+            s2.append(_ZERO)
+        for i, qc in enumerate(quo):
+            if qc == 0:
+                continue
+            for j, sc in enumerate(s1):
+                s2[i + j] -= qc * sc
+        r0, r1 = r1, rem
+        s0, s1 = s1, s2
+    c = r1[0]
+    inv_coeffs = {e: v / c for e, v in enumerate(s1) if v != 0}
+    return Cyclo(L, inv_coeffs)
+
+
+def test_inverses_match_extended_euclid_cold_and_warm(monkeypatch):
+    # +-zeta_L^k for every L <= 60 and every k, samples at conductors 105, 128
+    # and 255, rationals, and dense values of conductor <= 60 that are no root
+    rng = random.Random(21)
+    roots = [s * make_root(L, k) for L in range(1, 61) for k in range(L) for s in (ONE, rat(-1))]
+    for L in (105, 128, 255):
+        ks = {1, 2, L - 1, rng.randrange(euler_phi(L), L)} | set(rng.sample(range(L), 4))
+        roots += [s * make_root(L, k) for k in ks for s in (ONE, rat(-1))]
+    rationals = [rat(2), rat(Fraction(-3, 7)), rat(-1), ONE]
+    dense = []
+    while len(dense) < 20:
+        L = rng.randrange(3, 61)
+        x = Cyclo(L, {rng.randrange(L): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                      for _ in range(rng.randrange(2, 5))})
+        if x.conductor > 1 and order_of(x) is None:
+            dense.append(x)
+    values = roots + rationals + dense
+    want = [euclid_inv(x) for x in values]
+    calls = []
+    real = scalars._poly_divmod
+    monkeypatch.setattr(scalars, "_poly_divmod", lambda *a: calls.append(1) or real(*a))
+    _clear_memos()
+    for run in ("cold", "warm"):
+        for x, inverse in zip(values, want):
+            before = len(calls)
+            got = x.inv()
+            assert got == inverse and got.conductor == inverse.conductor, (run, x)
+            assert str(got) == str(inverse) and hash(got) == hash(inverse), (run, x)
+            assert x * got == ONE, (run, x)
+            if x in dense:
+                assert len(calls) > before, (run, x)  # still by extended Euclid
+    with pytest.raises(ZeroDivisionError):
+        ZERO.inv()
