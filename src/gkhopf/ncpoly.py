@@ -20,16 +20,19 @@ recorded as NFMonomial values; confluence of the system is certified through
 its overlap and inclusion ambiguities, after which those monomials form a
 module basis.
 
-``normal_form`` rewrites the leftmost redex first.  A step whose rule has a
-single right-hand term is popped again at once, so a chain of such steps
-can be taken as one bulk step, provided the chain is exactly what the
-leftmost letter-by-letter strategy does.  The result is then the same term
-list in the same order, and a bulk step counts as the letter steps it
-replaces, so the step budget trips on exactly the same inputs.  Bulk steps
-need every left-hand side to be a letter pair or a letter power ``l^p``;
-any other system takes one letter per step.  The leftmost redex is at ``i``
-and nothing before ``i`` is a redex, so no letter power fits inside the
-letter runs in front of ``i``.
+``normal_form`` rewrites the leftmost redex first.  One compiled ``bytes``
+pattern per system finds it: a group per left-hand side, in rule order, so
+the leftmost-first alternation of ``re`` stops at the first position and
+there at the first rule.  A letter is one byte, so a system has at most 256
+letters.  A step whose rule has a single right-hand term is popped again at
+once, so a chain of such steps can be taken as one bulk step, provided the
+chain is exactly what the leftmost letter-by-letter strategy does.  The
+result is then the same term list in the same order, and a bulk step counts
+as the letter steps it replaces, so the step budget trips on exactly the
+same inputs.  Bulk steps need every left-hand side to be a letter pair or a
+letter power ``l^p``; any other system takes one letter per step.  The
+leftmost redex is at ``i`` and nothing before ``i`` is a redex, so no
+letter power fits inside the letter runs in front of ``i``.
 
 * Cancel ``a b -> c`` (a != b) with k = min(a-run ending at i, b-run
   starting at i+1): each cancellation leaves ``a b`` at i - 1 with an
@@ -69,6 +72,7 @@ the formula applies.  A product taken from a cache costs nothing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -227,11 +231,11 @@ class RewriteSystem:
         self.rules = tuple(rules)
         self.step_budget = step_budget
         self.num_free = len(letter_names) - 2
-        self._by_first: dict[int, list[tuple[int, Rule]]] = {}
+        if len(letter_names) > 256:
+            raise ValueError(f"{len(letter_names)} letters: a rewrite system has at most 256, one byte each")
         for idx, rule in enumerate(self.rules):
             if not rule.lhs:
                 raise ValueError("empty left-hand side")
-            self._by_first.setdefault(rule.lhs[0], []).append((idx, rule))
             lk = self.word_key(rule.lhs)
             for _, w in rule.rhs:
                 if self.word_key(w) >= lk:
@@ -240,6 +244,9 @@ class RewriteSystem:
                         f"descend below {rule.lhs}"
                     )
         self._max_lhs = max((len(rule.lhs) for rule in self.rules), default=1)
+        # one group per rule, in rule order; with no rules, a pattern that never matches
+        self._redex = re.compile(b"|".join(b"(" + re.escape(bytes(r.lhs)) + b")" for r in self.rules)
+                                 or b"(?!)")
         # rule shapes for bulk steps: the first rule on each letter pair, the
         # swaps v u -> c u v and cancels a b -> c among them (by pair), and
         # the shortest letter power l^p with a rule (l's exponent in a normal
@@ -330,13 +337,9 @@ class RewriteSystem:
         return "*".join(self.letter_names[l] for l in word)
 
     def _find_redex(self, word: Word, start: int = 0):
-        """The leftmost redex at or after ``start`` and its rule."""
-        for i in range(start, len(word)):
-            for idx, rule in self._by_first.get(word[i], ()):
-                lhs = rule.lhs
-                if word[i : i + len(lhs)] == lhs:
-                    return i, idx, rule
-        return None
+        """The leftmost redex at or after ``start``, its rule index and its rule."""
+        hit = self._redex.search(bytes(word), start)
+        return None if hit is None else (hit.start(), hit.lastindex - 1, self.rules[hit.lastindex - 1])
 
     def _bulk_step(self, word: Word, i: int, idx: int):
         """The chain of steps that leftmost rewriting takes from the redex of

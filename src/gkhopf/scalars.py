@@ -26,8 +26,9 @@ these invariants:
 - every root of unity in Q(zeta_c) is +-zeta_c^j, so a root is recognised
   from its coefficients at its own conductor c, without powering it and
   without any field larger than Q(zeta_c);
-- a root's powers are read off its exponent, and ``make_root`` writes a
-  root of order n at conductor n, or n/2 for n = 2 mod 4, without a descent;
+- a root's powers and inverse are read off its exponent, and ``make_root``
+  writes a root of order n at conductor n, or n/2 for n = 2 mod 4, without
+  a descent;
 - a value lies in Q(zeta_{L/p}) iff p divides its exponents (p | L/p) or
   the trace to Q(zeta_{L/p}) over p - 1 fixes it (otherwise).
 """
@@ -330,6 +331,9 @@ class Cyclo:
             raise ZeroDivisionError("inverse of zero")
         if self.conductor == 1:
             return Cyclo.from_rational(1 / self.coeffs[0])
+        root = _as_root(self)
+        if root is not None:
+            return root.inv().to_cyclo()
         L = self.conductor
         phi = list(cyclotomic_polynomial(L))
         a = [_ZERO] * euler_phi(L)

@@ -183,6 +183,43 @@ def test_rebuilt_system_powers_from_the_scalar_memo():
     assert misses[1] == 0, misses
 
 
+def test_root_inverses_run_no_extended_euclid(monkeypatch):
+    # every q_i of a validated K or B document is a root of unity, so each
+    # q_i^-1 of an x^-1 swap rule is read off its exponent: once a warm-up
+    # build has filled the cyclotomic polynomials, no polynomial division runs
+    from gkhopf import scalars
+    from helpers import built_b, search_k_instances
+
+    k1015 = search_k_instances((10, 15), 30, (0, 1))[0]
+    makes = [lambda: build(HopfPresentation.from_k(k1015)), lambda: built_b(1, (2, 3), 1, (0, 1))]
+    for make in makes:
+        make()
+
+    def refuse(*args):
+        raise AssertionError("extended Euclid ran")
+
+    monkeypatch.setattr(scalars, "_poly_divmod", refuse)
+    for make in makes:
+        assert certify_confluence(make().rs).all_resolved
+
+
+def test_rewrite_system_has_at_most_256_letters():
+    names = [f"l{i}" for i in range(257)]
+    with pytest.raises(ValueError, match="at most 256"):
+        RewriteSystem(names, [0] * 257, [])
+    assert RewriteSystem(names[:256], [0] * 256, []).num_free == 254
+
+
+def test_system_without_rules_keeps_every_word():
+    rs = RewriteSystem(["x^-1", "x", "y1", "y2"], [0, 0, 1, 1], [])
+    z = make_root(5, 1)
+    words = [(1, 1, 2, 3), (0, 2, 2), (), (3,)]
+    p = normal_form([(z, w) for w in words], rs)
+    assert p == NCPoly({NFMonomial(2, (1, 1)): z, NFMonomial(-1, (2, 0)): z,
+                        NFMonomial(0, (0, 0)): z, NFMonomial(0, (0, 1)): z})
+    assert all(rs._find_redex(w, i) is None for w in words for i in range(len(w) + 1))
+
+
 def test_negative_weight_comparison_family():
     from gkhopf.hopfops import check_hopf_axioms
     from gkhopf.scalars import make_root
