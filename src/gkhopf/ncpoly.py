@@ -42,21 +42,17 @@ letter power fits inside the letter runs in front of ``i``.
   w with a swap rule ``w u``.  The first u of the run after i moves left
   across B one swap at a time, each swap being the leftmost redex, since
   the only new pair in front of u is ``w' u`` for the next block letter w'.
-  In front of B stands l.  If ``l u`` is a cancel, it fires next; the
-  prefix in front of B is unchanged, so the next u crosses B and cancels
-  too, k = min(u-run, l-run) times.  If ``l u`` is any other left-hand
-  side, it fires next: k = 1.  Otherwise, once u stands in front of B, a
-  redex can start only at the new run of u's (a letter power u^p, reached
-  after p minus the u-run already in front of B) or at the pair
-  ``u B[0]`` (k = 1 if that is a left-hand side), and else at the end of
-  B, where the next u starts the same walk.  A bulk step moves k u's
-  across B with factor ``prod c_w^(k * count of w in B)`` and k |B| steps,
-  plus the k cancellations.
+  In front of B stands l.  If ``l u`` is a left-hand side, it fires next:
+  k = 1.  Otherwise, once u stands in front of B, a redex can start only at
+  the new run of u's (a letter power u^p, reached after p minus the u-run
+  already in front of B) or at the pair ``u B[0]`` (k = 1 if that is a
+  left-hand side), and else at the end of B, where the next u starts the
+  same walk.  A bulk step moves k u's across B with factor
+  ``prod c_w^(k * count of w in B)`` and k |B| steps.  A cancel ``l u``
+  after the block is a step of its own: since ``BENCH_11.json`` no K, B or
+  A product rewrites a run of x's across ``y^u``, and folding the cancel
+  into the swap chain measured as noise.
 * Every other rule fires one rule application at a time.
-
-After a step changes the word from position c on, a redex can start no
-earlier than c - (longest left-hand side - 1), so the scan for the next
-redex resumes there.
 
 Products of basis monomials are cached per pair.  Where every free letter
 swaps with x and x^-1 (K, B and A), a product is read off the
@@ -243,7 +239,6 @@ class RewriteSystem:
                         f"rule {rule.name or idx}: right-hand word {w} does not "
                         f"descend below {rule.lhs}"
                     )
-        self._max_lhs = max((len(rule.lhs) for rule in self.rules), default=1)
         # one group per rule, in rule order; with no rules, a pattern that never matches
         self._redex = re.compile(b"|".join(b"(" + re.escape(bytes(r.lhs)) + b")" for r in self.rules)
                                  or b"(?!)")
@@ -336,16 +331,16 @@ class RewriteSystem:
     def format_word(self, word: Word) -> str:
         return "*".join(self.letter_names[l] for l in word)
 
-    def _find_redex(self, word: Word, start: int = 0):
-        """The leftmost redex at or after ``start``, its rule index and its rule."""
-        hit = self._redex.search(bytes(word), start)
-        return None if hit is None else (hit.start(), hit.lastindex - 1, self.rules[hit.lastindex - 1])
+    def _find_redex(self, word: Word):
+        """The leftmost redex: its position and its rule index."""
+        hit = self._redex.search(bytes(word))
+        return None if hit is None else (hit.start(), hit.lastindex - 1)
 
     def _bulk_step(self, word: Word, i: int, idx: int):
         """The chain of steps that leftmost rewriting takes from the redex of
         rule ``idx`` at ``i``, taken at once: ``(letter steps, coefficient,
-        word, first changed position)``, or None unless the rule is a swap
-        or a cancel (see the module docstring for why each chain is exact)."""
+        word)``, or None unless the rule is a swap or a cancel (see the
+        module docstring for why each chain is exact)."""
         v, u = word[i], word[i + 1]
         is_cancel = idx == self._cancels.get((v, u))
         if not is_cancel and idx != self._swaps.get((v, u)):
@@ -359,32 +354,20 @@ class RewriteSystem:
             while t >= 0 and word[t] == v:
                 t -= 1
             k = min(run, i - t)
-            return k, self.rules[idx].rhs[0][0] ** k, word[:i + 1 - k] + word[i + 1 + k:], i + 1 - k
+            return k, self.rules[idx].rhs[0][0] ** k, word[:i + 1 - k] + word[i + 1 + k:]
         # the block word[s..i] of letters that each swap with u
         swaps = self._swaps
         s = i
         while s and (word[s - 1], u) in swaps:
             s -= 1
-        cancel = None
-        left = word[s - 1] if s else u  # u stands for "no letter in front of the block"
-        if left != u and (left, u) in self._pairs:
-            cancel = self._cancels.get((left, u))
-            if cancel is None:
-                k = 1
-            else:
-                t = s - 1
-                while t >= 0 and word[t] == left:
-                    t -= 1
-                k = min(run, s - 1 - t)
-        else:
-            k = 1 if (u, word[s]) in self._pairs else run
-            p = self.min_power.get(u)
-            if p is not None:
-                r = 0  # the u-run in front of the block
-                while r < s and word[s - 1 - r] == u:
-                    r += 1
-                k = min(k, p - r)
-        coeff = None if cancel is None else self.rules[cancel].rhs[0][0] ** k
+        k = 1 if (s and (word[s - 1], u) in self._pairs) or (u, word[s]) in self._pairs else run
+        p = self.min_power.get(u)
+        if p is not None:
+            r = 0  # the u-run in front of the block, shorter than p
+            while r < s and word[s - 1 - r] == u:
+                r += 1
+            k = min(k, p - r)
+        coeff = None
         t = s
         while t <= i:
             w = word[t]
@@ -394,10 +377,7 @@ class RewriteSystem:
             c = self.rules[swaps[(w, u)]].rhs[0][0] ** ((e - t) * k)
             coeff = c if coeff is None else coeff * c
             t = e
-        steps = k * (i + 1 - s)
-        if cancel is None:
-            return steps, coeff, word[:s] + (u,) * k + word[s:i + 1] + word[i + 1 + k:], s
-        return steps + k, coeff, word[:s - k] + word[s:i + 1] + word[i + 1 + k:], s - k
+        return k * (i + 1 - s), coeff, word[:s] + (u,) * k + word[s:i + 1] + word[i + 1 + k:]
 
     def format_poly(self, p: NCPoly) -> str:
         if p.is_zero():
@@ -438,35 +418,30 @@ def _as_terms(p: RawTerms, rs: RewriteSystem) -> list[tuple[Cyclo, Word]]:
 
 def normal_form(p: RawTerms, rs: RewriteSystem) -> NCPoly:
     """Exhaustively rewrite a linear combination of words to its normal form:
-    the irreducible leaves that leftmost rewriting reaches, merged in order.
-
-    Each stack entry carries the position before which its word holds no
-    redex, so the leftmost scan resumes there instead of at 0."""
+    the irreducible leaves that leftmost rewriting reaches, merged in order."""
     irreducible: list[tuple[NFMonomial, Cyclo]] = []
-    stack = [(c, w, 0) for c, w in _as_terms(p, rs)]
+    stack = _as_terms(p, rs)
     steps = 0
-    back = rs._max_lhs - 1
     while stack:
-        coeff, word, start = stack.pop()
+        coeff, word = stack.pop()
         if coeff.is_zero():
             continue
-        hit = rs._find_redex(word, start)
+        hit = rs._find_redex(word)
         if hit is None:
             irreducible.append((rs.monomial_of_word(word), coeff))
             continue
-        i, idx, rule = hit
+        i, idx = hit
         bulk_step = rs._bulk_step(word, i, idx) if rs._bulk else None
         steps += 1 if bulk_step is None else bulk_step[0]
         if steps > rs.step_budget:
             raise BudgetExceeded(rs.step_budget, word, rs.format_word(word))
         if bulk_step is None:
+            rule = rs.rules[idx]
             head, tail = word[:i], word[i + len(rule.lhs):]
-            start = max(0, i - back)
             for rc, rw in rule.rhs:
-                stack.append((coeff * rc, head + rw + tail, start))
+                stack.append((coeff * rc, head + rw + tail))
         else:
-            _, factor, new_word, changed = bulk_step
-            stack.append((coeff * factor, new_word, max(0, changed - back)))
+            stack.append((coeff * bulk_step[1], bulk_step[2]))
     return NCPoly(add_terms({}, irreducible))
 
 

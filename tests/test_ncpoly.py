@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from gkhopf.ncpoly import (NCPoly, NFMonomial, RewriteSystem, Rule, certify_confluence,
-                           enumerate_ambiguities, multiply, normal_form, power)
+from gkhopf.ncpoly import (BudgetExceeded, NCPoly, NFMonomial, RewriteSystem, Rule,
+                           certify_confluence, enumerate_ambiguities, multiply, normal_form,
+                           power)
 from gkhopf.presentations import HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, make_root
 
@@ -217,7 +218,23 @@ def test_system_without_rules_keeps_every_word():
     p = normal_form([(z, w) for w in words], rs)
     assert p == NCPoly({NFMonomial(2, (1, 1)): z, NFMonomial(-1, (2, 0)): z,
                         NFMonomial(0, (0, 0)): z, NFMonomial(0, (0, 1)): z})
-    assert all(rs._find_redex(w, i) is None for w in words for i in range(len(w) + 1))
+    assert all(rs._find_redex(w) is None for w in words)
+
+
+def test_cancel_after_a_swap_block_is_its_own_step(b23):
+    # x^-1*y1*x: y1*x swaps, then x^-1*x cancels in a step of its own, so a
+    # budget of one letter step stops at the word after the swap
+    rs = RewriteSystem(b23.rs.letter_names, b23.rs.letter_weights, b23.rs.rules, step_budget=1)
+    with pytest.raises(BudgetExceeded) as err:
+        normal_form((0, 2, 1), rs)
+    assert err.value.word == (0, 1, 2)
+    rs.step_budget = 2
+    assert normal_form((0, 2, 1), rs) == normal_form((0, 2, 1), b23.rs)
+    i, idx = rs._find_redex((0, 2, 1))
+    assert rs._bulk_step((0, 2, 1), i, idx) == (1, rs.rules[idx].rhs[0][0], (0, 1, 2))
+    # a plain run of cancels is still one bulk step
+    i, idx = rs._find_redex((1, 1, 0, 0))
+    assert rs._bulk_step((1, 1, 0, 0), i, idx) == (2, Cyclo.one(), ())
 
 
 def test_negative_weight_comparison_family():
