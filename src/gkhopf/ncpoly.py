@@ -18,12 +18,13 @@ rewriting terminates.
 Irreducible words have the shape ``g^{w0} f_1^{w_1} ... f_s^{w_s}`` and are
 recorded as NFMonomial values; confluence of the system is certified through
 its overlap and inclusion ambiguities, after which those monomials form a
-module basis.
+module basis.  The ambiguities, like the redex pattern below, are derived
+once per tuple of left-hand sides, which every draw of a shape shares.
 
 ``normal_form`` rewrites the leftmost redex first.  One compiled ``bytes``
-pattern per system finds it: a group per left-hand side, in rule order, so
-the leftmost-first alternation of ``re`` stops at the first position and
-there at the first rule.  A letter is one byte, so a system has at most 256
+pattern finds it: a group per left-hand side, in rule order, so the
+leftmost-first alternation of ``re`` stops at the first position and there
+at the first rule.  A letter is one byte, so a system has at most 256
 letters.  A step whose rule has a single right-hand term is popped again at
 once, so a chain of such steps can be taken as one bulk step, provided the
 chain is exactly what the leftmost letter-by-letter strategy does.  The
@@ -70,9 +71,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .scalars import Cyclo, ScalarLike, add_terms
+from .scalars import MEMO_SIZE, Cyclo, ScalarLike, add_terms
 
 Word = tuple[int, ...]
 
@@ -210,6 +212,12 @@ class NCPoly(SparseTerms):
 RawTerms = Union[NCPoly, Word, Iterable[tuple[ScalarLike, Word]]]
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _redex_pattern(lhss: tuple[Word, ...]) -> re.Pattern:
+    """A group per left-hand side in rule order; with none, one that never matches."""
+    return re.compile(b"|".join(b"(" + re.escape(bytes(lhs)) + b")" for lhs in lhss) or b"(?!)")
+
+
 class RewriteSystem:
     """An oriented, order-compatible rule set over a fixed alphabet."""
 
@@ -239,9 +247,7 @@ class RewriteSystem:
                         f"rule {rule.name or idx}: right-hand word {w} does not "
                         f"descend below {rule.lhs}"
                     )
-        # one group per rule, in rule order; with no rules, a pattern that never matches
-        self._redex = re.compile(b"|".join(b"(" + re.escape(bytes(r.lhs)) + b")" for r in self.rules)
-                                 or b"(?!)")
+        self._redex = _redex_pattern(tuple(r.lhs for r in self.rules))
         # rule shapes for bulk steps: the first rule on each letter pair, the
         # swaps v u -> c u v and cancels a b -> c among them (by pair), and
         # the shortest letter power l^p with a rule (l's exponent in a normal
@@ -516,11 +522,15 @@ def power(p: NCPoly, k: int, rs: RewriteSystem) -> NCPoly:
 
 def enumerate_ambiguities(rs: RewriteSystem) -> list[Ambiguity]:
     """All overlap and inclusion ambiguities among the rule left sides."""
+    return list(_ambiguities(tuple(rule.lhs for rule in rs.rules)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ambiguities(lhss: tuple[Word, ...]) -> tuple[Ambiguity, ...]:
+    """``enumerate_ambiguities`` once per tuple of left sides, shared by a shape's draws."""
     out = []
-    rules = rs.rules
-    for i, ri in enumerate(rules):
-        for j, rj in enumerate(rules):
-            li, lj = ri.lhs, rj.lhs
+    for i, li in enumerate(lhss):
+        for j, lj in enumerate(lhss):
             for t in range(1, min(len(li), len(lj))):
                 if li[len(li) - t:] == lj[:t]:
                     out.append(Ambiguity("overlap", i, j, li + lj[t:], len(li) - t))
@@ -528,7 +538,7 @@ def enumerate_ambiguities(rs: RewriteSystem) -> list[Ambiguity]:
                 for off in range(len(li) - len(lj) + 1):
                     if li[off : off + len(lj)] == lj and (off > 0 or len(lj) < len(li)):
                         out.append(Ambiguity("inclusion", i, j, li, off))
-    return out
+    return tuple(out)
 
 
 def _apply_rule_at(word: Word, rule: Rule, pos: int) -> list[tuple[Cyclo, Word]]:

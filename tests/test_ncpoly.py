@@ -133,6 +133,21 @@ def test_ambiguity_enumeration(b23):
     assert enumerate_ambiguities(single) == []
 
 
+def test_draws_of_one_shape_share_pattern_and_ambiguities():
+    # the redex pattern and the ambiguity list read only the left-hand sides,
+    # so a second draw of B{2,3} with other alphas takes both from the cache
+    from gkhopf import ncpoly
+    from helpers import built_b
+
+    first = built_b(1, (2, 3), 1, (0, 1)).rs
+    ambs = enumerate_ambiguities(first)
+    hits = ncpoly._redex_pattern.cache_info().hits
+    second = built_b(1, (2, 3), 1, (1, 2)).rs
+    assert ncpoly._redex_pattern.cache_info().hits > hits and second._redex is first._redex
+    again = enumerate_ambiguities(second)
+    assert again is not ambs and len(again) == len(ambs) and all(a is b for a, b in zip(again, ambs))
+
+
 @pytest.mark.parametrize("lhs, rhs_word", [
     ((2,), (2,)),          # equal key
     ((2,), (2, 2)),        # heavier
