@@ -561,10 +561,9 @@ def unmemoized_pow(x, n: int):
     return result
 
 
-def test_powers_match_unmemoized_pow_cold_warm_and_fresh():
-    # roots and non-roots of conductors up to 60, each to the powers -7..12,
-    # and roots to 10**6; every case runs cold, again on the same objects,
-    # and on equal but distinct objects
+def _memo_values():
+    """Roots of conductors 1..60 (four exponents each, some negated), and
+    rationals and dense values that are no root."""
     rng = random.Random(17)
     roots = [make_root(L, k) for L in range(1, 61) for k in {0, 1, L - 1, rng.randrange(L)}]
     roots += [-z for z in roots[::7]]
@@ -575,6 +574,14 @@ def test_powers_match_unmemoized_pow_cold_warm_and_fresh():
                       for _ in range(rng.randrange(1, 4))})
         if x and order_of(x) is None:
             others.append(x)
+    return roots, others
+
+
+def test_powers_match_unmemoized_pow_cold_warm_and_fresh():
+    # roots and non-roots of conductors up to 60, each to the powers -7..12,
+    # and roots to 10**6; every case runs cold, again on the same objects,
+    # and on equal but distinct objects
+    roots, others = _memo_values()
     cases = [(x, n) for x in roots + others for n in range(-7, 13)]
     cases += [(x, 10 ** 6) for x in roots]
     want = [unmemoized_pow(x, n) for x, n in cases]
@@ -589,6 +596,81 @@ def test_powers_match_unmemoized_pow_cold_warm_and_fresh():
             ZERO ** -1
         with pytest.raises(ZeroDivisionError):
             _fresh(ZERO) ** -1
+
+
+def unmemoized_add(self, other):
+    """The ``Cyclo.__add__`` body before sums were memoized."""
+    other = Cyclo.promote(other)
+    if not other.coeffs:
+        return self
+    if not self.coeffs:
+        return other
+    L = math.lcm(self.conductor, other.conductor)
+    a = self._lift(L) if L != self.conductor else dict(self.coeffs)
+    b = other._lift(L) if L != other.conductor else other.coeffs
+    return scalars._scalar(*_canonicalize(L, add_terms(a, b.items())))
+
+
+def unmemoized_neg(self):
+    """``Cyclo.__neg__`` before negations were memoized."""
+    return scalars._scalar(self.conductor, {e: -c for e, c in self.coeffs.items()})
+
+
+def unmemoized_rational_mul(self, other):
+    """The rational branch of ``Cyclo.__mul__`` (``self`` rational) before
+    its products went through the ``_product`` memo, negating unmemoized."""
+    if self is ONE:
+        return other
+    r = self.coeffs.get(0, _ZERO)
+    if not r:
+        return ZERO
+    if r == 1:
+        return other
+    if r == -1:
+        return unmemoized_neg(other)
+    return scalars._scalar(other.conductor, {e: c * r for e, c in other.coeffs.items()})
+
+
+def test_sums_negations_and_rational_products_match_unmemoized_cold_warm_and_fresh():
+    # the values of the power test, each added to two random partners of a
+    # common conductor <= 60, to itself, its negation and the units, and each
+    # rational times every value; every case runs cold, again on the same
+    # objects, and on equal but distinct objects.  Each memo gets fewer entries
+    # than MEMO_SIZE, so the warm run finds them.  A computed 0, 1 or -1 is its
+    # singleton; a fresh unit operand, returned by identity, is not.
+    rng = random.Random(19)
+    roots, others = _memo_values()
+    values = roots + others
+    rationals = [ZERO, ONE, rat(-1), rat(2), rat(Fraction(-1, 3)), rat(Fraction(3, 2)), rat(7)]
+    sums = []
+    for x in values:
+        partners = [y for y in values if math.lcm(x.conductor, y.conductor) <= 60]
+        sums += [(x, y) for y in rng.sample(partners, 2)]
+        sums += [(x, x), (x, unmemoized_neg(x)), (x, ZERO), (x, ONE), (x, rat(-1))]
+    products = [(r, x) for r in rationals for x in values + rationals]
+    assert 2 * len(sums) < scalars.MEMO_SIZE and len(products) < scalars.MEMO_SIZE
+    want_sums = [unmemoized_add(x, y) for x, y in sums]
+    want_negs = [unmemoized_neg(x) for x in values + rationals]
+    want_products = [unmemoized_rational_mul(r, x) for r, x in products]
+    _clear_memos()
+    for run in ("cold", "warm", "fresh"):
+        fresh = _fresh if run == "fresh" else (lambda x: x)
+        singletons = () if run == "fresh" else (ZERO, ONE, rat(-1))
+        for (x, y), total in zip(sums, want_sums):
+            x, y = fresh(x), fresh(y)
+            for got in (x + y, y + x):
+                assert got == total and (got is total or total not in singletons), (run, x, y)
+        for x, negation in zip(values + rationals, want_negs):
+            got = -fresh(x)
+            assert got == negation and (got is negation or negation not in (ZERO, ONE, rat(-1))), (run, x)
+            assert -got == x, (run, x)
+        for (r, x), product in zip(products, want_products):
+            r, x = fresh(r), fresh(x)
+            for got in (r * x, x * r):
+                assert got == product and (got is product or product not in singletons), (run, r, x)
+        for x in others:
+            assert x + 2 == 2 + x == unmemoized_add(x, rat(2)), (run, x)
+            assert x - x is ZERO and 3 * x == unmemoized_rational_mul(rat(3), x), (run, x)
 
 
 # -- the RREF descent and square-and-multiply powering, kept as references -------
