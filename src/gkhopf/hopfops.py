@@ -43,27 +43,29 @@ def _left_times(table, d: dict, rs) -> dict:
     return out
 
 
-def _walk(word, built: BuiltPresentation, cache: dict, unit, extend):
+def _walk(word, built: BuiltPresentation, cache: dict, unit, extend, m: Optional[NFMonomial] = None):
     """The value of ``word`` under a map fixed on the letters and extended
     letter by letter from the right: ``extend(letter, value of the rest)``.
 
-    The longest suffix of basis shape starts where ``monomial_of_word``
-    stops raising; each shorter suffix is of basis shape too, and its
-    monomial is the previous one with the exponent of the dropped letter
-    lowered.  Its value comes from its longest suffix in ``cache`` (or
-    from ``unit``), and each suffix passed on the way back is cached, even a
-    reducible one such as a power rule's y_j^{p_j}: an entry is always the
-    walk's value on its word.  The letters in front, which only a rule's
-    left-hand side has, are extended without caching.
+    The chain of suffix monomials starts at ``m``, the monomial of a basis
+    word, when the caller passes it; otherwise at the longest suffix of
+    basis shape, where ``monomial_of_word`` stops raising.  Each shorter
+    suffix is of basis shape too, and its monomial is the previous one with
+    the exponent of the dropped letter lowered.  Its value comes from its
+    longest suffix in ``cache`` (or from ``unit``), and each suffix passed on
+    the way back is cached, even a reducible one such as a power rule's
+    y_j^{p_j}: an entry is always the walk's value on its word.  The letters
+    in front, which only a rule's left-hand side has, are extended without
+    caching.
     """
     rs = built.rs
     start = 0
-    while True:
+    while m is None:
         try:
-            chain = [rs.monomial_of_word(word[start:])]
-            break
+            m = rs.monomial_of_word(word[start:])
         except StructureError:
             start += 1
+    chain = [m]
     # chain[k] is the monomial of word[start + k:]; only the last may be cached
     while chain[-1] not in cache and start + len(chain) <= len(word):
         m, letter = chain[-1], word[start + len(chain) - 1]
@@ -83,17 +85,17 @@ def _walk(word, built: BuiltPresentation, cache: dict, unit, extend):
     return value
 
 
-def _coproduct_word(word, built: BuiltPresentation) -> TensorPoly:
+def _coproduct_word(word, built: BuiltPresentation, m: Optional[NFMonomial] = None) -> TensorPoly:
     """Delta(word): Delta is multiplicative, so Delta(first letter) * Delta(rest)."""
     unit = built.rs.unit_monomial()
     return _walk(word, built, built.coproduct_cache, TensorPoly({(unit, unit): Cyclo.one()}),
-                 lambda letter, d: TensorPoly(_left_times(built.coproducts[letter], d.terms, built.rs)))
+                 lambda letter, d: TensorPoly(_left_times(built.coproducts[letter], d.terms, built.rs)), m)
 
 
 def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
     """Delta(m), cached per monomial."""
     hit = built.coproduct_cache.get(m)
-    return hit if hit is not None else _coproduct_word(built.rs.word_of_monomial(m), built)
+    return hit if hit is not None else _coproduct_word(built.rs.word_of_monomial(m), built, m)
 
 
 def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
@@ -103,16 +105,16 @@ def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
     return TensorPoly(out)
 
 
-def _counit_word(word, built: BuiltPresentation) -> Cyclo:
+def _counit_word(word, built: BuiltPresentation, m: Optional[NFMonomial] = None) -> Cyclo:
     """epsilon(word), the product of the letter counits; a free letter's zero
     counit stands at the right end of a basis word, where the walk starts."""
     return _walk(word, built, built.counit_cache, Cyclo.one(),
-                 lambda letter, e: e if e.is_zero() else built.counits[letter] * e)
+                 lambda letter, e: e if e.is_zero() else built.counits[letter] * e, m)
 
 
 def _counit_monomial(m: NFMonomial, built: BuiltPresentation) -> Cyclo:
     hit = built.counit_cache.get(m)
-    return hit if hit is not None else _counit_word(built.rs.word_of_monomial(m), built)
+    return hit if hit is not None else _counit_word(built.rs.word_of_monomial(m), built, m)
 
 
 def counit(p: NCPoly, built: BuiltPresentation) -> Cyclo:
@@ -122,16 +124,16 @@ def counit(p: NCPoly, built: BuiltPresentation) -> Cyclo:
     return out
 
 
-def _antipode_word(word, built: BuiltPresentation) -> NCPoly:
+def _antipode_word(word, built: BuiltPresentation, m: Optional[NFMonomial] = None) -> NCPoly:
     """S(word): S reverses products, so S(rest) * S(first letter)."""
     return _walk(word, built, built.antipode_cache, built.unit(),
-                 lambda letter, s: multiply(s, built.antipodes[letter], built.rs))
+                 lambda letter, s: multiply(s, built.antipodes[letter], built.rs), m)
 
 
 def antipode_monomial(m: NFMonomial, built: BuiltPresentation) -> NCPoly:
     """S(m), cached per monomial."""
     hit = built.antipode_cache.get(m)
-    return hit if hit is not None else _antipode_word(built.rs.word_of_monomial(m), built)
+    return hit if hit is not None else _antipode_word(built.rs.word_of_monomial(m), built, m)
 
 
 def antipode(p: NCPoly, built: BuiltPresentation) -> NCPoly:
@@ -194,6 +196,7 @@ def check_hopf_axioms(built: BuiltPresentation, degree_cap: int,
     if x_window is None:
         x_window = degree_cap
     rs = built.rs
+    unit = built.unit()
     report = AxiomReport(0, 0)
     for m in built.nf_monomials(degree_cap, x_window):
         report.monomials_checked += 1
@@ -203,7 +206,7 @@ def check_hopf_axioms(built: BuiltPresentation, degree_cap: int,
             report.failures.append(f"coassociativity fails on {rs.format_poly(mono)}")
         if _collapse_counit(d, built, 0) != mono or _collapse_counit(d, built, 1) != mono:
             report.failures.append(f"counit axiom fails on {rs.format_poly(mono)}")
-        target = built.unit().scale(_counit_monomial(m, built))
+        target = unit.scale(_counit_monomial(m, built))
         if _collapse_antipode(d, built, 0) != target or _collapse_antipode(d, built, 1) != target:
             report.failures.append(f"antipode axiom fails on {rs.format_poly(mono)}")
     for rule in rs.rules:

@@ -196,7 +196,7 @@ class NCPoly(SparseTerms):
     __slots__ = ()
 
     @staticmethod
-    def monomial(m: NFMonomial, coeff: ScalarLike = 1) -> "NCPoly":
+    def monomial(m: NFMonomial, coeff: ScalarLike = Cyclo.one()) -> "NCPoly":
         return NCPoly({m: Cyclo.promote(coeff)})
 
     def coefficient(self, m: NFMonomial) -> Cyclo:

@@ -15,8 +15,11 @@ these invariants:
 
 - values are immutable: nothing writes to a ``Cyclo``'s ``coeffs`` after
   construction, so ``x + 0``, ``x * 1`` and ``1 * x`` return ``x`` itself,
-  and a product of two irrational values and a power can be memoized by
-  value (``_product`` and ``Cyclo.__pow__``, each bounded by ``MEMO_SIZE``);
+  and the arithmetic that still computes is memoized by value, each memo
+  bounded by ``MEMO_SIZE``: a sum of two nonzero values (``_sum``), a
+  negation (``Cyclo.__neg__``), a product of two irrational values or of a
+  rational other than 0 and +-1 with any value (``_product``), and a power
+  (``Cyclo.__pow__``);
 - 0, 1 and -1 come back as the singletons ``_CYCLO_ZERO``, ``_CYCLO_ONE``
   and ``_CYCLO_MINUS_ONE`` from ``from_rational``, negation, ``make_root``
   and any product or sum of conductor 1, so a unit operand is recognised
@@ -44,7 +47,8 @@ from typing import Optional, Union
 # classification tables); the bound only guards against runaway lcm growth.
 CONDUCTOR_LIMIT = 256
 
-# entries that each of the value memos ``_product`` and ``Cyclo.__pow__`` keeps
+# entries that each value memo keeps: ``_sum``, ``_product``, ``Cyclo.__neg__``
+# and ``Cyclo.__pow__``
 MEMO_SIZE = 4096
 
 RationalLike = Union[int, Fraction]
@@ -289,13 +293,11 @@ class Cyclo:
             return self
         if not self.coeffs:
             return other
-        L = math.lcm(self.conductor, other.conductor)
-        a = self._lift(L) if L != self.conductor else dict(self.coeffs)
-        b = other._lift(L) if L != other.conductor else other.coeffs
-        return _scalar(*_canonicalize(L, add_terms(a, b.items())))
+        return _sum(self, other)
 
     __radd__ = __add__
 
+    @lru_cache(maxsize=MEMO_SIZE)
     def __neg__(self) -> "Cyclo":
         return _scalar(self.conductor, {e: -c for e, c in self.coeffs.items()})
 
@@ -319,7 +321,7 @@ class Cyclo:
                 return other
             if r == -1:
                 return -other
-            return _scalar(other.conductor, {e: c * r for e, c in other.coeffs.items()})
+            return _product(self, other)
         if other.conductor == 1:
             return other * self
         return _product(self, other)
@@ -444,8 +446,21 @@ def _scalar(L: int, coeffs: dict[int, Fraction]) -> Cyclo:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
+def _sum(x: Cyclo, y: Cyclo) -> Cyclo:
+    """x + y for two nonzero values, in Q(zeta_lcm) and reduced back down."""
+    L = math.lcm(x.conductor, y.conductor)
+    a = x._lift(L) if L != x.conductor else dict(x.coeffs)
+    b = y._lift(L) if L != y.conductor else y.coeffs
+    return _scalar(*_canonicalize(L, add_terms(a, b.items())))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def _product(x: Cyclo, y: Cyclo) -> Cyclo:
-    """x * y for two irrational values, in Q(zeta_lcm) and reduced back down."""
+    """x * y for x rational (but no unit) or both irrational; the irrational
+    pair in Q(zeta_lcm) and reduced back down."""
+    if x.conductor == 1:
+        r = x.coeffs[0]
+        return _scalar(y.conductor, {e: c * r for e, c in y.coeffs.items()})
     L = math.lcm(x.conductor, y.conductor)
     a = x._lift(L) if L != x.conductor else x.coeffs
     b = y._lift(L) if L != y.conductor else y.coeffs

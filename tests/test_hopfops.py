@@ -1,13 +1,15 @@
 """Coproduct/counit/antipode, axiom sweeps, primitives, Ext^1, zero divisors."""
 
 import dataclasses
+import sys
 
 import pytest
 
 from gkhopf import _linalg
-from gkhopf.hopfops import (TensorPoly, antipode, check_hopf_axioms, coproduct, counit,
-                            ext1_dimension, find_zero_divisors, primitive_weight_scan,
-                            skew_primitives, tensor_of, weight_commutator)
+from gkhopf.hopfops import (TensorPoly, _antipode_word, _coproduct_word, _counit_monomial,
+                            _counit_word, antipode, antipode_monomial, check_hopf_axioms, coproduct,
+                            coproduct_monomial, counit, ext1_dimension, find_zero_divisors,
+                            primitive_weight_scan, skew_primitives, tensor_of, weight_commutator)
 from gkhopf.ncpoly import NCPoly, multiply, normal_form
 from gkhopf.presentations import BParams, HopfPresentation, build
 from gkhopf.scalars import Cyclo, add_terms, make_root, qbinom
@@ -72,6 +74,31 @@ def test_hopf_axioms_corrupted_antipode(b23):
     corrupted = dataclasses.replace(b23, antipodes=tuple(antis))
     report = check_hopf_axioms(corrupted, 3, 3)
     assert any("antipode" in f and "y1" in f for f in report.failures)
+
+
+def test_monomial_walks_start_at_the_monomial(monkeypatch):
+    # on fresh builds, Delta, S and epsilon of each basis monomial equal the
+    # values of the word path, and the monomial path never reads the
+    # monomial back from its word (only products read normal words)
+    from helpers import built_b
+
+    by_word, by_monomial = built_b(1, (2, 3), 1, (0, 1)), built_b(1, (2, 3), 1, (0, 1))
+    rs = by_monomial.rs
+    callers = []
+
+    def spy(word):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return type(rs).monomial_of_word(rs, word)
+
+    monkeypatch.setattr(rs, "monomial_of_word", spy)
+    for m in by_monomial.nf_monomials(3, 4):
+        word = rs.word_of_monomial(m)
+        assert coproduct_monomial(m, by_monomial) == _coproduct_word(word, by_word), m
+        assert antipode_monomial(m, by_monomial) == _antipode_word(word, by_word), m
+        assert _counit_monomial(m, by_monomial) == _counit_word(word, by_word), m
+    assert callers and "_walk" not in callers, set(callers)
+    _coproduct_word(rs.rules[0].lhs, by_monomial)  # a left-hand side still finds its basis suffix
+    assert callers[-1] == "_walk"
 
 
 def test_qbinom_coproduct_expansion(b23, b235, k22):

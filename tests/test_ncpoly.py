@@ -199,6 +199,21 @@ def test_rebuilt_system_powers_from_the_scalar_memo():
     assert misses[1] == 0, misses
 
 
+def test_rebuilt_system_sums_from_the_scalar_memo():
+    # sums are memoized by value, not per build, so a second build of the same
+    # presentation checked on the same window computes no sum afresh
+    from gkhopf import scalars
+    from gkhopf.hopfops import check_hopf_axioms
+    from helpers import built_b
+
+    misses = []
+    for _ in range(2):
+        before = scalars._sum.cache_info().misses
+        assert check_hopf_axioms(built_b(1, (2, 3), 1, (0, 1)), 3, 4).all_passed
+        misses.append(scalars._sum.cache_info().misses - before)
+    assert misses[1] == 0, misses
+
+
 def test_root_inverses_run_no_extended_euclid(monkeypatch):
     # every q_i of a validated K or B document is a root of unity, so each
     # q_i^-1 of an x^-1 swap rule is read off its exponent: once a warm-up

@@ -364,16 +364,18 @@ def _outcome(fn, *args):
 
 
 def _clear_memos():
+    scalars._sum.cache_clear()
     scalars._product.cache_clear()
+    Cyclo.__neg__.cache_clear()
     Cyclo.__pow__.cache_clear()
 
 
 @pytest.fixture
 def reference_arithmetic(monkeypatch):
     """Run a callable with dense division in place of the power table.  The
-    product and power memos are cleared on entering and leaving, so that no
-    value computed outside skips the patched reduction, or is kept from
-    inside."""
+    sum, negation, product and power memos are cleared on entering and
+    leaving, so that no value computed outside skips the patched reduction,
+    or is kept from inside."""
     def run(fn, *args):
         with monkeypatch.context() as m:
             m.setattr(scalars, "_reduce_mod_phi", reference_reduce_mod_phi)
