@@ -321,8 +321,7 @@ class Cyclo:
                 return other
             if r == -1:
                 return -other
-            return _product(self, other)
-        if other.conductor == 1:
+        elif other.conductor == 1:
             return other * self
         return _product(self, other)
 
@@ -456,8 +455,8 @@ def _sum(x: Cyclo, y: Cyclo) -> Cyclo:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _product(x: Cyclo, y: Cyclo) -> Cyclo:
-    """x * y for x rational (but no unit) or both irrational; the irrational
-    pair in Q(zeta_lcm) and reduced back down."""
+    """x * y for x a rational other than 0 and +-1, or for two irrational
+    values; those in Q(zeta_lcm) and reduced back down."""
     if x.conductor == 1:
         r = x.coeffs[0]
         return _scalar(y.conductor, {e: c * r for e, c in y.coeffs.items()})
