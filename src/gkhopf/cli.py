@@ -6,7 +6,10 @@ so identical inputs produce byte-identical output; timing is attached only
 on request.  Exit codes: 0 on success, 1 when a check command reaches a
 negative verdict, 2 on malformed input, 3 on an internal error (a fault of
 the program, never a verdict).  The expression language of ``nf`` lives in
-``gkhopf.expr``.
+``gkhopf.expr``.  At import the module loads ``presentations``, ``ncpoly``
+and ``scalars``; ``expr`` loads in nf, primitives and zerodiv; ``hopfops``
+and ``_linalg`` in hopf-check, primitives, ext1, classify and zerodiv;
+``classify`` in classify and iso; ``heckenberger`` in classify and nichols.
 """
 
 from __future__ import annotations
@@ -19,11 +22,6 @@ import sys
 import time
 from typing import Optional
 
-from . import classify as classify_mod
-from . import hopfops
-from .expr import evaluate, parse_expression, poly_text
-from .heckenberger import (DiagonalDatum, lemma41_case, omega_checks, prop42_case, remark43_finite,
-                           supplementary_type)
 from .ncpoly import BudgetExceeded, certify_confluence
 from .presentations import (SIZE_LIMIT, HopfPresentation, build, int_from_json, presentation_from_json,
                             scalar_from_json, to_b_form, validate_presentation)
@@ -88,6 +86,7 @@ def _cmd_validate(args, pres):
 
 
 def _cmd_nf(args, pres):
+    from .expr import evaluate, parse_expression, poly_text
     built = build(pres, args.budget)
     node = parse_expression(" ".join(args.expression), built)
     return {"normal_form": poly_text(evaluate(node, built), built)}, 0, None
@@ -120,6 +119,7 @@ def _require_monomials(built, cap: int, window: int, what: str, limit_name: str,
 
 
 def _cmd_hopf_check(args, pres):
+    from . import hopfops
     built = build(pres, args.budget)
     window = args.cap if args.window is None else args.window
     _require_monomials(built, args.cap, window, "a window", "WINDOW_LIMIT", WINDOW_LIMIT)
@@ -134,6 +134,7 @@ def _cmd_hopf_check(args, pres):
 
 
 def _cmd_primitives(args, pres):
+    from . import expr, hopfops
     built = build(pres, args.budget)
     window = hopfops.default_window(built, args.cap) if args.window is None else args.window
     _require_monomials(built, args.cap, window, "an ansatz", "ANSATZ_LIMIT", ANSATZ_LIMIT)
@@ -144,7 +145,7 @@ def _cmd_primitives(args, pres):
             "commutator": str(entry.commutator),
             "dimension": entry.dimension,
             "records": [{
-                "element": poly_text(r.element, built),
+                "element": expr.poly_text(r.element, built),
                 "level": r.level,
                 "is_major": r.is_major,
             } for r in entry.records],
@@ -161,14 +162,16 @@ def _cmd_primitives(args, pres):
 
 
 def _cmd_ext1(args, pres):
+    from . import hopfops
     return {"ext1": hopfops.ext1_dimension(build(pres, args.budget))}, 0, None
 
 
 def _cmd_classify(args, pres):
+    from . import classify as classify_mod, heckenberger, hopfops
     [params] = _parameterized("classify", pres)
     built = build(pres, args.budget)
     bform = to_b_form(params)
-    omega, omega_prime = omega_checks(params)
+    omega, omega_prime = heckenberger.omega_checks(params)
     verdicts = {
         "domain": classify_mod.is_domain(params),
         "ext1": hopfops.ext1_dimension(built),
@@ -188,6 +191,7 @@ def _cmd_classify(args, pres):
 
 
 def _cmd_iso(args, pres_a, pres_b):
+    from . import classify as classify_mod
     witness = classify_mod.iso_test(*_parameterized("iso", pres_a, pres_b))
     if witness is None:
         return {"isomorphic": False}, 1, None
@@ -200,39 +204,41 @@ def _cmd_iso(args, pres_a, pres_b):
     return {"isomorphic": True}, 0, witnesses
 
 
-def _nichols_entry(obj) -> dict:
+def _nichols_entry(hk, obj) -> dict:
     try:
-        datum = DiagonalDatum.make(int_from_json("n1", obj["n1"]), int_from_json("n2", obj["n2"]),
-                                   scalar_from_json(obj["q1"]), scalar_from_json(obj["q2"]))
+        datum = hk.DiagonalDatum.make(int_from_json("n1", obj["n1"]), int_from_json("n2", obj["n2"]),
+                                      scalar_from_json(obj["q1"]), scalar_from_json(obj["q2"]))
         epsilon = int_from_json("epsilon", obj["epsilon"]) if "epsilon" in obj else None
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad diagonal datum {obj!r}: {exc}") from exc
-    verdict = lemma41_case(datum.braiding_matrix())
+    verdict = hk.lemma41_case(datum.braiding_matrix())
     entry = {
         "lemma41_case": verdict.case_label,
         "lemma41_permuted": verdict.permutation_applied,
         "lemma41_all_matches": list(verdict.all_matches),
-        "supplementary": supplementary_type(datum),
-        "remark43_finite": remark43_finite(datum),
+        "supplementary": hk.supplementary_type(datum),
+        "remark43_finite": hk.remark43_finite(datum),
     }
     if epsilon is not None:
-        entry["prop42_case"] = prop42_case(datum, epsilon)
+        entry["prop42_case"] = hk.prop42_case(datum, epsilon)
     return entry
 
 
 def _cmd_nichols(args, items):
-    return {"data": [_nichols_entry(obj) for obj in items]}, 0, None
+    from . import heckenberger
+    return {"data": [_nichols_entry(heckenberger, obj) for obj in items]}, 0, None
 
 
 def _cmd_zerodiv(args, pres):
+    from . import expr, hopfops
     built = build(pres, args.budget)
     window = hopfops.zero_divisor_window(built, args.cap)
     _require_monomials(built, args.cap, window, "a candidate pool", "WINDOW_LIMIT", WINDOW_LIMIT)
     report = hopfops.find_zero_divisors(built, args.cap)
     witnesses = None
     if report.found:
-        witnesses = {"left": poly_text(report.left, built),
-                     "right": poly_text(report.right, built)}
+        witnesses = {"left": expr.poly_text(report.left, built),
+                     "right": expr.poly_text(report.right, built)}
     return {"found": report.found, "notes": report.notes}, 0 if report.found else 1, witnesses
 
 

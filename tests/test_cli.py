@@ -308,12 +308,12 @@ def test_cli_accepts_cap_and_window_at_size_limit(tmp_path, capsys):
     (("--cap", "32", "--window", "256"), 16416),  # 32 shapes x 513
 ])
 def test_cli_rejects_primitives_ansatz_above_limit(tmp_path, capsys, monkeypatch, options, size):
-    import gkhopf.cli as cli
+    from gkhopf import hopfops
 
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started before the ansatz size was checked")
 
-    monkeypatch.setattr(cli.hopfops, "skew_primitives", no_work)
+    monkeypatch.setattr(hopfops, "skew_primitives", no_work)
     path = _write(tmp_path, "b.json", B23)
     code = main(["primitives", path, "--weight", "0", *options])
     captured = capsys.readouterr()
@@ -327,14 +327,14 @@ def test_cli_rejects_primitives_ansatz_above_limit(tmp_path, capsys, monkeypatch
     (("--cap", "32", "--window", "255"), 255),  # 32 shapes x 511 = 16,352
 ])
 def test_cli_accepts_primitives_ansatz_within_limit(tmp_path, capsys, monkeypatch, options, window):
-    import gkhopf.cli as cli
+    from gkhopf import hopfops
 
     def empty_report(built, g_exponent, degree_cap, x_window=None):
         if x_window is None:
-            x_window = cli.hopfops.default_window(built, degree_cap)
-        return cli.hopfops.PrimitiveSpaceReport(g_exponent, [], 0, degree_cap, x_window)
+            x_window = hopfops.default_window(built, degree_cap)
+        return hopfops.PrimitiveSpaceReport(g_exponent, [], 0, degree_cap, x_window)
 
-    monkeypatch.setattr(cli.hopfops, "skew_primitives", empty_report)
+    monkeypatch.setattr(hopfops, "skew_primitives", empty_report)
     path = _write(tmp_path, "b.json", B23)
     code, report = _run(capsys, "primitives", path, "--weight", "0", *options)
     assert code == 0 and report["verdicts"]["x_window"] == window
@@ -346,12 +346,12 @@ def test_cli_accepts_primitives_ansatz_within_limit(tmp_path, capsys, monkeypatc
     (("--cap", "256"), 131328),                   # the window defaults to the cap
 ])
 def test_cli_rejects_hopf_check_window_above_limit(tmp_path, capsys, monkeypatch, options, size):
-    import gkhopf.cli as cli
+    from gkhopf import hopfops
 
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started before the window size was checked")
 
-    monkeypatch.setattr(cli.hopfops, "check_hopf_axioms", no_work)
+    monkeypatch.setattr(hopfops, "check_hopf_axioms", no_work)
     path = _write(tmp_path, "b.json", B23)
     code = main(["hopf-check", path, *options])
     captured = capsys.readouterr()
@@ -366,15 +366,15 @@ def test_cli_rejects_hopf_check_window_above_limit(tmp_path, capsys, monkeypatch
     (("--cap", "48"), 48),                    # 48 shapes x 97 = 4,656
 ])
 def test_cli_accepts_hopf_check_window_within_limit(tmp_path, capsys, monkeypatch, options, window):
-    import gkhopf.cli as cli
+    from gkhopf import hopfops
 
     calls = []
 
     def empty_report(built, degree_cap, x_window=None):
         calls.append((degree_cap, x_window))
-        return cli.hopfops.AxiomReport(0, 0)
+        return hopfops.AxiomReport(0, 0)
 
-    monkeypatch.setattr(cli.hopfops, "check_hopf_axioms", empty_report)
+    monkeypatch.setattr(hopfops, "check_hopf_axioms", empty_report)
     path = _write(tmp_path, "b.json", B23)
     code, report = _run(capsys, "hopf-check", path, *options)
     assert code == 0 and report["verdicts"]["all_passed"]
@@ -382,12 +382,12 @@ def test_cli_accepts_hopf_check_window_within_limit(tmp_path, capsys, monkeypatc
 
 
 def test_cli_rejects_zerodiv_pool_above_limit(tmp_path, capsys, monkeypatch):
-    import gkhopf.cli as cli
+    from gkhopf import hopfops
 
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started before the candidate pool was checked")
 
-    monkeypatch.setattr(cli.hopfops, "find_zero_divisors", no_work)
+    monkeypatch.setattr(hopfops, "find_zero_divisors", no_work)
     code = main(["zerodiv", _write(tmp_path, "c3.json", C3), "--cap", "64"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
