@@ -85,8 +85,6 @@ def iso_test(a: KParams, b: KParams) -> Optional[IsoWitness]:
             continue
         if scale is None:
             scale = Cyclo.one()
-        if scale.is_zero():
-            continue
         scales = tuple(nth_root_in_cyclotomics(scale, p) for p in a.p)
         note = None
         if any(s is None for s in scales):

@@ -7,7 +7,7 @@ on request.  Exit codes: 0 on success, 1 when a check command reaches a
 negative verdict, 2 on malformed input, 3 on an internal error (a fault of
 the program, never a verdict).  The expression language of ``nf`` lives in
 ``gkhopf.expr``.  At import the module loads ``presentations``, ``ncpoly``
-and ``scalars``; ``expr`` loads in nf, primitives and zerodiv; ``hopfops``
+and ``scalars``; ``expr`` loads in nf only; ``hopfops``
 and ``_linalg`` in hopf-check, primitives, ext1, classify and zerodiv;
 ``classify`` in classify and iso; ``heckenberger`` in classify and nichols.
 """
@@ -22,7 +22,7 @@ import sys
 import time
 from typing import Optional
 
-from .ncpoly import BudgetExceeded, certify_confluence
+from .ncpoly import STEP_BUDGET, BudgetExceeded, certify_confluence
 from .presentations import (SIZE_LIMIT, HopfPresentation, build, int_from_json, presentation_from_json,
                             scalar_from_json, to_b_form, validate_presentation)
 
@@ -86,10 +86,10 @@ def _cmd_validate(args, pres):
 
 
 def _cmd_nf(args, pres):
-    from .expr import evaluate, parse_expression, poly_text
+    from .expr import evaluate, parse_expression
     built = build(pres, args.budget)
     node = parse_expression(" ".join(args.expression), built)
-    return {"normal_form": poly_text(evaluate(node, built), built)}, 0, None
+    return {"normal_form": built.rs.format_poly(evaluate(node, built))}, 0, None
 
 
 def _cmd_pbw_check(args, pres):
@@ -134,7 +134,7 @@ def _cmd_hopf_check(args, pres):
 
 
 def _cmd_primitives(args, pres):
-    from . import expr, hopfops
+    from . import hopfops
     built = build(pres, args.budget)
     window = hopfops.default_window(built, args.cap) if args.window is None else args.window
     _require_monomials(built, args.cap, window, "an ansatz", "ANSATZ_LIMIT", ANSATZ_LIMIT)
@@ -145,7 +145,7 @@ def _cmd_primitives(args, pres):
             "commutator": str(entry.commutator),
             "dimension": entry.dimension,
             "records": [{
-                "element": expr.poly_text(r.element, built),
+                "element": built.rs.format_poly(r.element),
                 "level": r.level,
                 "is_major": r.is_major,
             } for r in entry.records],
@@ -230,15 +230,15 @@ def _cmd_nichols(args, items):
 
 
 def _cmd_zerodiv(args, pres):
-    from . import expr, hopfops
+    from . import hopfops
     built = build(pres, args.budget)
     window = hopfops.zero_divisor_window(built, args.cap)
     _require_monomials(built, args.cap, window, "a candidate pool", "WINDOW_LIMIT", WINDOW_LIMIT)
     report = hopfops.find_zero_divisors(built, args.cap)
     witnesses = None
     if report.found:
-        witnesses = {"left": expr.poly_text(report.left, built),
-                     "right": expr.poly_text(report.right, built)}
+        witnesses = {"left": built.rs.format_poly(report.left),
+                     "right": built.rs.format_poly(report.right)}
     return {"found": report.found, "notes": report.notes}, 0 if report.found else 1, witnesses
 
 
@@ -253,7 +253,7 @@ def _make_parser() -> argparse.ArgumentParser:
         prog="gkhopf",
         description="exact computations in a family of pointed Hopf algebra domains",
     )
-    parser.add_argument("--budget", type=int, default=1_000_000,
+    parser.add_argument("--budget", type=int, default=STEP_BUDGET,
                         help="rewrite/search step budget (default 1e6)")
     parser.add_argument("--timing", action="store_true",
                         help="attach wall-clock timing to the report")

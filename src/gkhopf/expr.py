@@ -241,8 +241,3 @@ def evaluate(node, built: BuiltPresentation) -> NCPoly:
             total = total + value if sign > 0 else total - value
         return total
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def poly_text(p: NCPoly, built: BuiltPresentation) -> str:
-    """``p`` printed in the expression language."""
-    return built.rs.format_poly(p)

@@ -25,14 +25,12 @@ from typing import Union
 from .presentations import KParams
 from .scalars import Cyclo, RootOfUnity
 
-RootLike = Union[RootOfUnity, Cyclo, int]
+RootLike = Union[RootOfUnity, Cyclo]
 
 
 def _root(z: RootLike) -> RootOfUnity:
     if isinstance(z, RootOfUnity):
         return z
-    if isinstance(z, int):
-        z = Cyclo.from_rational(z)
     return RootOfUnity.from_cyclo(z)  # raises for non-roots
 
 

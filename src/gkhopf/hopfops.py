@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _linalg
-from .ncpoly import NCPoly, NFMonomial, SparseTerms, StructureError, _product_of_monomials, multiply
+from .ncpoly import NCPoly, NFMonomial, SparseTerms, _product_of_monomials, multiply
 from .presentations import BuiltPresentation
 from .scalars import CONDUCTOR_LIMIT, Cyclo, add_terms, make_root, nth_root_in_cyclotomics, order_of
 
@@ -43,32 +43,20 @@ def _left_times(table, d: dict, rs) -> dict:
     return out
 
 
-def _walk(word, built: BuiltPresentation, cache: dict, unit, extend, m: Optional[NFMonomial] = None):
-    """The value of ``word`` under a map fixed on the letters and extended
-    letter by letter from the right: ``extend(letter, value of the rest)``.
-
-    The chain of suffix monomials starts at ``m``, the monomial of a basis
-    word, when the caller passes it; otherwise at the longest suffix of
-    basis shape, where ``monomial_of_word`` stops raising.  Each shorter
-    suffix is of basis shape too, and its monomial is the previous one with
-    the exponent of the dropped letter lowered.  Its value comes from its
-    longest suffix in ``cache`` (or from ``unit``), and each suffix passed on
-    the way back is cached, even a reducible one such as a power rule's
-    y_j^{p_j}: an entry is always the walk's value on its word.  The letters
-    in front, which only a rule's left-hand side has, are extended without
-    caching.
-    """
-    rs = built.rs
-    start = 0
-    while m is None:
-        try:
-            m = rs.monomial_of_word(word[start:])
-        except StructureError:
-            start += 1
+def _walk(m: NFMonomial, built: BuiltPresentation, cache: dict, word_map):
+    """The value of the basis monomial ``m`` under a map fixed on the letters
+    and extended from the right: ``word_map(word, built, rest)`` is the value
+    of ``word`` followed by a word of value ``rest``.  Each suffix of a basis
+    word is one too, its monomial the previous one with the exponent of the
+    dropped letter lowered.  The walk starts at the longest suffix in
+    ``cache`` (or the empty word) and caches each suffix on the way back, so
+    every key is a basis monomial.  Rule words, which need not be basis
+    words, are folded by ``word_map`` alone, without a cache."""
+    word = built.rs.word_of_monomial(m)
     chain = [m]
-    # chain[k] is the monomial of word[start + k:]; only the last may be cached
-    while chain[-1] not in cache and start + len(chain) <= len(word):
-        m, letter = chain[-1], word[start + len(chain) - 1]
+    # chain[k] is the monomial of word[k:]; only the last may be cached
+    while chain[-1] not in cache and len(chain) <= len(word):
+        m, letter = chain[-1], word[len(chain) - 1]
         if letter >= 2:
             w = list(m.w)
             w[letter - 2] -= 1
@@ -77,25 +65,27 @@ def _walk(word, built: BuiltPresentation, cache: dict, unit, extend, m: Optional
             chain.append(NFMonomial(m.w0 - 1 if letter else m.w0 + 1, m.w))
     value = cache.get(chain[-1])
     if value is None:
-        value = cache[chain[-1]] = unit
+        value = cache[chain[-1]] = word_map((), built)
     for k in range(len(chain) - 2, -1, -1):
-        value = cache[chain[k]] = extend(word[start + k], value)
-    for letter in reversed(word[:start]):
-        value = extend(letter, value)
+        value = cache[chain[k]] = word_map(word[k:k + 1], built, value)
     return value
 
 
-def _coproduct_word(word, built: BuiltPresentation, m: Optional[NFMonomial] = None) -> TensorPoly:
-    """Delta(word): Delta is multiplicative, so Delta(first letter) * Delta(rest)."""
-    unit = built.rs.unit_monomial()
-    return _walk(word, built, built.coproduct_cache, TensorPoly({(unit, unit): Cyclo.one()}),
-                 lambda letter, d: TensorPoly(_left_times(built.coproducts[letter], d.terms, built.rs)), m)
+def _coproduct_word(word, built: BuiltPresentation, rest: Optional[TensorPoly] = None) -> TensorPoly:
+    """Delta(word w) from rest = Delta(w), by default Delta(1): Delta is
+    multiplicative, so Delta(first letter) * Delta(rest)."""
+    if rest is None:
+        unit = built.rs.unit_monomial()
+        rest = TensorPoly({(unit, unit): Cyclo.one()})
+    for letter in reversed(word):
+        rest = TensorPoly(_left_times(built.coproducts[letter], rest.terms, built.rs))
+    return rest
 
 
 def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
     """Delta(m), cached per monomial."""
     hit = built.coproduct_cache.get(m)
-    return hit if hit is not None else _coproduct_word(built.rs.word_of_monomial(m), built, m)
+    return hit if hit is not None else _walk(m, built, built.coproduct_cache, _coproduct_word)
 
 
 def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
@@ -105,16 +95,19 @@ def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
     return TensorPoly(out)
 
 
-def _counit_word(word, built: BuiltPresentation, m: Optional[NFMonomial] = None) -> Cyclo:
-    """epsilon(word), the product of the letter counits; a free letter's zero
-    counit stands at the right end of a basis word, where the walk starts."""
-    return _walk(word, built, built.counit_cache, Cyclo.one(),
-                 lambda letter, e: e if e.is_zero() else built.counits[letter] * e, m)
+def _counit_word(word, built: BuiltPresentation, rest: Cyclo = Cyclo.one()) -> Cyclo:
+    """epsilon(word w) from rest = epsilon(w), the product of the letter
+    counits; a free letter's zero counit stands at the right end of a basis
+    word, where the walk starts."""
+    for letter in reversed(word):
+        if not rest.is_zero():
+            rest = built.counits[letter] * rest
+    return rest
 
 
 def _counit_monomial(m: NFMonomial, built: BuiltPresentation) -> Cyclo:
     hit = built.counit_cache.get(m)
-    return hit if hit is not None else _counit_word(built.rs.word_of_monomial(m), built, m)
+    return hit if hit is not None else _walk(m, built, built.counit_cache, _counit_word)
 
 
 def counit(p: NCPoly, built: BuiltPresentation) -> Cyclo:
@@ -124,16 +117,19 @@ def counit(p: NCPoly, built: BuiltPresentation) -> Cyclo:
     return out
 
 
-def _antipode_word(word, built: BuiltPresentation, m: Optional[NFMonomial] = None) -> NCPoly:
-    """S(word): S reverses products, so S(rest) * S(first letter)."""
-    return _walk(word, built, built.antipode_cache, built.unit(),
-                 lambda letter, s: multiply(s, built.antipodes[letter], built.rs), m)
+def _antipode_word(word, built: BuiltPresentation, rest: Optional[NCPoly] = None) -> NCPoly:
+    """S(word w) from rest = S(w), by default S(1): S reverses products, so
+    S(rest) * S(first letter)."""
+    rest = built.unit() if rest is None else rest
+    for letter in reversed(word):
+        rest = multiply(rest, built.antipodes[letter], built.rs)
+    return rest
 
 
 def antipode_monomial(m: NFMonomial, built: BuiltPresentation) -> NCPoly:
     """S(m), cached per monomial."""
     hit = built.antipode_cache.get(m)
-    return hit if hit is not None else _antipode_word(built.rs.word_of_monomial(m), built, m)
+    return hit if hit is not None else _walk(m, built, built.antipode_cache, _antipode_word)
 
 
 def antipode(p: NCPoly, built: BuiltPresentation) -> NCPoly:
@@ -189,12 +185,9 @@ def _collapse_antipode(d: TensorPoly, built: BuiltPresentation, leg: int) -> NCP
     return NCPoly(out)
 
 
-def check_hopf_axioms(built: BuiltPresentation, degree_cap: int,
-                      x_window: Optional[int] = None) -> AxiomReport:
+def check_hopf_axioms(built: BuiltPresentation, degree_cap: int, x_window: int) -> AxiomReport:
     """Exhaustively verify the bialgebra and antipode axioms on a window,
     plus annihilation of every defining relation by the structure maps."""
-    if x_window is None:
-        x_window = degree_cap
     rs = built.rs
     unit = built.unit()
     report = AxiomReport(0, 0)
@@ -513,7 +506,7 @@ def _seeded_zero_divisors(built: BuiltPresentation, notes: list[str]):
     return None, factor_pool
 
 
-def find_zero_divisors(built: BuiltPresentation, degree_cap: int = 4) -> ZeroDivisorReport:
+def find_zero_divisors(built: BuiltPresentation, degree_cap: int) -> ZeroDivisorReport:
     """Search for a, b != 0 with a*b = 0; absent for the coprime (domain) case."""
     rs = built.rs
     notes: list[str] = []

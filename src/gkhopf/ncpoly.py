@@ -78,12 +78,11 @@ from .scalars import MEMO_SIZE, Cyclo, ScalarLike, add_terms
 
 Word = tuple[int, ...]
 
+# the default step budget of a rewrite system, the CLI's --budget
+STEP_BUDGET = 1_000_000
 
-class RewriteError(Exception):
-    pass
 
-
-class BudgetExceeded(RewriteError):
+class BudgetExceeded(Exception):
     """The step budget ran out while ``word`` was being rewritten."""
 
     def __init__(self, steps: int, word: Word, text: str):
@@ -94,7 +93,7 @@ class BudgetExceeded(RewriteError):
         self.word = word
 
 
-class StructureError(RewriteError):
+class StructureError(Exception):
     """An irreducible word fell outside the expected basis shape."""
 
 
@@ -202,9 +201,6 @@ class NCPoly(SparseTerms):
     def coefficient(self, m: NFMonomial) -> Cyclo:
         return self.terms.get(m, Cyclo.zero())
 
-    def __hash__(self):
-        return hash(tuple(self.sorted_terms()))
-
     def sorted_terms(self) -> list[tuple[NFMonomial, Cyclo]]:
         return sorted(self.terms.items())
 
@@ -226,7 +222,7 @@ class RewriteSystem:
         letter_names: Sequence[str],
         letter_weights: Sequence[int],
         rules: Sequence[Rule],
-        step_budget: int = 1_000_000,
+        step_budget: int = STEP_BUDGET,
     ):
         if len(letter_names) != len(letter_weights):
             raise ValueError("one weight per letter")

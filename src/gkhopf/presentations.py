@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .ncpoly import NCPoly, NFMonomial, RewriteSystem, Rule, normal_form
+from .ncpoly import STEP_BUDGET, NCPoly, NFMonomial, RewriteSystem, Rule, normal_form
 from .scalars import (CONDUCTOR_LIMIT, Cyclo, RootOfUnity, ScalarLike, is_primitive_pth_root,
                       make_root)
 
@@ -62,13 +62,14 @@ class KParams:
     q: tuple[Cyclo, ...]
     alpha: tuple[Cyclo, ...]
 
+    def __post_init__(self):
+        if len({self.s, len(self.n), len(self.p), len(self.q), len(self.alpha)}) != 1:
+            raise ValueError("parameter sequences must share one length")
+
     @staticmethod
     def make(M: int, n: Sequence[int], p: Sequence[int],
              q: Sequence[ScalarLike], alpha: Sequence[ScalarLike]) -> "KParams":
-        n, p = tuple(n), tuple(p)
-        if not (len(n) == len(p) == len(q) == len(alpha)):
-            raise ValueError("parameter sequences must share one length")
-        return KParams(len(p), M, n, p, _promote_all(q), _promote_all(alpha))
+        return KParams(len(p), M, tuple(n), tuple(p), _promote_all(q), _promote_all(alpha))
 
 
 @dataclass(frozen=True)
@@ -181,10 +182,6 @@ def validate(params: KParams) -> ValidationReport:
 
     if params.s < 2 or params.M < 2:
         fail("sizes", f"need s >= 2 and M >= 2, got s={params.s}, M={params.M}")
-    if len(params.n) != params.s or len(params.p) != params.s \
-            or len(params.q) != params.s or len(params.alpha) != params.s:
-        fail("degree_split", "parameter sequences disagree with s")
-        return ValidationReport(flags, messages)
     for i in range(params.s):
         if params.n[i] < 1 or params.p[i] < 1 or params.n[i] * params.p[i] != params.M:
             fail("degree_split", f"M != n_{i+1} * p_{i+1}")
@@ -316,7 +313,7 @@ class BuiltPresentation:
         return shapes
 
 
-def build(pres: HopfPresentation, step_budget: int = 1_000_000) -> BuiltPresentation:
+def build(pres: HopfPresentation, step_budget: int = STEP_BUDGET) -> BuiltPresentation:
     if pres.family in ("K", "B"):
         return _build_k(pres, step_budget)
     if pres.family == "A":
@@ -354,8 +351,6 @@ def _skew_laurent(pres: HopfPresentation, ys: Sequence[str], weights: Sequence[i
 def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     params = pres.kparams
     s = params.s
-    if len({len(params.n), len(params.p), len(params.q), len(params.alpha), s}) != 1:
-        raise ValueError("parameter sequences disagree with s")
     if any(q.is_zero() for q in params.q):
         raise ValueError("q_i must be nonzero")
     if any(pi < 1 for pi in params.p):

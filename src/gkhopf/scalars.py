@@ -19,7 +19,7 @@ these invariants:
   bounded by ``MEMO_SIZE``: a sum of two nonzero values (``_sum``), a
   negation (``Cyclo.__neg__``), a product of two irrational values or of a
   rational other than 0 and +-1 with any value (``_product``), and a power
-  (``Cyclo.__pow__``);
+  (``Cyclo.__pow__``), and so is ``qbinom``;
 - 0, 1 and -1 come back as the singletons ``_CYCLO_ZERO``, ``_CYCLO_ONE``
   and ``_CYCLO_MINUS_ONE`` from ``from_rational``, negation, ``make_root``
   and any product or sum of conductor 1, so a unit operand is recognised
@@ -528,7 +528,7 @@ def is_primitive_pth_root(a: ScalarLike, p: int) -> bool:
     return bool(a) and order_of(a) == p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def qbinom(w: int, j: int, q: Cyclo) -> Cyclo:
     """Gaussian binomial coefficient [w, j]_q.
 

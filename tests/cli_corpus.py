@@ -57,7 +57,8 @@ NICHOLS = {"data": [
     )]}
 
 # documents refused as input (exit 2): integer fields that are no JSON
-# integer, and scalar coefficient lists that are no list of [num, den] pairs
+# integer, scalar coefficient lists that are no list of [num, den] pairs,
+# parameter lists of unequal length, and a zero q
 MALFORMED = {
     "b23-float-n": dict(B23, n=1.9),
     "b23-bool-n": dict(B23, n=True),
@@ -67,6 +68,10 @@ MALFORMED = {
     "a25-poly-bare-entry": dict(A25, q={"L": 3, "poly": [7]}),
     "a25-poly-short-entry": dict(A25, q={"L": 3, "poly": [[1, 2], [3]]}),
     "a25-poly-object": dict(A25, q={"L": 3, "poly": {"a": 1}}),
+    "k22-short-q": dict(K22, q=K22["q"][:1]),
+    "k22-s-not-p": dict(K22, s=3),
+    "b23-short-alpha": dict(B23, alpha=[0]),
+    "a25-zero-q": dict(A25, q=0),
 }
 
 # expressions for every presentation, by the names of its generators

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gkhopf.cli import main
-from gkhopf.expr import MAX_NESTING, ExprError, evaluate, parse_expression, poly_text
+from gkhopf.expr import MAX_NESTING, ExprError, evaluate, parse_expression
 from gkhopf.scalars import make_root
 
 from helpers import ev
@@ -62,7 +62,7 @@ def test_print_parse_round_trip(b23, c3):
                          (c3, ["x*y^-2", "y^-1*x + 2"])):
         for text in texts:
             value = ev(built, text)
-            printed = poly_text(value, built)
+            printed = built.rs.format_poly(value)
             again = evaluate(parse_expression(printed, built), built)
             assert again == value, (text, printed)
 
@@ -114,6 +114,43 @@ def test_cli_pbw_check(tmp_path, capsys):
 def test_cli_hopf_check(tmp_path, capsys):
     code, report = _run(capsys, "hopf-check", _write(tmp_path, "b.json", B23), "--cap", "3")
     assert code == 0 and report["verdicts"]["all_passed"]
+
+
+# fails q_primitive and q_cross: three ambiguities stay unresolved, and Delta
+# and S break two relations
+K_NONCONFLUENT = {"family": "K", "M": 6, "n": [3, 2], "p": [2, 3],
+                  "q": [{"L": 4, "k": 1}, {"L": 3, "k": 1}], "alpha": [0, 1]}
+
+
+def test_cli_pbw_check_reports_unresolved_ambiguities(tmp_path, capsys):
+    code, report = _run(capsys, "pbw-check", _write(tmp_path, "k.json", K_NONCONFLUENT))
+    assert code == 1
+    assert report["verdicts"] == {"ambiguities": 13, "resolved": 10, "all_resolved": False, "failures": [
+        {"word": "y2*y2*y2*x", "kind": "overlap", "rules": ["y2^p", "y2*x"]},
+        {"word": "y2*y2*y2*x^-1", "kind": "overlap", "rules": ["y2^p", "y2*x^-1"]},
+        {"word": "y2*y2*y2*y1", "kind": "overlap", "rules": ["y2^p", "y2*y1"]},
+    ]}
+
+
+def test_cli_hopf_check_reports_broken_relations(tmp_path, capsys):
+    path = _write(tmp_path, "k.json", K_NONCONFLUENT)
+    code, report = _run(capsys, "hopf-check", path, "--cap", "3", "--window", "4")
+    assert code == 1
+    assert report["verdicts"] == {"monomials_checked": 27, "relation_checks": 8, "all_passed": False,
+                                  "failures": ["coproduct does not preserve relation y2*y1",
+                                               "antipode does not preserve relation y2*y1",
+                                               "coproduct does not preserve relation y2^p",
+                                               "antipode does not preserve relation y2^p"]}
+
+
+def test_cli_timing_adds_only_timing_ms(tmp_path, capsys):
+    path = _write(tmp_path, "b.json", B23)
+    code, plain = _run(capsys, "hopf-check", path, "--cap", "2")
+    timed_code, timed = _run(capsys, "--timing", "hopf-check", path, "--cap", "2")
+    assert code == timed_code == 0
+    timing = timed.pop("timing_ms")
+    assert type(timing) in (int, float) and timing >= 0
+    assert timed == plain
 
 
 def test_cli_primitives(tmp_path, capsys):
@@ -587,7 +624,7 @@ def test_print_parse_fuzz(b23):
             value = ev(b23, text)
         except Exception:
             continue  # negative literals can underflow the grammar; skip
-        printed = poly_text(value, b23)
+        printed = b23.rs.format_poly(value)
         assert evaluate(parse_expression(printed, b23), b23) == value, (text, printed)
 
 
@@ -675,7 +712,7 @@ def test_cli_nf_power_stays_in_normal_form(tmp_path, capsys, time_bound, b23):
 
     code, report = _run(capsys, "nf", _write(tmp_path, "b.json", B23), "(x+y1+y2)^12")
     assert code == 0
-    assert report["verdicts"]["normal_form"] == poly_text(power(ev(b23, "x+y1+y2"), 12, b23.rs), b23)
+    assert report["verdicts"]["normal_form"] == b23.rs.format_poly(power(ev(b23, "x+y1+y2"), 12, b23.rs))
 
 
 def _check_error_report(code, captured):

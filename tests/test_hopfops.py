@@ -76,10 +76,26 @@ def test_hopf_axioms_corrupted_antipode(b23):
     assert any("antipode" in f and "y1" in f for f in report.failures)
 
 
+def test_hopf_axioms_corrupted_coproduct_and_counit(b23):
+    # Delta(y1) = 2 y1 (x) 1 + x^3 (x) y1 is not coassociative; eps(y1) = 1
+    # breaks the counit axiom and the counit on the relation y1*x
+    cops = list(b23.coproducts)
+    cops[2] = ((Cyclo.from_rational(2),) + cops[2][0][1:],) + cops[2][1:]
+    report = check_hopf_axioms(dataclasses.replace(b23, coproducts=tuple(cops)), 3, 3)
+    assert "coassociativity fails on y1" in report.failures
+    eps = list(b23.counits)
+    eps[2] = Cyclo.one()
+    report = check_hopf_axioms(dataclasses.replace(b23, counits=tuple(eps)), 3, 3)
+    assert "counit axiom fails on y1" in report.failures
+    assert "counit does not preserve relation y1*x" in report.failures
+
+
 def test_monomial_walks_start_at_the_monomial(monkeypatch):
     # on fresh builds, Delta, S and epsilon of each basis monomial equal the
     # values of the word path, and the monomial path never reads the
-    # monomial back from its word (only products read normal words)
+    # monomial back from its word (only products read normal words); after
+    # an axiom check, which also folds the rule words, every key of the
+    # three caches is still a basis monomial
     from helpers import built_b
 
     by_word, by_monomial = built_b(1, (2, 3), 1, (0, 1)), built_b(1, (2, 3), 1, (0, 1))
@@ -96,9 +112,10 @@ def test_monomial_walks_start_at_the_monomial(monkeypatch):
         assert coproduct_monomial(m, by_monomial) == _coproduct_word(word, by_word), m
         assert antipode_monomial(m, by_monomial) == _antipode_word(word, by_word), m
         assert _counit_monomial(m, by_monomial) == _counit_word(word, by_word), m
+    check_hopf_axioms(by_monomial, 3, 4)
     assert callers and "_walk" not in callers, set(callers)
-    _coproduct_word(rs.rules[0].lhs, by_monomial)  # a left-hand side still finds its basis suffix
-    assert callers[-1] == "_walk"
+    for cache in (by_monomial.coproduct_cache, by_monomial.counit_cache, by_monomial.antipode_cache):
+        assert cache and all(normal_form(rs.word_of_monomial(m), rs) == NCPoly.monomial(m) for m in cache)
 
 
 def test_qbinom_coproduct_expansion(b23, b235, k22):

@@ -79,6 +79,16 @@ def test_hopf_check_loads_hopfops_and_linalg_only(tmp_path):
     assert loaded == BASE | {"gkhopf.hopfops", "gkhopf._linalg"}
 
 
+@pytest.mark.parametrize("command, options, code", [("primitives", ["--weight", "2"], 0), ("zerodiv", [], 1)])
+def test_primitives_and_zerodiv_load_no_expr(tmp_path, command, options, code):
+    # their reports print polynomials through RewriteSystem.format_poly
+    path = tmp_path / "b25.json"
+    path.write_text(json.dumps(B25))
+    argv = [command, str(path), "--cap", "2", *options]
+    loaded = _modules_after(f"from gkhopf import cli; assert cli.main({argv!r}) == {code}")
+    assert loaded == BASE | {"gkhopf.hopfops", "gkhopf._linalg"}
+
+
 def test_public_names_resolve_to_their_home_modules():
     assert sorted(gkhopf.__all__) == sorted(name for names in PUBLIC.values() for name in names)
     listed = dir(gkhopf)
