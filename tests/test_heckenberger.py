@@ -204,3 +204,115 @@ def test_omega_prime_on_grid():
 
         expected = all(order_of(lam) not in (5, 7) for lam in lambdas)
         assert omega_prime == expected
+
+
+# ---------------------------------------------------------------------------
+# oracle: the case table as written on RootOfUnity objects, kept verbatim
+# ---------------------------------------------------------------------------
+
+_MINUS_ONE = RootOfUnity.minus_one()
+
+
+def _lemma41_matches(q: BraidingMatrix) -> list[str]:
+    q11, q22 = q.q11, q.q22
+    rho = q.q12 * q.q21
+    out = []
+    if rho.is_one():
+        out.append("1")
+    if not rho.is_one() and (rho * q22).is_one():
+        if (q11 * rho).is_one():
+            out.append("2.1")
+        if q11 == _MINUS_ONE and not (rho ** 2).is_one():
+            out.append("2.2")
+        if (q11 ** 2 * rho).is_one():
+            out.append("2.3")
+        if (q11 ** 3 * rho).is_one() and not (q11 ** 2).is_one():
+            out.append("2.4")
+        if q11.order == 3 and not (rho ** 3).is_one():
+            out.append("2.5")
+        if rho.order == 8 and q11 == rho ** 2:
+            out.append("2.6")
+        if rho.order == 24 and q11 == rho ** 6:
+            out.append("2.7")
+        if rho.order == 30 and q11 == rho ** 12:
+            out.append("2.8")
+    shared = (not rho.is_one() and not (q11 * rho).is_one()
+              and not (rho * q22).is_one())
+    if shared and q22 == _MINUS_ONE and q11.order in (2, 3):
+        if q11 == _MINUS_ONE and not (rho ** 2).is_one():
+            out.append("3.1")
+        if q11.order == 3 and rho in (q11, -q11):
+            out.append("3.2")
+        q0 = q11 * rho
+        if q0.order == 12 and q11 == q0 ** 4:
+            out.append("3.3")
+        if rho.order == 12 and q11 == -(rho ** 2):
+            out.append("3.4")
+        if rho.order == 9 and q11 == rho ** -3:
+            out.append("3.5")
+        if rho.order == 24 and q11 == -(rho ** 4):
+            out.append("3.6")
+        if rho.order == 30 and q11 == -(rho ** 5):
+            out.append("3.7")
+    if shared and q22 == _MINUS_ONE and q11.order not in (2, 3):
+        if rho == q11 ** -2:
+            out.append("4.1")
+        if q11.order in (5, 8, 12, 14, 20) and rho == q11 ** -3:
+            out.append("4.2")
+        if q11.order in (10, 18) and rho == q11 ** -4:
+            out.append("4.3")
+        if q11.order in (14, 24) and rho == q11 ** -5:
+            out.append("4.4")
+        if rho.order == 8 and q11 == rho ** -2:
+            out.append("4.5")
+        if rho.order == 12 and q11 == rho ** -3:
+            out.append("4.6")
+        if rho.order == 20 and q11 == rho ** -4:
+            out.append("4.7")
+        if rho.order == 30 and q11 == rho ** -6:
+            out.append("4.8")
+    if shared and q11 != _MINUS_ONE and q22.order == 3:
+        q0 = q11 * rho
+        if q0.order == 12 and q11 == q0 ** 4 and q22 == -(q0 ** 2):
+            out.append("5.1")
+        if rho.order == 12 and q11 == -(rho ** 2) and q22 == -(rho ** 2):
+            out.append("5.2")
+        if rho.order == 24 and q11 == rho ** -6 and q22 == rho ** -8:
+            out.append("5.3")
+        if q11.order == 18 and rho == q11 ** -2 and q22 == -(q11 ** 3):
+            out.append("5.4")
+        if q11.order == 30 and rho == q11 ** -3 and q22 == -(q11 ** 5):
+            out.append("5.5")
+    return out
+
+
+def _oracle_case(q: BraidingMatrix) -> tuple[str, bool, tuple[str, ...]]:
+    for permuted, oriented in ((False, q), (True, q.swapped())):
+        matches = _lemma41_matches(oriented)
+        if matches:
+            return matches[0], permuted, tuple(matches)
+    return "none", False, ()
+
+
+# every order the table names, with 1, 4 and 6 for the products and powers
+# that reach them
+TABLE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 14, 18, 20, 24, 30)
+TABLE_ROOTS = [R(n, k) for n in TABLE_ORDERS for k in range(n) if math.gcd(k, n) == 1]
+
+
+def test_lemma41_agrees_with_oracle():
+    """q11 and rho = q12*q21 run over every root of a table order; q22 is
+    each value the table singles out (1, -1, a cube root, rho^-1) and one
+    random root; q12 and q21 split rho by a random root, so both enter."""
+    rng = random.Random(41)
+    cube_roots = (R(3, 1), R(3, 2))
+    seen = set()
+    for q11 in TABLE_ROOTS:
+        for rho in TABLE_ROOTS:
+            for q22 in (ONE, MINUS, *cube_roots, rho.inv(), rng.choice(TABLE_ROOTS)):
+                t = rng.choice(TABLE_ROOTS)
+                q = BraidingMatrix(q11, rho * t, t.inv(), q22)
+                v = lemma41_case(q)
+                assert (v.case_label, v.permutation_applied, v.all_matches) == _oracle_case(q), q
+                seen.add(v.case_label)
+    assert seen == {label for label, _ in CASE_TABLE} | {"none"}
