@@ -24,7 +24,7 @@ from typing import Optional
 
 from .ncpoly import STEP_BUDGET, BudgetExceeded, certify_confluence
 from .presentations import (SIZE_LIMIT, HopfPresentation, build, int_from_json, presentation_from_json,
-                            scalar_from_json, to_b_form, validate_presentation)
+                            root_from_json, to_b_form, validate_presentation)
 
 SCHEMA_VERSION = 1
 
@@ -138,7 +138,7 @@ def _cmd_primitives(args, pres):
     built = build(pres, args.budget)
     window = hopfops.default_window(built, args.cap) if args.window is None else args.window
     _require_monomials(built, args.cap, window, "an ansatz", "ANSATZ_LIMIT", ANSATZ_LIMIT)
-    report = hopfops.skew_primitives(built, args.weight, args.cap, args.window)
+    report = hopfops.skew_primitives(built, args.weight, args.cap, window)
     entries = []
     for entry in report.entries:
         entries.append({
@@ -207,17 +207,18 @@ def _cmd_iso(args, pres_a, pres_b):
 def _nichols_entry(hk, obj) -> dict:
     try:
         datum = hk.DiagonalDatum.make(int_from_json("n1", obj["n1"]), int_from_json("n2", obj["n2"]),
-                                      scalar_from_json(obj["q1"]), scalar_from_json(obj["q2"]))
+                                      root_from_json(obj["q1"]), root_from_json(obj["q2"]))
         epsilon = int_from_json("epsilon", obj["epsilon"]) if "epsilon" in obj else None
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad diagonal datum {obj!r}: {exc}") from exc
     verdict = hk.lemma41_case(datum.braiding_matrix())
+    supplementary = hk.supplementary_type(datum)
     entry = {
         "lemma41_case": verdict.case_label,
         "lemma41_permuted": verdict.permutation_applied,
         "lemma41_all_matches": list(verdict.all_matches),
-        "supplementary": hk.supplementary_type(datum),
-        "remark43_finite": hk.remark43_finite(datum),
+        "supplementary": supplementary,
+        "remark43_finite": supplementary != "none",  # remark43_finite(datum), by its definition
     }
     if epsilon is not None:
         entry["prop42_case"] = hk.prop42_case(datum, epsilon)
@@ -254,7 +255,7 @@ def _make_parser() -> argparse.ArgumentParser:
         description="exact computations in a family of pointed Hopf algebra domains",
     )
     parser.add_argument("--budget", type=int, default=STEP_BUDGET,
-                        help="rewrite/search step budget (default 1e6)")
+                        help="rewrite step budget (default 1e6)")
     parser.add_argument("--timing", action="store_true",
                         help="attach wall-clock timing to the report")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,6 +11,12 @@ evaluates both subalgebra hypotheses on a parameter record: the pair
 patterns among the visible rank-one subalgebras, and the orders of their
 commutators.
 
+The case table runs in integer arithmetic.  With N the lcm of 2 and the
+four orders, each entry is zeta_N^x and is read as its exponent x mod N:
+a product is a sum, the k-th power is k*x, the negative is x + N/2, the
+order is N / gcd(x, N), and 1 is 0.  The swap exchanges the exponents of
+q11 and q22 and keeps that of rho = q12*q21.
+
 No Nichols algebra is ever constructed; these are exact membership tests
 on root-of-unity data.
 """
@@ -34,9 +40,6 @@ def _root(z: RootLike) -> RootOfUnity:
     return RootOfUnity.from_cyclo(z)  # raises for non-roots
 
 
-_MINUS_ONE = RootOfUnity.minus_one()
-
-
 @dataclass(frozen=True)
 class BraidingMatrix:
     q11: RootOfUnity
@@ -47,9 +50,6 @@ class BraidingMatrix:
     @staticmethod
     def make(q11: RootLike, q12: RootLike, q21: RootLike, q22: RootLike) -> "BraidingMatrix":
         return BraidingMatrix(_root(q11), _root(q12), _root(q21), _root(q22))
-
-    def swapped(self) -> "BraidingMatrix":
-        return BraidingMatrix(self.q22, self.q21, self.q12, self.q11)
 
 
 @dataclass(frozen=True)
@@ -80,75 +80,79 @@ class NicholsVerdict:
     all_matches: tuple[str, ...]
 
 
-def _lemma41_matches(q: BraidingMatrix) -> list[str]:
-    q11, q22 = q.q11, q.q22
-    rho = q.q12 * q.q21
+def _lemma41_matches(N: int, a: int, r: int, d: int) -> list[str]:
+    """Sub-cases matched by q11 = zeta_N^a, rho = q12*q21 = zeta_N^r and
+    q22 = zeta_N^d, for an even N and exponents in 0..N-1."""
+    h = N // 2  # -1 = zeta_N^h
+
+    def order(x: int) -> int:
+        return N // math.gcd(x % N, N)
+
     out = []
-    if rho.is_one():
+    if r == 0:
         out.append("1")
-    if not rho.is_one() and (rho * q22).is_one():
-        if (q11 * rho).is_one():
+    if r and (r + d) % N == 0:
+        if (a + r) % N == 0:
             out.append("2.1")
-        if q11 == _MINUS_ONE and not (rho ** 2).is_one():
+        if a == h and 2 * r % N:
             out.append("2.2")
-        if (q11 ** 2 * rho).is_one():
+        if (2 * a + r) % N == 0:
             out.append("2.3")
-        if (q11 ** 3 * rho).is_one() and not (q11 ** 2).is_one():
+        if (3 * a + r) % N == 0 and 2 * a % N:
             out.append("2.4")
-        if q11.order == 3 and not (rho ** 3).is_one():
+        if order(a) == 3 and 3 * r % N:
             out.append("2.5")
-        if rho.order == 8 and q11 == rho ** 2:
+        if order(r) == 8 and a == 2 * r % N:
             out.append("2.6")
-        if rho.order == 24 and q11 == rho ** 6:
+        if order(r) == 24 and a == 6 * r % N:
             out.append("2.7")
-        if rho.order == 30 and q11 == rho ** 12:
+        if order(r) == 30 and a == 12 * r % N:
             out.append("2.8")
-    shared = (not rho.is_one() and not (q11 * rho).is_one()
-              and not (rho * q22).is_one())
-    if shared and q22 == _MINUS_ONE and q11.order in (2, 3):
-        if q11 == _MINUS_ONE and not (rho ** 2).is_one():
+    shared = r and (a + r) % N and (r + d) % N
+    if shared and d == h and order(a) in (2, 3):
+        if a == h and 2 * r % N:
             out.append("3.1")
-        if q11.order == 3 and rho in (q11, -q11):
+        if order(a) == 3 and r in (a, (a + h) % N):
             out.append("3.2")
-        q0 = q11 * rho
-        if q0.order == 12 and q11 == q0 ** 4:
+        q0 = (a + r) % N
+        if order(q0) == 12 and a == 4 * q0 % N:
             out.append("3.3")
-        if rho.order == 12 and q11 == -(rho ** 2):
+        if order(r) == 12 and a == (2 * r + h) % N:
             out.append("3.4")
-        if rho.order == 9 and q11 == rho ** -3:
+        if order(r) == 9 and a == -3 * r % N:
             out.append("3.5")
-        if rho.order == 24 and q11 == -(rho ** 4):
+        if order(r) == 24 and a == (4 * r + h) % N:
             out.append("3.6")
-        if rho.order == 30 and q11 == -(rho ** 5):
+        if order(r) == 30 and a == (5 * r + h) % N:
             out.append("3.7")
-    if shared and q22 == _MINUS_ONE and q11.order not in (2, 3):
-        if rho == q11 ** -2:
+    if shared and d == h and order(a) not in (2, 3):
+        if r == -2 * a % N:
             out.append("4.1")
-        if q11.order in (5, 8, 12, 14, 20) and rho == q11 ** -3:
+        if order(a) in (5, 8, 12, 14, 20) and r == -3 * a % N:
             out.append("4.2")
-        if q11.order in (10, 18) and rho == q11 ** -4:
+        if order(a) in (10, 18) and r == -4 * a % N:
             out.append("4.3")
-        if q11.order in (14, 24) and rho == q11 ** -5:
+        if order(a) in (14, 24) and r == -5 * a % N:
             out.append("4.4")
-        if rho.order == 8 and q11 == rho ** -2:
+        if order(r) == 8 and a == -2 * r % N:
             out.append("4.5")
-        if rho.order == 12 and q11 == rho ** -3:
+        if order(r) == 12 and a == -3 * r % N:
             out.append("4.6")
-        if rho.order == 20 and q11 == rho ** -4:
+        if order(r) == 20 and a == -4 * r % N:
             out.append("4.7")
-        if rho.order == 30 and q11 == rho ** -6:
+        if order(r) == 30 and a == -6 * r % N:
             out.append("4.8")
-    if shared and q11 != _MINUS_ONE and q22.order == 3:
-        q0 = q11 * rho
-        if q0.order == 12 and q11 == q0 ** 4 and q22 == -(q0 ** 2):
+    if shared and a != h and order(d) == 3:
+        q0 = (a + r) % N
+        if order(q0) == 12 and a == 4 * q0 % N and d == (2 * q0 + h) % N:
             out.append("5.1")
-        if rho.order == 12 and q11 == -(rho ** 2) and q22 == -(rho ** 2):
+        if order(r) == 12 and a == (2 * r + h) % N and d == (2 * r + h) % N:
             out.append("5.2")
-        if rho.order == 24 and q11 == rho ** -6 and q22 == rho ** -8:
+        if order(r) == 24 and a == -6 * r % N and d == -8 * r % N:
             out.append("5.3")
-        if q11.order == 18 and rho == q11 ** -2 and q22 == -(q11 ** 3):
+        if order(a) == 18 and r == -2 * a % N and d == (3 * a + h) % N:
             out.append("5.4")
-        if q11.order == 30 and rho == q11 ** -3 and q22 == -(q11 ** 5):
+        if order(a) == 30 and r == -3 * a % N and d == (5 * a + h) % N:
             out.append("5.5")
     return out
 
@@ -156,10 +160,14 @@ def _lemma41_matches(q: BraidingMatrix) -> list[str]:
 def lemma41_case(q: BraidingMatrix) -> NicholsVerdict:
     """First matching sub-case of the rank-2 table, trying the identity
     ordering of the basis and then the swap."""
-    matches = _lemma41_matches(q)
+    roots = (q.q11, q.q12, q.q21, q.q22)
+    N = math.lcm(2, *(z.order for z in roots))
+    a, e12, e21, d = (z.exponent * (N // z.order) for z in roots)
+    r = (e12 + e21) % N
+    matches = _lemma41_matches(N, a, r, d)
     if matches:
         return NicholsVerdict(matches[0], False, tuple(matches))
-    matches = _lemma41_matches(q.swapped())
+    matches = _lemma41_matches(N, d, r, a)  # the swap exchanges q11 and q22, keeps rho
     if matches:
         return NicholsVerdict(matches[0], True, tuple(matches))
     return NicholsVerdict("none", False, ())

@@ -460,17 +460,30 @@ def scalar_from_json(obj) -> Cyclo:
         return Cyclo.from_rational(_fraction(obj))
     if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(type(v) is int for v in obj):
         return Cyclo.from_rational(_fraction(obj[0], obj[1]))
-    if isinstance(obj, dict) and ("poly" in obj or "k" in obj):
-        L = int_from_json("L", obj["L"])
-        if not 1 <= L <= CONDUCTOR_LIMIT:
-            raise ValueError(f"conductor L={L} outside 1..{CONDUCTOR_LIMIT}")
-        if "poly" in obj:
-            if not isinstance(obj["poly"], list):
-                raise ValueError("field 'poly' must be a list of [num, den] pairs")
-            return Cyclo(L, {e: _fraction(*_pair_from_json(f"poly[{e}]", v))
-                             for e, v in enumerate(obj["poly"])})
-        return make_root(L, int_from_json("k", obj["k"]))
+    if isinstance(obj, dict) and "poly" in obj:
+        L = _conductor_from_json(obj)
+        if not isinstance(obj["poly"], list):
+            raise ValueError("field 'poly' must be a list of [num, den] pairs")
+        return Cyclo(L, {e: _fraction(*_pair_from_json(f"poly[{e}]", v))
+                         for e, v in enumerate(obj["poly"])})
+    if isinstance(obj, dict) and "k" in obj:
+        return root_from_json(obj).to_cyclo()
     raise ValueError(f"cannot read a scalar from {obj!r}")
+
+
+def root_from_json(obj) -> RootOfUnity:
+    """A JSON scalar that must be a root of unity: a {"L","k"} root is read
+    as its exponent, any other form through ``scalar_from_json``."""
+    if isinstance(obj, dict) and "k" in obj and "poly" not in obj:
+        return RootOfUnity(_conductor_from_json(obj), int_from_json("k", obj["k"]))
+    return RootOfUnity.from_cyclo(scalar_from_json(obj))
+
+
+def _conductor_from_json(obj: dict) -> int:
+    L = int_from_json("L", obj["L"])
+    if not 1 <= L <= CONDUCTOR_LIMIT:
+        raise ValueError(f"conductor L={L} outside 1..{CONDUCTOR_LIMIT}")
+    return L
 
 
 def _int_list(data: dict, key: str) -> list[int]:

@@ -81,7 +81,7 @@ def test_lemma41_swap_coherence():
     for _ in range(400):
         q = BraidingMatrix(*(rng.choice(roots) for _ in range(4)))
         v1 = lemma41_case(q)
-        v2 = lemma41_case(q.swapped())
+        v2 = lemma41_case(_swapped(q))
         assert (v1.case_label != "none") == (v2.case_label != "none")
 
 
@@ -286,8 +286,12 @@ def _lemma41_matches(q: BraidingMatrix) -> list[str]:
     return out
 
 
+def _swapped(q: BraidingMatrix) -> BraidingMatrix:
+    return BraidingMatrix(q.q22, q.q21, q.q12, q.q11)
+
+
 def _oracle_case(q: BraidingMatrix) -> tuple[str, bool, tuple[str, ...]]:
-    for permuted, oriented in ((False, q), (True, q.swapped())):
+    for permuted, oriented in ((False, q), (True, _swapped(q))):
         matches = _lemma41_matches(oriented)
         if matches:
             return matches[0], permuted, tuple(matches)

@@ -3,10 +3,11 @@
 import pytest
 
 from gkhopf.ncpoly import NFMonomial
+from gkhopf import presentations
 from gkhopf.presentations import (BParams, HopfPresentation, KParams, build,
-                                  presentation_from_json, scalar_from_json, to_b_form,
-                                  validate)
-from gkhopf.scalars import Cyclo, make_root
+                                  presentation_from_json, root_from_json, scalar_from_json,
+                                  to_b_form, validate)
+from gkhopf.scalars import CONDUCTOR_LIMIT, Cyclo, RootOfUnity, make_root
 
 from helpers import b_grid, k_grid, search_k_instances
 
@@ -161,6 +162,46 @@ def test_scalar_from_json_pins():
     assert scalar_from_json({"L": 4, "poly": [[1, 2]]}) == Cyclo.from_rational(Fraction(1, 2))
     assert scalar_from_json("2/3") == Cyclo.from_rational(Fraction(2, 3))
     assert scalar_from_json([1, 2]) == Cyclo.from_rational(Fraction(1, 2))
+
+
+def test_root_from_json_reads_exponents():
+    for L in range(1, CONDUCTOR_LIMIT + 1):
+        for k in (-L - 1, -1, 0, 1, L - 1, L, 2 * L + 3):
+            obj = {"L": L, "k": k}
+            assert root_from_json(obj) == RootOfUnity.from_cyclo(scalar_from_json(obj)), obj
+
+
+@pytest.mark.parametrize("obj", [1, -1, "-1", [-1, 1], {"L": 3, "poly": [[1, 1], [1, 1]]},
+                                 {"L": 4, "poly": [[0, 1], [1, 1]], "k": 3}])
+def test_root_from_json_other_scalars_take_the_scalar_route(monkeypatch, obj):
+    seen = []
+
+    def spy(value):
+        seen.append(value)
+        return scalar_from_json(value)
+
+    monkeypatch.setattr(presentations, "scalar_from_json", spy)
+    assert root_from_json(obj) == RootOfUnity.from_cyclo(scalar_from_json(obj))
+    assert seen == [obj]
+
+
+def test_root_from_json_no_scalar_route_for_exponents(monkeypatch):
+    monkeypatch.setattr(presentations, "scalar_from_json", None)
+    assert root_from_json({"L": 12, "k": 9}) == RootOfUnity(4, 3)
+
+
+@pytest.mark.parametrize("obj", [2, "1/2", {"L": 5, "poly": [[2, 1]]}, {"L": 0, "k": 1},
+                                 {"L": CONDUCTOR_LIMIT + 1, "k": 1}, {"L": True, "k": 1},
+                                 {"L": 5, "k": 1.0}, {"L": 5, "k": "1"}, {"k": 1}])
+def test_root_from_json_refusals(obj):
+    with pytest.raises((ValueError, KeyError)) as root_exc:
+        root_from_json(obj)
+    try:
+        RootOfUnity.from_cyclo(scalar_from_json(obj))
+    except (ValueError, KeyError) as exc:
+        assert (type(exc), str(exc)) == (root_exc.type, str(root_exc.value))
+    else:
+        raise AssertionError(f"{obj!r} was read")
 
 
 def test_c_params_guard():
