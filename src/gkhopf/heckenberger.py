@@ -86,7 +86,7 @@ def _lemma41_matches(N: int, a: int, r: int, d: int) -> list[str]:
     h = N // 2  # -1 = zeta_N^h
 
     def order(x: int) -> int:
-        return N // math.gcd(x % N, N)
+        return N // math.gcd(x, N)
 
     out = []
     if r == 0:
