@@ -17,6 +17,12 @@ the generator counits letter by letter from the left end of the word.  The
 word maps ``_coproduct_word``, ``_antipode_word`` and ``_counit_word`` must
 agree with the references on every rule word and window monomial, with
 cold caches and with caches that ``check_hopf_axioms`` has filled.
+``reference_check_hopf_axioms`` is a verbatim copy of the axiom sweep that
+makes six passes over the terms of each window monomial's coproduct, one per
+side of each axiom (``_expand_leg``, ``_collapse_counit`` and
+``_collapse_antipode``, copied with it); ``check_hopf_axioms`` must give the
+same counts and the same failures in the same order, with cold and warm
+caches, on sound presentations and on corrupted ones.
 """
 
 import dataclasses
@@ -24,11 +30,11 @@ import dataclasses
 import pytest
 
 from gkhopf import _linalg
-from gkhopf.hopfops import (TensorPoly, _antipode_word, _coproduct_word, _counit_word,
-                            antipode_monomial, check_hopf_axioms, coproduct_monomial,
-                            skew_primitives, weight_commutator)
+from gkhopf.hopfops import (AxiomReport, TensorPoly, _antipode_word, _coproduct_word,
+                            _counit_monomial, _counit_word, antipode_monomial, check_hopf_axioms,
+                            coproduct_monomial, skew_primitives, weight_commutator)
 from gkhopf.ncpoly import NCPoly, NFMonomial, _product_of_monomials, multiply
-from gkhopf.presentations import HopfPresentation, KParams, build
+from gkhopf.presentations import BuiltPresentation, HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, add_terms, make_root
 
 from helpers import built_b, corrupted_b23
@@ -68,6 +74,71 @@ def reference_counit_word(word, built) -> Cyclo:
         if out.is_zero():
             break
     return out
+
+
+def _expand_leg(d: TensorPoly, built: BuiltPresentation, leg: int) -> dict:
+    out: dict[tuple[NFMonomial, NFMonomial, NFMonomial], Cyclo] = {}
+    for (l, r), c in d.terms.items():
+        inner = coproduct_monomial(l if leg == 0 else r, built).terms.items()
+        add_terms(out, (((a, b, r) if leg == 0 else (l, a, b), c2) for (a, b), c2 in inner), c)
+    return out
+
+
+def _collapse_counit(d: TensorPoly, built: BuiltPresentation, leg: int) -> NCPoly:
+    out: dict[NFMonomial, Cyclo] = {}
+    for (l, r), c in d.terms.items():
+        kept, dropped = (r, l) if leg == 0 else (l, r)
+        add_terms(out, ((kept, c * _counit_monomial(dropped, built)),))
+    return NCPoly(out)
+
+
+def _collapse_antipode(d: TensorPoly, built: BuiltPresentation, leg: int) -> NCPoly:
+    """S(l) r summed over the terms l (x) r of ``d`` (leg 0), or l S(r) (leg 1)."""
+    rs = built.rs
+    out: dict[NFMonomial, Cyclo] = {}
+    for (l, r), c in d.terms.items():
+        if leg == 0:
+            for m, cm in antipode_monomial(l, built).terms.items():
+                add_terms(out, _product_of_monomials(m, r, rs), c * cm)
+        else:
+            for m, cm in antipode_monomial(r, built).terms.items():
+                add_terms(out, _product_of_monomials(l, m, rs), c * cm)
+    return NCPoly(out)
+
+
+def reference_check_hopf_axioms(built: BuiltPresentation, degree_cap: int, x_window: int) -> AxiomReport:
+    """Exhaustively verify the bialgebra and antipode axioms on a window,
+    plus annihilation of every defining relation by the structure maps."""
+    rs = built.rs
+    unit = built.unit()
+    report = AxiomReport(0, 0)
+    for m in built.nf_monomials(degree_cap, x_window):
+        report.monomials_checked += 1
+        mono = NCPoly.monomial(m)
+        d = coproduct_monomial(m, built)
+        if _expand_leg(d, built, 0) != _expand_leg(d, built, 1):
+            report.failures.append(f"coassociativity fails on {rs.format_poly(mono)}")
+        if _collapse_counit(d, built, 0) != mono or _collapse_counit(d, built, 1) != mono:
+            report.failures.append(f"counit axiom fails on {rs.format_poly(mono)}")
+        target = unit.scale(_counit_monomial(m, built))
+        if _collapse_antipode(d, built, 0) != target or _collapse_antipode(d, built, 1) != target:
+            report.failures.append(f"antipode axiom fails on {rs.format_poly(mono)}")
+    for rule in rs.rules:
+        report.relation_checks += 1
+        d_r: dict[tuple[NFMonomial, NFMonomial], Cyclo] = {}
+        e_r = Cyclo.zero()
+        s_r: dict[NFMonomial, Cyclo] = {}
+        for c, w in rule.rhs:
+            add_terms(d_r, _coproduct_word(w, built).terms.items(), c)
+            e_r = e_r + c * _counit_word(w, built)
+            add_terms(s_r, _antipode_word(w, built).terms.items(), c)
+        if _coproduct_word(rule.lhs, built).terms != d_r:
+            report.failures.append(f"coproduct does not preserve relation {rule.name}")
+        if _counit_word(rule.lhs, built) != e_r:
+            report.failures.append(f"counit does not preserve relation {rule.name}")
+        if _antipode_word(rule.lhs, built).terms != s_r:
+            report.failures.append(f"antipode does not preserve relation {rule.name}")
+    return report
 
 
 def reference_defect(m, g, built) -> TensorPoly:
@@ -118,6 +189,9 @@ BUILDERS = {
     "b34": lambda: built_b(1, (3, 4), 1, (0, 1)),
     "b235": lambda: built_b(1, (2, 3, 5), 1, (0, 1, 2)),
     "k22": _k22,
+    "k523": lambda: build(HopfPresentation.from_k(KParams.make(
+        30, (6, 15, 10), (5, 2, 3), [make_root(5, 1), Cyclo.from_rational(-1), make_root(3, 1)],
+        (0, 1, 2)))),
     "a25": lambda: build(HopfPresentation.a_family(2, make_root(5, 1))),
     "c3": lambda: build(HopfPresentation.c_family(3)),
 }
@@ -195,6 +269,93 @@ def test_word_maps_match_reference(name, warm):
         want = reference_antipode_word(word, built)
         assert list(_antipode_word(word, built).terms.items()) == list(want.terms.items()), word
         assert _counit_word(word, built) == reference_counit_word(word, built), word
+
+
+# -- axiom sweep --------------------------------------------------------------
+
+
+def _sweep_view(report):
+    return report.monomials_checked, report.relation_checks, list(report.failures)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("name", ["b23", "b25", "b34", "b235", "k22", "k523", "a25", "c3"])
+def test_axiom_sweep_matches_reference(name, warm):
+    built = BUILDERS[name]()
+    if warm:
+        check_hopf_axioms(built, 3, 4)
+        want = reference_check_hopf_axioms(built, 3, 4)
+    else:
+        want = reference_check_hopf_axioms(BUILDERS[name](), 3, 4)
+    got = check_hopf_axioms(built, 3, 4)
+    assert got.all_passed
+    assert _sweep_view(got) == _sweep_view(want)
+
+
+def _flip_antipode_y1(built):
+    antis = list(built.antipodes)
+    antis[2] = -antis[2]
+    return dataclasses.replace(built, antipodes=tuple(antis))
+
+
+def _double_coproduct_y1(built):
+    # Delta(y1) = 2 y1 (x) 1 + x^3 (x) y1
+    cops = list(built.coproducts)
+    cops[2] = ((Cyclo.from_rational(2),) + cops[2][0][1:],) + cops[2][1:]
+    return dataclasses.replace(built, coproducts=tuple(cops))
+
+
+def _unit_counit_y1(built):
+    eps = list(built.counits)
+    eps[2] = Cyclo.one()
+    return dataclasses.replace(built, counits=tuple(eps))
+
+
+def _corrupted_rules(built):
+    return dataclasses.replace(built, rs=corrupted_b23(built))
+
+
+def _extra_coproduct_y1(*extra):
+    """Delta(y1) plus the terms c l (x) r of ``extra``, given as (c, w0 of l,
+    shape of l, w0 of r, shape of r)."""
+    def corrupt(built):
+        cops = list(built.coproducts)
+        cops[2] += tuple((Cyclo.from_rational(c), NFMonomial(a, u), NFMonomial(b, v))
+                         for c, a, u, b, v in extra)
+        return dataclasses.replace(built, coproducts=tuple(cops))
+    return corrupt
+
+
+# each extra coproduct term breaks one side of one axiom on y1 and keeps the
+# other: y1 (x) x^3 adds y1 to l eps(r) alone, x^3 (x) y1 adds y1 to
+# eps(l) r alone; y1 (x) 1 + 1 (x) x^-3 y1 cancels in S(l) r but adds 2 y1 to
+# l S(r), and x^-3 (x) x^-3 y1 + 1 (x) y1 the other way round
+ONE_SIDED = {
+    "counit_right": (_extra_coproduct_y1((1, 0, (1, 0), 3, (0, 0))), "counit axiom fails on y1"),
+    "counit_left": (_extra_coproduct_y1((1, 3, (0, 0), 0, (1, 0))), "counit axiom fails on y1"),
+    "antipode_right": (_extra_coproduct_y1((1, 0, (1, 0), 0, (0, 0)), (1, 0, (0, 0), -3, (1, 0))),
+                       "antipode axiom fails on y1"),
+    "antipode_left": (_extra_coproduct_y1((1, -3, (0, 0), -3, (1, 0)), (1, 0, (0, 0), 0, (1, 0))),
+                      "antipode axiom fails on y1"),
+}
+
+
+@pytest.mark.parametrize("corrupt", [_flip_antipode_y1, _double_coproduct_y1, _unit_counit_y1,
+                                     _corrupted_rules])
+def test_axiom_sweep_matches_reference_on_corrupted_b23(corrupt):
+    got = check_hopf_axioms(corrupt(BUILDERS["b23"]()), 3, 4)
+    want = reference_check_hopf_axioms(corrupt(BUILDERS["b23"]()), 3, 4)
+    assert got.failures
+    assert _sweep_view(got) == _sweep_view(want)
+
+
+@pytest.mark.parametrize("name", ONE_SIDED)
+def test_axiom_sweep_checks_both_sides_of_each_axiom(name):
+    corrupt, failure = ONE_SIDED[name]
+    got = check_hopf_axioms(corrupt(BUILDERS["b23"]()), 3, 4)
+    want = reference_check_hopf_axioms(corrupt(BUILDERS["b23"]()), 3, 4)
+    assert failure in got.failures
+    assert _sweep_view(got) == _sweep_view(want)
 
 
 # -- skew primitives ----------------------------------------------------------

@@ -1,20 +1,24 @@
 """Coproduct/counit/antipode, axiom sweeps, primitives, Ext^1, zero divisors."""
 
 import dataclasses
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
-from gkhopf import _linalg
+from gkhopf import _linalg, hopfops
 from gkhopf.hopfops import (TensorPoly, _antipode_word, _coproduct_word, _counit_monomial,
                             _counit_word, antipode, antipode_monomial, check_hopf_axioms, coproduct,
                             coproduct_monomial, counit, ext1_dimension, find_zero_divisors,
                             primitive_weight_scan, skew_primitives, tensor_of, weight_commutator)
 from gkhopf.ncpoly import NCPoly, multiply, normal_form
-from gkhopf.presentations import BParams, HopfPresentation, build
+from gkhopf.presentations import BParams, HopfPresentation, build, presentation_from_json
 from gkhopf.scalars import Cyclo, add_terms, make_root, qbinom
 
-from helpers import b_grid, ev
+from helpers import b_grid, built_b, ev
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _tensor(built, left_text, right_text):
@@ -116,6 +120,39 @@ def test_monomial_walks_start_at_the_monomial(monkeypatch):
     assert callers and "_walk" not in callers, set(callers)
     for cache in (by_monomial.coproduct_cache, by_monomial.counit_cache, by_monomial.antipode_cache):
         assert cache and all(normal_form(rs.word_of_monomial(m), rs) == NCPoly.monomial(m) for m in cache)
+
+
+def test_axiom_sweep_calls_each_map_once_per_use(monkeypatch):
+    # the traced benchmark wraps these maps by module attribute and counts
+    # their calls; on a fresh B{2,3} at cap 3, window 4 (27 monomials, 45
+    # coproduct terms) the sweep asks for Delta of m and of both legs of each
+    # term, eps of m and of both legs, and S of both legs
+    calls = dict.fromkeys(("coproduct_monomial", "antipode_monomial", "_counit_monomial"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(hopfops, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(hopfops, name, counted)
+    report = check_hopf_axioms(built_b(1, (2, 3), 1, (0, 1)), 3, 4)
+    assert (report.monomials_checked, report.relation_checks, report.all_passed) == (27, 8, True)
+    assert calls == {"coproduct_monomial": 117, "antipode_monomial": 90, "_counit_monomial": 117}
+
+
+def test_benchmark_window_verdicts():
+    # hopf-check --cap 6 --window 12 on the first draw of each hopf-window
+    # shape: every axiom passes, on the counts of the benchmark's golden report
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    first = {}
+    for task in workloads.HopfWindow().inputs(1):
+        first.setdefault(task["shape"], task["content"])
+    got = {}
+    for shape, data in first.items():
+        report = check_hopf_axioms(build(presentation_from_json(data)), 6, 12)
+        assert report.all_passed, (shape, report.failures[:3])
+        got[shape] = (report.monomials_checked, report.relation_checks)
+    assert got == {"b23": (150, 8), "b25": (125, 8), "b34": (100, 8), "b235": (50, 13), "k22": (175, 8)}
 
 
 def test_qbinom_coproduct_expansion(b23, b235, k22):
