@@ -59,8 +59,13 @@ Products of basis monomials are cached per pair.  Where every free letter
 swaps with x and x^-1 (K, B and A), a product is read off the
 Ore-extension formula ``x^a y^u * x^b y^v = c x^(a+b) (y^u * y^v)``, and
 only ``y^u * y^v`` is rewritten, once per pair of shapes (see
-``_ore_product``).  Any other system rewrites the joined word.  A rule
-constant's power ``c^k`` comes from the value memo of ``Cyclo.__pow__``.
+``_ore_product``).  Each build starts with empty caches and the pair key
+holds both x-exponents, so about half the products of a Hopf-axiom window
+miss the pair cache; a miss reads the shape product and the swap factor
+from their caches and shifts the x-exponents, and where the exponent stays
+and the factor is 1 it returns the shape product's terms as they are.  Any
+other system rewrites the joined word.  A rule constant's power ``c^k``
+comes from the value memo of ``Cyclo.__pow__``.
 
 The step budget bounds each rewriting that runs, on its own, by its letter
 steps: a word, the joined word of a product, or ``y^u * y^v`` alone where
@@ -447,12 +452,17 @@ def normal_form(p: RawTerms, rs: RewriteSystem) -> NCPoly:
     return NCPoly(add_terms({}, irreducible))
 
 
+_MISSING = object()
+_ONE = Cyclo.one()
+
+
 def _shape_product(u: tuple[int, ...], v: tuple[int, ...], rs: RewriteSystem):
     """The terms of y^u * y^v, rewritten once per shape pair (u, v); None if
     y^u is not irreducible."""
     key = (u, v)
-    if key in rs._shape_products:
-        return rs._shape_products[key]
+    terms = rs._shape_products.get(key, _MISSING)
+    if terms is not _MISSING:
+        return terms
     yu = rs.word_of_monomial(NFMonomial(0, u))
     terms = None
     if rs._find_redex(yu) is None:
@@ -478,12 +488,15 @@ def _ore_product(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
     k = m1.w0 + b
     factor = rs._swap_factors.get((m1.w, b))
     if factor is None:
-        factor = Cyclo.one()
+        factor = _ONE
         for letter, e in enumerate(m1.w, start=2):
             if e and b:
                 factor = factor * rs.rules[rs._swaps[(letter, 1 if b > 0 else 0)]].rhs[0][0] ** (e * abs(b))
         rs._swap_factors[(m1.w, b)] = factor
-    return tuple((NFMonomial(m.w0 + k, m.w), c * factor) for m, c in terms)
+    if k == 0 and factor is _ONE:
+        return terms
+    # tuple.__new__ skips the argument parsing of NFMonomial's own __new__
+    return tuple((tuple.__new__(NFMonomial, (m.w0 + k, m.w)), c * factor) for m, c in terms)
 
 
 def _product_of_monomials(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
