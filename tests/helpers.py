@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 from gkhopf.expr import evaluate, parse_expression
 from gkhopf.ncpoly import RewriteSystem, Rule
 from gkhopf.presentations import BParams, BuiltPresentation, HopfPresentation, KParams, build, validate
 from gkhopf.scalars import RootOfUnity, make_root
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded as a module of its own."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def ev(built: BuiltPresentation, text: str):

@@ -9,9 +9,7 @@ shapes, on every shape of the benchmark grids, on K with p_i = 1, and on A
 with negative, small and non-root-of-unity parameters.
 """
 
-import importlib.util
 import math
-from pathlib import Path
 
 import pytest
 
@@ -20,14 +18,7 @@ from gkhopf.presentations import (BParams, BuiltPresentation, HopfPresentation, 
                                   build)
 from gkhopf.scalars import Cyclo, make_root
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import perfbench_workloads
 
 
 def old_build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
@@ -147,7 +138,7 @@ def old_free_shapes(built, degree_cap):
 
 
 def _cases():
-    wl = _workloads()
+    wl = perfbench_workloads()
     out = []
     for p in wl.GRID_B:
         ell = math.prod(p)

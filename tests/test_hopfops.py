@@ -1,9 +1,7 @@
 """Coproduct/counit/antipode, axiom sweeps, primitives, Ext^1, zero divisors."""
 
 import dataclasses
-import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,9 +14,7 @@ from gkhopf.ncpoly import NCPoly, multiply, normal_form
 from gkhopf.presentations import BParams, HopfPresentation, build, presentation_from_json
 from gkhopf.scalars import Cyclo, add_terms, make_root, qbinom
 
-from helpers import b_grid, built_b, ev
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from helpers import b_grid, built_b, ev, perfbench_workloads
 
 
 def _tensor(built, left_text, right_text):
@@ -123,10 +119,11 @@ def test_monomial_walks_start_at_the_monomial(monkeypatch):
 
 
 def test_axiom_sweep_calls_each_map_once_per_use(monkeypatch):
-    # the traced benchmark wraps these maps by module attribute and counts
-    # their calls; on a fresh B{2,3} at cap 3, window 4 (27 monomials, 45
-    # coproduct terms) the sweep asks for Delta of m and of both legs of each
-    # term, eps of m and of both legs, and S of both legs
+    # the traced benchmark counts the calls of coproduct_monomial and
+    # antipode_monomial through wrappers set as module attributes, as these
+    # are; on a fresh B{2,3} at cap 3, window 4 (27 monomials, 45 coproduct
+    # terms) the sweep asks for Delta of m and of both legs of each term, eps
+    # of m and of both legs, and S of both legs
     calls = dict.fromkeys(("coproduct_monomial", "antipode_monomial", "_counit_monomial"), 0)
     for name in calls:
         def counted(*args, _name=name, _original=getattr(hopfops, name)):
@@ -141,11 +138,8 @@ def test_axiom_sweep_calls_each_map_once_per_use(monkeypatch):
 def test_benchmark_window_verdicts():
     # hopf-check --cap 6 --window 12 on the first draw of each hopf-window
     # shape: every axiom passes, on the counts of the benchmark's golden report
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     first = {}
-    for task in workloads.HopfWindow().inputs(1):
+    for task in perfbench_workloads().HopfWindow().inputs(1):
         first.setdefault(task["shape"], task["content"])
     got = {}
     for shape, data in first.items():
