@@ -244,10 +244,13 @@ def _k11():
     return build(HopfPresentation.from_k(KParams.make(2, (2, 2), (1, 1), [one, one], (0, 1))))
 
 
+def _corrupted_rules(built):
+    return dataclasses.replace(built, rs=corrupted_b23(built))
+
+
 def _corrupted_b23():
     """B{2,3} on the non-confluent system of ``corrupted_b23``."""
-    built = BUILDERS["b23"]()
-    return dataclasses.replace(built, rs=corrupted_b23(built))
+    return _corrupted_rules(BUILDERS["b23"]())
 
 
 WORD_CASES = {"b23": BUILDERS["b23"], "b235": BUILDERS["b235"], "k22": BUILDERS["k22"],
@@ -302,10 +305,6 @@ def _unit_counit_y1(built):
     eps = list(built.counits)
     eps[2] = Cyclo.one()
     return dataclasses.replace(built, counits=tuple(eps))
-
-
-def _corrupted_rules(built):
-    return dataclasses.replace(built, rs=corrupted_b23(built))
 
 
 def _extra_coproduct_y1(*extra):
