@@ -18,11 +18,22 @@ entry leaves ``dense``), and a single-entry row on the column of a
 single-entry pivot row reduces to zero, so it is skipped without a copy.
 Every other row is reduced as before, so the pivots, their rows and the
 dict order of both are those of the plain reduction.
+
+A system whose rows split into a part shared by many systems and a part of
+their own is reduced in two steps: ``rref(shared)`` once, then
+``rref(own, start=...)`` for each system.  ``start`` is the state the
+reduction of the shared rows ended in, so the second step gives what one
+reduction of the shared rows followed by the own rows gives, dict order
+included.  The skew-primitive solver reduces the rows that do not depend on
+the weight once per shape this way, and the few rows that do once per
+weight.  Single-entry pivot rows are never changed, so ``start`` lends
+them; its multi-entry rows are copied before back-substitution reaches
+them, and ``start`` comes out unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Optional
 
 from .scalars import Cyclo, add_terms
 
@@ -35,17 +46,24 @@ def _eliminate(row: dict, col: Hashable, prow: dict) -> None:
         add_terms(row, prow.items(), -row[col])
 
 
-def rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
+def rref(rows: Iterable[dict], start: Optional[dict] = None) -> dict[Hashable, dict]:
     """Reduced row echelon form; returns {pivot column: normalized row}.
 
     Each pivot is the least column of its row in the ``_col_key`` order, so
     the result is the unique reduced row echelon form of the row space for
     that column order: the same pivots and rows for every order of the
     input rows.  Only the dict order of the result depends on it.
+
+    ``start``, a result of ``rref``, seeds the reduction: the rows of
+    ``start`` count as rows of the system, reduced before ``rows``.
     """
     one = Cyclo.one()
     pivots: dict[Hashable, dict] = {}
     dense: dict[Hashable, dict] = {}  # the pivot rows with more than one entry
+    for piv, row in (start or {}).items():
+        if len(row) > 1:
+            row = dense[piv] = dict(row)
+        pivots[piv] = row
     for row in rows:
         if len(row) == 1:
             [piv] = row
@@ -95,9 +113,10 @@ def rank(rows: Iterable[dict]) -> int:
     return len(rref(rows))
 
 
-def nullspace(rows: Iterable[dict], columns: list) -> list[dict]:
-    """Basis of the solution space of ``rows * x = 0`` over ``columns``."""
-    pivots = rref(rows)
+def nullspace(rows: Iterable[dict], columns: list, start: Optional[dict] = None) -> list[dict]:
+    """Basis of the solution space of ``rows * x = 0`` over ``columns``;
+    ``start`` seeds the reduction as in ``rref``."""
+    pivots = rref(rows, start)
     free = [c for c in columns if c not in pivots]
     basis = []
     for f in free:

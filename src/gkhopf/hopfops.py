@@ -261,28 +261,61 @@ def zero_divisor_window(built: BuiltPresentation, degree_cap: int) -> int:
     return min(degree_cap, built.central_exponent or degree_cap)
 
 
+def _primitive_rows(shape, built, x_window):
+    """What the skew-primitive system of ``shape`` keeps for every weight.
+
+    The system has one row per pair (l, r) at which Delta(m) - m (x) 1 - g (x) m
+    has terms, over the ansatz monomials m.  The weight g touches only the
+    rows whose left leg l is the group monomial g.  The rows whose left leg
+    is no group power are the same for every weight, so they are reduced
+    here once; the rows whose left leg is a group power are kept by that
+    leg, less each single-entry row on a column that the reduction already
+    has as a single-entry pivot row, a multiple of it."""
+    minus_one = Cyclo.from_rational(-1)
+    ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
+    unit, group = built.rs.unit_monomial(), (0,) * built.num_free
+    free: dict = {}  # (l, r) -> row, for the left legs l that are no group power
+    legs: dict = {}  # l -> {r: row}, for the group-power left legs l
+    for t, m in enumerate(ansatz):
+        d = add_terms(dict(coproduct_monomial(m, built).terms), (((m, unit), minus_one),))
+        for pair, c in d.items():
+            if pair[0].w == group:
+                legs.setdefault(pair[0], {}).setdefault(pair[1], {})[t] = c
+            else:
+                free.setdefault(pair, {})[t] = c
+    start = _linalg.rref(free.values())
+    singles = {col for col, row in start.items() if len(row) == 1}
+    legs = {l: kept for l, block in legs.items()
+            if (kept := {r: row for r, row in block.items()
+                         if len(row) > 1 or next(iter(row)) not in singles})}
+    return ansatz, start, singles, legs
+
+
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
     minus_one = Cyclo.from_rational(-1)
-    # primitive_rows[(shape, window)]: the ansatz and its rows of Delta(m) - m (x) 1, free of g
+    # primitive_rows[(shape, window)]: the ansatz, the reduced rows that no
+    # weight changes, the columns of its single-entry pivot rows, and the
+    # rows at each group-power left leg; filled by the first weight and
+    # never changed after
     cached = built.primitive_rows.get((shape, x_window))
     if cached is None:
-        ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
-        base: dict = {}
-        unit = built.rs.unit_monomial()
-        for t, m in enumerate(ansatz):
-            d = add_terms(dict(coproduct_monomial(m, built).terms), (((m, unit), minus_one),))
-            for pair, c in d.items():
-                base.setdefault(pair, {})[t] = c
-        cached = built.primitive_rows[(shape, x_window)] = (ansatz, base)
-    ansatz, base = cached
-    # - g (x) m touches one row per ansatz monomial; base holds a row at
-    # (g, m) for at most a few m, and that row is copied, never changed
+        cached = built.primitive_rows[(shape, x_window)] = _primitive_rows(shape, built, x_window)
+    ansatz, start, singles, legs = cached
+    # per weight, only the rows at the group-power legs are reduced, on top
+    # of ``start``: those at every leg but g as kept, and those at g with
+    # - g (x) m added, one row per ansatz monomial m, each a new dict; a
+    # row {t: -1} on a single-entry pivot column of ``start`` adds nothing
     g = built.group_monomial(g_exponent)
-    rows = dict(base)
+    rows = [row for l, block in legs.items() if l != g for row in block.values()]
+    at_g = dict(legs.get(g, ()))
     for t, m in enumerate(ansatz):
-        row = base.get((g, m))
-        rows[(g, m)] = {t: minus_one} if row is None else add_terms(dict(row), ((t, minus_one),))
-    basis = _linalg.nullspace(rows.values(), list(range(len(ansatz))))
+        row = at_g.pop(m, None)
+        if row is not None:
+            rows.append(add_terms(dict(row), ((t, minus_one),)))
+        elif t not in singles:
+            rows.append({t: minus_one})
+    rows.extend(at_g.values())
+    basis = _linalg.nullspace(rows, list(range(len(ansatz))), start)
     return [NCPoly({ansatz[t]: c for t, c in vec.items()}) for vec in basis]
 
 
@@ -305,7 +338,9 @@ def skew_primitives(built: BuiltPresentation, g_exponent: int, degree_cap: int,
             continue
         for sol in _solve_primitive_shape(shape, g_exponent, built, x_window):
             g_exp, lam, level = weight_commutator(sol, built)
-            assert g_exp == g_exponent
+            if g_exp != g_exponent:
+                # a fault of the solver, not of the input: not a ValueError
+                raise RuntimeError(f"a solution for the weight x^{g_exponent} has weight x^{g_exp}")
             entry = by_commutator.get(lam)
             if entry is None:
                 entry = by_commutator.setdefault(lam, PrimitiveEntry(lam, 0, []))
@@ -510,7 +545,8 @@ def find_zero_divisors(built: BuiltPresentation, degree_cap: int) -> ZeroDivisor
         hit, factors = _seeded_zero_divisors(built, notes)
         if hit is not None:
             left, right = hit
-            assert multiply(left, right, rs).is_zero()
+            if not multiply(left, right, rs).is_zero():
+                raise RuntimeError("the seeded zero-divisor pair does not multiply to zero")
             return ZeroDivisorReport(True, left, right, notes)
         candidates.extend(factors)
     for i in range(built.num_free):

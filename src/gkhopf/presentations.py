@@ -259,9 +259,9 @@ class BuiltPresentation:
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
     # coproduct, counit and antipode of each basis-shaped word, and the
-    # ansatz and weight-free rows of each skew-primitive system per
-    # (shape, x_window), filled on first use; init=False keeps
-    # dataclasses.replace from copying them into a changed copy
+    # ansatz, reduced weight-free rows and group-leg rows of each
+    # skew-primitive system per (shape, x_window), filled on first use;
+    # init=False keeps dataclasses.replace from copying them into a changed copy
     coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     counit_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     antipode_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +18,7 @@ from gkhopf.scalars import make_root
 
 from helpers import ev
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 B23 = {"family": "B", "n": 1, "p": [2, 3], "q": {"L": 6, "k": 1}, "alpha": [0, 1]}
 K22 = {"family": "K", "s": 2, "M": 2, "n": [1, 1], "p": [2, 2],
@@ -526,6 +531,38 @@ def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and captured.out == ""
     assert captured.err == ("error: internal error: StructureError: "
                             "free letters out of order in (3, 2)\n")
+
+
+# the two self-checks of the library, each broken by a patch of hopfops:
+# (argv, patch, message).  A solution of another weight than the one asked
+# for, and a seeded zero-divisor pair whose product is not zero, are faults
+# of the program, not of the input.
+_BROKEN_SELF_CHECKS = [
+    (["primitives", "b23.json", "--weight", "3", "--cap", "4"],
+     "real = hopfops.weight_commutator\n"
+     "def wrong_weight(rec, built):\n"
+     "    g, lam, level = real(rec, built)\n"
+     "    return g + 1, lam, level\n"
+     "hopfops.weight_commutator = wrong_weight\n",
+     "a solution for the weight x^3 has weight x^4"),
+    (["zerodiv", "k22.json"],
+     "hopfops._seeded_zero_divisors = lambda built, notes: ((built.unit(), built.unit()), [])\n",
+     "the seeded zero-divisor pair does not multiply to zero"),
+]
+
+
+@pytest.mark.parametrize("argv, patch, message", _BROKEN_SELF_CHECKS, ids=["weight", "zero-divisor"])
+def test_cli_failed_self_checks_exit_3_under_python_O(tmp_path, argv, patch, message):
+    # python -O strips assert statements, so the checks must raise themselves
+    _write(tmp_path, "b23.json", B23)
+    _write(tmp_path, "k22.json", K22)
+    script = ("import sys\nfrom gkhopf import hopfops\nfrom gkhopf.cli import main\n"
+              + patch + "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script, *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        3, "", f"error: internal error: RuntimeError: {message}\n")
 
 
 def _k_of_length(s):

@@ -204,20 +204,25 @@ def _primitive_report(rep):
              for entry in rep.entries])
 
 
-def _row_snapshot(base):
-    return [(pair, list(row.items())) for pair, row in base.items()]
+def _row_snapshot(rows):
+    return [(key, list(row.items())) for key, row in rows.items()]
+
+
+def _primitive_rows_snapshot(value):
+    ansatz, start, singles, legs = value
+    return (list(ansatz), _row_snapshot(start), set(singles),
+            [(leg, _row_snapshot(block)) for leg, block in legs.items()])
 
 
 class _SnapshotOnFill(dict):
-    """``primitive_rows`` that records its rows as each entry is filled."""
+    """``primitive_rows`` that records each entry as it is filled."""
 
     def __init__(self):
         super().__init__()
         self.snapshots = {}
 
     def __setitem__(self, key, value):
-        ansatz, base = value
-        self.snapshots[key] = (list(ansatz), _row_snapshot(base))
+        self.snapshots[key] = _primitive_rows_snapshot(value)
         super().__setitem__(key, value)
 
 
@@ -225,7 +230,8 @@ class _SnapshotOnFill(dict):
 def test_warm_primitive_solves_match_fresh_builds(request, name, cap, window):
     # one built presentation answers every weight from its cached rows; each
     # weight must get the answer of a presentation built afresh for it, and
-    # the cached rows must come out of the scan as they went in
+    # the cached ansatz, reduced rows and group-leg rows must come out of the
+    # scan as they went in
     warm = build(request.getfixturevalue(name).presentation)
     warm.primitive_rows = cache = _SnapshotOnFill()
     for g in range(-12, 13):
@@ -233,23 +239,28 @@ def test_warm_primitive_solves_match_fresh_builds(request, name, cap, window):
         want = _primitive_report(skew_primitives(build(warm.presentation), g, cap, window))
         assert got == want, (name, g)
     assert cache.snapshots and cache.keys() == cache.snapshots.keys()
-    for key, (ansatz, base) in cache.items():
-        assert (list(ansatz), _row_snapshot(base)) == cache.snapshots[key], key
+    for key, value in cache.items():
+        assert _primitive_rows_snapshot(value) == cache.snapshots[key], key
 
 
 def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     # deterministic work, pinned: the rows the scan feeds to rref, and the
-    # eliminations rref spends on them.  Nearly every row has one entry and
-    # lands on a single-entry pivot row, which rref skips; the plain
-    # reduction made 35,905 eliminations here.
-    work = {"rows": 0, "entries": 0, "eliminations": 0}
+    # eliminations rref spends on them.  Each of the 6 shapes reduces its
+    # weight-free rows once, unseeded; each weight reduces only the rows at
+    # the group-power left legs, seeded with that reduction.  Nearly every
+    # row has one entry and lands on a single-entry pivot row, which rref
+    # skips.  When every weight reduced all of its shape's rows, 46,977 rows
+    # of 46,852 entries went to rref here, and the plain reduction made
+    # 35,905 eliminations on them.
+    work = {"rows": 0, "entries": 0, "eliminations": 0, "unseeded": 0, "seeded": 0}
     real_rref, real_eliminate = _linalg.rref, _linalg._eliminate
 
-    def rref(rows):
+    def rref(rows, start=None):
         rows = list(rows)
         work["rows"] += len(rows)
         work["entries"] += sum(map(len, rows))
-        return real_rref(rows)
+        work["seeded" if start is not None else "unseeded"] += 1
+        return real_rref(rows, start)
 
     def eliminate(*args):
         work["eliminations"] += 1
@@ -257,9 +268,11 @@ def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
 
     monkeypatch.setattr(_linalg, "rref", rref)
     monkeypatch.setattr(_linalg, "_eliminate", eliminate)
-    scan = primitive_weight_scan(build(b23.presentation), range(-12, 13), 6)
+    built = build(b23.presentation)
+    scan = primitive_weight_scan(built, range(-12, 13), 6)
     assert sum(scan.values()) == 3
-    assert work == {"rows": 46977, "entries": 46852, "eliminations": 0}
+    assert len(built.primitive_rows) == 6
+    assert work == {"rows": 6463, "entries": 6460, "eliminations": 0, "unseeded": 6, "seeded": 150}
 
 
 def test_primitive_dimension_bound(b23, b235):

@@ -87,14 +87,27 @@ def _ordered(pivots: dict) -> list:
     return [(piv, list(row.items())) for piv, row in pivots.items()]
 
 
-def assert_same_as_reference(rows: list[dict], columns: list) -> None:
+def assert_same_as_reference(rows: list[dict], columns: list, prefix: list[dict] = (),
+                             start: dict = None) -> bool:
+    """``rows`` reduced on top of ``start``, by default ``rref(prefix)``, must
+    give what the reference reduction of ``prefix + rows`` gives; ``rows``,
+    ``start`` and the rows of ``start`` must come out unchanged.  Returns
+    whether back-substitution reached a multi-entry row of ``start``."""
+    if start is None:
+        start = _linalg.rref(iter(prefix))
+    whole = list(prefix) + rows
     before = [list(r.items()) for r in rows]
-    assert _ordered(_linalg.rref(iter(rows))) == _ordered(reference_rref(rows))
-    got = _linalg.nullspace(iter(rows), columns)
-    want = reference_nullspace(rows, columns)
-    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
-    assert _linalg.rank(rows) == len(reference_rref(rows))
+    seed = [(piv, row, list(row.items())) for piv, row in start.items()]
+    got = _linalg.rref(iter(rows), start)
+    assert _ordered(got) == _ordered(reference_rref(whole))
+    basis = _linalg.nullspace(iter(rows), columns, start)
+    want = reference_nullspace(whole, columns)
+    assert [list(v.items()) for v in basis] == [list(v.items()) for v in want]
+    assert _linalg.rank(whole) == len(reference_rref(whole))
     assert [list(r.items()) for r in rows] == before, "rows must not be modified"
+    assert [(piv, row, list(row.items())) for piv, row in start.items()] == seed, \
+        "start must not be modified"
+    return any(len(row) > 1 and got[piv] != row for piv, row in start.items())
 
 
 # -- random systems -----------------------------------------------------------
@@ -167,6 +180,20 @@ def test_rref_does_not_depend_on_row_order(rng):
 
     assert printed(_linalg.rref(shuffled)) == printed(_linalg.rref(rows))
     assert _linalg.nullspace(shuffled, columns) == _linalg.nullspace(rows, columns)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_systems_match_reference(seed):
+    # each system split into a prefix, reduced first, and the rest, reduced
+    # on top of it
+    rng = random.Random(2000 + seed)
+    reached = 0
+    for _ in range(30):
+        for make in (random_system, singleton_heavy_system):
+            rows, columns = make(rng)
+            cut = rng.randint(0, len(rows))
+            reached += assert_same_as_reference(rows[cut:], columns, rows[:cut])
+    assert reached, "no multi-entry row of start was back-substituted into"
 
 
 def test_single_entry_rows_and_back_substitution():
@@ -248,14 +275,15 @@ def test_single_entry_rows_on_every_kind_of_pivot():
 # -- the systems the Hopf computations build ----------------------------------
 
 
-def _recorded_systems(monkeypatch, run) -> list[tuple[list[dict], list]]:
+def _recorded_systems(monkeypatch, run) -> list[tuple[list[dict], list, dict]]:
+    """The rows, columns and seed pivots of every ``nullspace`` call of ``run``."""
     systems = []
     real = _linalg.nullspace
 
-    def recording(rows, columns):
+    def recording(rows, columns, start=None):
         rows = [dict(r) for r in rows]
-        systems.append((rows, list(columns)))
-        return real(rows, columns)
+        systems.append((rows, list(columns), start or {}))
+        return real(rows, columns, start)
 
     monkeypatch.setattr(_linalg, "nullspace", recording)
     run()
@@ -270,9 +298,11 @@ def test_skew_primitive_systems_match_reference(monkeypatch, b23):
             skew_primitives(b23, g, 6)
 
     systems = _recorded_systems(monkeypatch, run)
-    assert any(len(r) > 1 for rows, _ in systems for r in rows)
-    for rows, columns in systems:
-        assert_same_as_reference(rows, columns)
+    assert any(len(r) > 1 for rows, _, _ in systems for r in rows)
+    assert any(start for _, _, start in systems)
+    # the whole system: the seed's pivot rows, then the weight's rows
+    for rows, columns, start in systems:
+        assert_same_as_reference(rows, columns, list(start.values()), start)
 
 
 def test_zero_divisor_systems_match_reference(monkeypatch, k22):
@@ -281,5 +311,6 @@ def test_zero_divisor_systems_match_reference(monkeypatch, k22):
     monkeypatch.setattr(hopfops, "_seeded_zero_divisors",
                         lambda built, notes: (None, seeded(built, notes)[1]))
     systems = _recorded_systems(monkeypatch, lambda: find_zero_divisors(k22, 4))
-    for rows, columns in systems:
+    for rows, columns, start in systems:
+        assert not start
         assert_same_as_reference(rows, columns)
