@@ -58,12 +58,10 @@ def rref(rows: Iterable[dict], start: Optional[dict] = None) -> dict[Hashable, d
     ``start`` count as rows of the system, reduced before ``rows``.
     """
     one = Cyclo.one()
-    pivots: dict[Hashable, dict] = {}
-    dense: dict[Hashable, dict] = {}  # the pivot rows with more than one entry
-    for piv, row in (start or {}).items():
-        if len(row) > 1:
-            row = dense[piv] = dict(row)
-        pivots[piv] = row
+    pivots: dict[Hashable, dict] = dict(start or {})
+    # the pivot rows with more than one entry, copies of those of ``start``
+    dense: dict[Hashable, dict] = {piv: dict(row) for piv, row in pivots.items() if len(row) > 1}
+    pivots.update(dense)
     for row in rows:
         if len(row) == 1:
             [piv] = row

@@ -268,53 +268,51 @@ def _primitive_rows(shape, built, x_window):
     has terms, over the ansatz monomials m.  The weight g touches only the
     rows whose left leg l is the group monomial g.  The rows whose left leg
     is no group power are the same for every weight, so they are reduced
-    here once; the rows whose left leg is a group power are kept by that
-    leg, less each single-entry row on a column that the reduction already
-    has as a single-entry pivot row, a multiple of it."""
+    here once, to ``start``.  The rows whose left leg is a group power are
+    kept by that leg, less each single-entry row on a column that ``start``
+    has as a single-entry pivot row, a multiple of that pivot row;
+    ``open_cols`` lists the ansatz columns that have no such pivot row."""
     minus_one = Cyclo.from_rational(-1)
     ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
-    unit, group = built.rs.unit_monomial(), (0,) * built.num_free
-    free: dict = {}  # (l, r) -> row, for the left legs l that are no group power
-    legs: dict = {}  # l -> {r: row}, for the group-power left legs l
+    unit, zero = built.rs.unit_monomial(), (0,) * built.num_free
+    free: dict = {}   # (l, r) -> row, for the left legs l that are no group power
+    group: dict = {}  # (l, r) -> row, for the group-power left legs l
     for t, m in enumerate(ansatz):
         d = add_terms(dict(coproduct_monomial(m, built).terms), (((m, unit), minus_one),))
         for pair, c in d.items():
-            if pair[0].w == group:
-                legs.setdefault(pair[0], {}).setdefault(pair[1], {})[t] = c
-            else:
-                free.setdefault(pair, {})[t] = c
+            (group if pair[0].w == zero else free).setdefault(pair, {})[t] = c
     start = _linalg.rref(free.values())
-    singles = {col for col, row in start.items() if len(row) == 1}
-    legs = {l: kept for l, block in legs.items()
-            if (kept := {r: row for r, row in block.items()
-                         if len(row) > 1 or next(iter(row)) not in singles})}
-    return ansatz, start, singles, legs
+    open_cols = [t for t in range(len(ansatz)) if len(start.get(t, ())) != 1]
+    legs: dict = {}  # l -> {r: row}
+    for (l, r), row in group.items():
+        if len(row) > 1 or len(start.get(next(iter(row)), ())) != 1:
+            legs.setdefault(l, {})[r] = row
+    return ansatz, start, open_cols, legs
 
 
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
     minus_one = Cyclo.from_rational(-1)
-    # primitive_rows[(shape, window)]: the ansatz, the reduced rows that no
-    # weight changes, the columns of its single-entry pivot rows, and the
-    # rows at each group-power left leg; filled by the first weight and
-    # never changed after
+    # primitive_rows[(shape, window)]: see _primitive_rows; filled by the
+    # first weight and never changed after
     cached = built.primitive_rows.get((shape, x_window))
     if cached is None:
         cached = built.primitive_rows[(shape, x_window)] = _primitive_rows(shape, built, x_window)
-    ansatz, start, singles, legs = cached
+    ansatz, start, open_cols, legs = cached
     # per weight, only the rows at the group-power legs are reduced, on top
     # of ``start``: those at every leg but g as kept, and those at g with
-    # - g (x) m added, one row per ansatz monomial m, each a new dict; a
-    # row {t: -1} on a single-entry pivot column of ``start`` adds nothing
+    # - g (x) m added, m = ansatz[t], each a new dict; where no row at
+    # (g, m) is kept, - g (x) m adds the row {t: -1}, unless t has a
+    # single-entry pivot row in ``start``
     g = built.group_monomial(g_exponent)
     rows = [row for l, block in legs.items() if l != g for row in block.values()]
-    at_g = dict(legs.get(g, ()))
-    for t, m in enumerate(ansatz):
-        row = at_g.pop(m, None)
-        if row is not None:
-            rows.append(add_terms(dict(row), ((t, minus_one),)))
-        elif t not in singles:
-            rows.append({t: minus_one})
-    rows.extend(at_g.values())
+    at_g = set()
+    for r, row in legs.get(g, {}).items():
+        t = r.w0 + x_window  # r = ansatz[t] if r lies in the ansatz
+        if r.w == shape and 0 <= t < len(ansatz):
+            row = add_terms(dict(row), ((t, minus_one),))
+            at_g.add(t)
+        rows.append(row)
+    rows.extend({t: minus_one} for t in open_cols if t not in at_g)
     basis = _linalg.nullspace(rows, list(range(len(ansatz))), start)
     return [NCPoly({ansatz[t]: c for t, c in vec.items()}) for vec in basis]
 

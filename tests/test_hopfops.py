@@ -209,8 +209,8 @@ def _row_snapshot(rows):
 
 
 def _primitive_rows_snapshot(value):
-    ansatz, start, singles, legs = value
-    return (list(ansatz), _row_snapshot(start), set(singles),
+    ansatz, start, open_cols, legs = value
+    return (list(ansatz), _row_snapshot(start), list(open_cols),
             [(leg, _row_snapshot(block)) for leg, block in legs.items()])
 
 

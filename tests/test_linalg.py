@@ -6,7 +6,9 @@ rows.  The shortcuts must give the same pivots, the same rows and the same
 bases, in the same dict order.  Apart from dict order, ``rref`` must also
 not depend on the order of its input rows: it returns the unique reduced
 row echelon form, which keeps skew-primitive reports independent of the
-order in which their systems are assembled.
+order in which their systems are assembled.  A reduction seeded with an
+earlier one (``start``) must give what the reference gives for the rows of
+both, and must leave the seed as it was.
 """
 
 from __future__ import annotations
