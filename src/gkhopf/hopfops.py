@@ -278,9 +278,12 @@ def _primitive_rows(shape, built, x_window):
     free: dict = {}   # (l, r) -> row, for the left legs l that are no group power
     group: dict = {}  # (l, r) -> row, for the group-power left legs l
     for t, m in enumerate(ansatz):
-        d = add_terms(dict(coproduct_monomial(m, built).terms), (((m, unit), minus_one),))
-        for pair, c in d.items():
+        for pair, c in coproduct_monomial(m, built).terms.items():
             (group if pair[0].w == zero else free).setdefault(pair, {})[t] = c
+        # - m (x) 1, which can cancel the row at (m, 1) to nothing
+        part = group if m.w == zero else free
+        if not add_terms(part.setdefault((m, unit), {}), ((t, minus_one),)):
+            del part[(m, unit)]
     start = _linalg.rref(free.values())
     open_cols = [t for t in range(len(ansatz)) if len(start.get(t, ())) != 1]
     legs: dict = {}  # l -> {r: row}
