@@ -118,6 +118,12 @@ def commands() -> list[list[str]]:
     for name in MALFORMED:
         out.append(["validate", f"{name}.json"])
     out.append(["zerodiv", "c3.json", "--cap", "64"])  # a candidate pool above WINDOW_LIMIT
+    # weights on the edge of the window, where x^{+-8} - 1 is the ansatz's
+    # outermost group element, and one just past it
+    for name in PRESENTATIONS:
+        for w in ("-8", "8"):
+            out.append(["primitives", f"{name}.json", "--weight", w, "--cap", "4", "--window", "8"])
+    out.append(["primitives", "b23.json", "--weight", "9", "--cap", "4", "--window", "8"])
     return out
 
 
