@@ -24,11 +24,13 @@ their own is reduced in two steps: ``rref(shared)`` once, then
 ``rref(own, start=...)`` for each system.  ``start`` is the state the
 reduction of the shared rows ended in, so the second step gives what one
 reduction of the shared rows followed by the own rows gives, dict order
-included.  The skew-primitive solver reduces the rows that do not depend on
-the weight once per shape this way, and the few rows that do once per
-weight.  Single-entry pivot rows are never changed, so ``start`` lends
+included.  Single-entry pivot rows are never changed, so ``start`` lends
 them; its multi-entry rows are copied before back-substitution reaches
-them, and ``start`` comes out unchanged.
+them, and ``start`` comes out unchanged.  The skew-primitive solver reduces
+the rows that do not depend on the weight once per shape.  A column with a
+single-entry pivot row there is zero in every solution, so each weight
+reduces its few rows on the other columns only, seeded with the
+multi-entry pivot rows alone.
 """
 
 from __future__ import annotations

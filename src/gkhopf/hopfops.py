@@ -262,38 +262,50 @@ def zero_divisor_window(built: BuiltPresentation, degree_cap: int) -> int:
 
 
 def _primitive_rows(shape, built, x_window):
-    """What the skew-primitive system of ``shape`` keeps for every weight.
+    """What the skew-primitive system of the nonzero ``shape`` keeps for
+    every weight.
 
     The system has one row per pair (l, r) at which Delta(m) - m (x) 1 - g (x) m
-    has terms, over the ansatz monomials m.  The weight g touches only the
-    rows whose left leg l is the group monomial g.  The rows whose left leg
-    is no group power are the same for every weight, so they are reduced
-    here once, to ``start``.  The rows whose left leg is a group power are
-    kept by that leg, less each single-entry row on a column that ``start``
-    has as a single-entry pivot row, a multiple of that pivot row;
-    ``open_cols`` lists the ansatz columns that have no such pivot row."""
+    has terms, over the ansatz monomials m = x^a f^shape.  The group letter
+    is grouplike and stands leftmost in every basis word, so Delta(m) is
+    Delta(f^shape) with both legs shifted by a.  The weight g touches only
+    the rows whose left leg l is the group monomial g.  The rows whose left
+    leg is no group power are the same for every weight, so they are reduced
+    here once.  A column with a single-entry pivot row in that reduction is
+    zero in every solution; ``open_cols`` lists the other columns, ``start``
+    keeps the multi-entry pivot rows, which hold open columns only, and the
+    rows whose left leg is a group power are kept by that leg, on the open
+    columns, unless that leaves them empty."""
     minus_one = Cyclo.from_rational(-1)
     ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
     unit, zero = built.rs.unit_monomial(), (0,) * built.num_free
+    base = coproduct_monomial(NFMonomial(0, shape), built).terms.items()
     free: dict = {}   # (l, r) -> row, for the left legs l that are no group power
     group: dict = {}  # (l, r) -> row, for the group-power left legs l
     for t, m in enumerate(ansatz):
-        for pair, c in coproduct_monomial(m, built).terms.items():
-            (group if pair[0].w == zero else free).setdefault(pair, {})[t] = c
+        a = m.w0
+        # tuple.__new__ skips the argument parsing of NFMonomial's own __new__
+        for (l, r), c in base:
+            pair = (tuple.__new__(NFMonomial, (l.w0 + a, l.w)),
+                    tuple.__new__(NFMonomial, (r.w0 + a, r.w)))
+            (group if l.w == zero else free).setdefault(pair, {})[t] = c
         # - m (x) 1, which can cancel the row at (m, 1) to nothing
-        part = group if m.w == zero else free
-        if not add_terms(part.setdefault((m, unit), {}), ((t, minus_one),)):
-            del part[(m, unit)]
+        if not add_terms(free.setdefault((m, unit), {}), ((t, minus_one),)):
+            del free[(m, unit)]
     start = _linalg.rref(free.values())
-    open_cols = [t for t in range(len(ansatz)) if len(start.get(t, ())) != 1]
+    shut = {t for t, row in start.items() if len(row) == 1}
+    open_cols = [t for t in range(len(ansatz)) if t not in shut]
     legs: dict = {}  # l -> {r: row}
     for (l, r), row in group.items():
-        if len(row) > 1 or len(start.get(next(iter(row)), ())) != 1:
+        row = {t: c for t, c in row.items() if t not in shut}
+        if row:
             legs.setdefault(l, {})[r] = row
-    return ansatz, start, open_cols, legs
+    return ansatz, {t: row for t, row in start.items() if t not in shut}, open_cols, legs
 
 
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
+    """A basis of the skew primitives of weight x^g in the ansatz of the
+    nonzero ``shape``, solved on the open columns of ``_primitive_rows``."""
     minus_one = Cyclo.from_rational(-1)
     # primitive_rows[(shape, window)]: see _primitive_rows; filled by the
     # first weight and never changed after
@@ -303,20 +315,19 @@ def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
     ansatz, start, open_cols, legs = cached
     # per weight, only the rows at the group-power legs are reduced, on top
     # of ``start``: those at every leg but g as kept, and those at g with
-    # - g (x) m added, m = ansatz[t], each a new dict; where no row at
-    # (g, m) is kept, - g (x) m adds the row {t: -1}, unless t has a
-    # single-entry pivot row in ``start``
+    # - g (x) m added where m = ansatz[t] on an open column t, each a new
+    # dict; where no row at (g, m) is kept, - g (x) m adds the row {t: -1}
     g = built.group_monomial(g_exponent)
     rows = [row for l, block in legs.items() if l != g for row in block.values()]
     at_g = set()
     for r, row in legs.get(g, {}).items():
         t = r.w0 + x_window  # r = ansatz[t] if r lies in the ansatz
-        if r.w == shape and 0 <= t < len(ansatz):
+        if r.w == shape and t in open_cols:
             row = add_terms(dict(row), ((t, minus_one),))
             at_g.add(t)
         rows.append(row)
     rows.extend({t: minus_one} for t in open_cols if t not in at_g)
-    basis = _linalg.nullspace(rows, list(range(len(ansatz))), start)
+    basis = _linalg.nullspace(rows, open_cols, start)
     return [NCPoly({ansatz[t]: c for t, c in vec.items()}) for vec in basis]
 
 
@@ -326,13 +337,14 @@ def skew_primitives(built: BuiltPresentation, g_exponent: int, degree_cap: int,
 
     The defect equations never mix distinct free-generator shapes, so the
     system splits per shape; the zero shape contributes only the trivial
-    primitive spanned by g - 1.
+    primitive spanned by g - 1.  The grouplike powers of x are linearly
+    independent, so that span is the line of g - 1 for g != 1 and zero for
+    g = 1; the window check puts g - 1 in the ansatz.
     """
     if x_window is None:
         x_window = default_window(built, degree_cap)
     if abs(g_exponent) > x_window:
         raise ValueError("weight exponent lies outside the search window")
-    trivial = _solve_primitive_shape((0,) * built.num_free, g_exponent, built, x_window)
     by_commutator: dict[Cyclo, PrimitiveEntry] = {}
     for shape in built.free_shapes(degree_cap):
         if all(e == 0 for e in shape):
@@ -354,7 +366,7 @@ def skew_primitives(built: BuiltPresentation, g_exponent: int, degree_cap: int,
                 is_major=_is_major(lam),
             ))
     entries = sorted(by_commutator.values(), key=lambda e: str(e.commutator))
-    return PrimitiveSpaceReport(g_exponent, entries, len(trivial), degree_cap, x_window)
+    return PrimitiveSpaceReport(g_exponent, entries, int(g_exponent != 0), degree_cap, x_window)
 
 
 def _is_major(lam: Cyclo) -> bool:

@@ -32,7 +32,7 @@ import pytest
 from gkhopf import _linalg
 from gkhopf.hopfops import (AxiomReport, TensorPoly, _antipode_word, _coproduct_word,
                             _counit_monomial, _counit_word, antipode_monomial, check_hopf_axioms,
-                            coproduct_monomial, skew_primitives, weight_commutator)
+                            coproduct_monomial, default_window, skew_primitives, weight_commutator)
 from gkhopf.ncpoly import NCPoly, NFMonomial, _product_of_monomials, multiply
 from gkhopf.presentations import BuiltPresentation, HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, add_terms, make_root
@@ -221,6 +221,20 @@ def test_coproduct_of_a_long_monomial():
     assert coproduct_monomial(m, built) == want
 
 
+@pytest.mark.parametrize("name", BUILDERS)
+def test_coproduct_is_shifted_by_the_group_power(name):
+    # the group letter is grouplike and stands leftmost in every basis word,
+    # so Delta(x^a f^w) is Delta(f^w) with both legs shifted by a, in the same
+    # order; the skew-primitive systems are assembled by that shift
+    built = BUILDERS[name]()
+    window = default_window(built, 4)
+    for w in built.free_shapes(4):
+        base = list(coproduct_monomial(NFMonomial(0, w), built).terms.items())
+        for a in range(-window, window + 1):
+            want = [((NFMonomial(l.w0 + a, l.w), NFMonomial(r.w0 + a, r.w)), c) for (l, r), c in base]
+            assert list(coproduct_monomial(NFMonomial(a, w), built).terms.items()) == want, (w, a)
+
+
 # -- antipode -----------------------------------------------------------------
 
 
@@ -356,7 +370,8 @@ def _report_view(report):
         for e in report.entries]
 
 
-@pytest.mark.parametrize("name, cap", [("b23", 6), ("b25", 4), ("b34", 4), ("k22", 4), ("a25", 4)])
+@pytest.mark.parametrize("name, cap", [("b23", 6), ("b25", 4), ("b34", 4), ("k22", 4), ("a25", 4),
+                                       ("c3", 4)])
 def test_skew_primitives_match_reference(name, cap):
     built = BUILDERS[name]()
     seen_nontrivial = False

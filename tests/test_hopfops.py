@@ -245,13 +245,18 @@ def test_warm_primitive_solves_match_fresh_builds(request, name, cap, window):
 
 def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     # deterministic work, pinned: the rows the scan feeds to rref, and the
-    # eliminations rref spends on them.  Each of the 6 shapes reduces its
-    # weight-free rows once, unseeded; each weight reduces only the rows at
-    # the group-power left legs, seeded with that reduction.  Nearly every
-    # row has one entry and lands on a single-entry pivot row, which rref
-    # skips.  When every weight reduced all of its shape's rows, 46,977 rows
-    # of 46,852 entries went to rref here, and the plain reduction made
-    # 35,905 eliminations on them.
+    # eliminations rref spends on them.  The zero shape is answered in
+    # closed form and solves nothing.  Each of the 5 other shapes reduces
+    # its weight-free rows once, unseeded; each weight reduces only the rows
+    # at the group-power legs, on the columns that reduction leaves open,
+    # seeded with its multi-entry pivot rows.  Here every shape has at most
+    # one open column and no multi-entry pivot row, so nearly all the rows
+    # are the weight-free ones, and none needs an elimination.  When the zero
+    # shape was solved for every weight and each weight reduced its rows on
+    # every column, 6,463 rows of 6,460 entries went to rref in 6 unseeded
+    # and 150 seeded reductions; when every weight reduced all of its
+    # shape's rows, 46,977 rows of 46,852 entries went to rref, and the plain
+    # reduction made 35,905 eliminations on them.
     work = {"rows": 0, "entries": 0, "eliminations": 0, "unseeded": 0, "seeded": 0}
     real_rref, real_eliminate = _linalg.rref, _linalg._eliminate
 
@@ -271,8 +276,8 @@ def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     built = build(b23.presentation)
     scan = primitive_weight_scan(built, range(-12, 13), 6)
     assert sum(scan.values()) == 3
-    assert len(built.primitive_rows) == 6
-    assert work == {"rows": 6463, "entries": 6460, "eliminations": 0, "unseeded": 6, "seeded": 150}
+    assert len(built.primitive_rows) == 5
+    assert work == {"rows": 1086, "entries": 1083, "eliminations": 0, "unseeded": 5, "seeded": 125}
 
 
 def test_primitive_dimension_bound(b23, b235):
