@@ -279,28 +279,26 @@ def _primitive_rows(shape, built, x_window):
     minus_one = Cyclo.from_rational(-1)
     ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
     unit, zero = built.rs.unit_monomial(), (0,) * built.num_free
-    base = coproduct_monomial(NFMonomial(0, shape), built).terms.items()
     free: dict = {}   # (l, r) -> row, for the left legs l that are no group power
     group: dict = {}  # (l, r) -> row, for the group-power left legs l
+    base = [(l.w0, l.w, r.w0, r.w, c, group if l.w == zero else free)
+            for (l, r), c in coproduct_monomial(NFMonomial(0, shape), built).terms.items()]
+    new = tuple.__new__  # skips the argument parsing of NFMonomial's own __new__
     for t, m in enumerate(ansatz):
         a = m.w0
-        # tuple.__new__ skips the argument parsing of NFMonomial's own __new__
-        for (l, r), c in base:
-            pair = (tuple.__new__(NFMonomial, (l.w0 + a, l.w)),
-                    tuple.__new__(NFMonomial, (r.w0 + a, r.w)))
-            (group if l.w == zero else free).setdefault(pair, {})[t] = c
+        for lx, lw, rx, rw, c, part in base:
+            part.setdefault((new(NFMonomial, (lx + a, lw)), new(NFMonomial, (rx + a, rw))), {})[t] = c
         # - m (x) 1, which can cancel the row at (m, 1) to nothing
         if not add_terms(free.setdefault((m, unit), {}), ((t, minus_one),)):
             del free[(m, unit)]
     start = _linalg.rref(free.values())
-    shut = {t for t, row in start.items() if len(row) == 1}
-    open_cols = [t for t in range(len(ansatz)) if t not in shut]
+    closed = {t for t, row in start.items() if len(row) == 1}
+    open_cols = [t for t in range(len(ansatz)) if t not in closed]
     legs: dict = {}  # l -> {r: row}
     for (l, r), row in group.items():
-        row = {t: c for t, c in row.items() if t not in shut}
-        if row:
-            legs.setdefault(l, {})[r] = row
-    return ansatz, {t: row for t, row in start.items() if t not in shut}, open_cols, legs
+        if not closed.issuperset(row):
+            legs.setdefault(l, {})[r] = {t: c for t, c in row.items() if t not in closed}
+    return ansatz, {t: row for t, row in start.items() if t not in closed}, open_cols, legs
 
 
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:

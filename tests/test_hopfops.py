@@ -251,12 +251,10 @@ def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     # at the group-power legs, on the columns that reduction leaves open,
     # seeded with its multi-entry pivot rows.  Here every shape has at most
     # one open column and no multi-entry pivot row, so nearly all the rows
-    # are the weight-free ones, and none needs an elimination.  When the zero
-    # shape was solved for every weight and each weight reduced its rows on
-    # every column, 6,463 rows of 6,460 entries went to rref in 6 unseeded
-    # and 150 seeded reductions; when every weight reduced all of its
-    # shape's rows, 46,977 rows of 46,852 entries went to rref, and the plain
-    # reduction made 35,905 eliminations on them.
+    # are the weight-free ones, and none needs an elimination.  When every
+    # weight reduced all of its shape's rows, 46,977 rows of 46,852 entries
+    # went to rref here, and the plain reduction made 35,905 eliminations on
+    # them.
     work = {"rows": 0, "entries": 0, "eliminations": 0, "unseeded": 0, "seeded": 0}
     real_rref, real_eliminate = _linalg.rref, _linalg._eliminate
 
