@@ -334,10 +334,10 @@ def skew_primitives(built: BuiltPresentation, g_exponent: int, degree_cap: int,
     """Solve Delta(y) = y (x) 1 + g (x) y exactly over the monomial window.
 
     The defect equations never mix distinct free-generator shapes, so the
-    system splits per shape; the zero shape contributes only the trivial
-    primitive spanned by g - 1.  The grouplike powers of x are linearly
-    independent, so that span is the line of g - 1 for g != 1 and zero for
-    g = 1; the window check puts g - 1 in the ansatz.
+    system splits per shape.  The zero shape is not solved: the powers of
+    the grouplike x are linearly independent, so its solutions are the
+    multiples of x^g - 1, a line for g != 0 and nothing for g = 0, and the
+    window check puts x^g - 1 in the ansatz.
     """
     if x_window is None:
         x_window = default_window(built, degree_cap)
