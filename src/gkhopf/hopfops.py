@@ -270,12 +270,12 @@ def _primitive_rows(shape, built, x_window):
     is grouplike and stands leftmost in every basis word, so Delta(m) is
     Delta(f^shape) with both legs shifted by a.  The weight g touches only
     the rows whose left leg l is the group monomial g.  The rows whose left
-    leg is no group power are the same for every weight, so they are reduced
-    here once.  A column with a single-entry pivot row in that reduction is
-    zero in every solution; ``open_cols`` lists the other columns, ``start``
-    keeps the multi-entry pivot rows, which hold open columns only, and the
-    rows whose left leg is a group power are kept by that leg, on the open
-    columns, unless that leaves them empty."""
+    leg is no group power are the same for every weight.  A single-entry one
+    forces its column to zero in every solution, with no reduction;
+    ``open_cols`` lists the other columns.  The other weight-free rows are
+    kept as a plain list, and the rows whose left leg is a group power are
+    kept by that leg, all cut down to the open columns, unless that leaves
+    them empty."""
     minus_one = Cyclo.from_rational(-1)
     ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
     unit, zero = built.rs.unit_monomial(), (0,) * built.num_free
@@ -291,14 +291,15 @@ def _primitive_rows(shape, built, x_window):
         # - m (x) 1, which can cancel the row at (m, 1) to nothing
         if not add_terms(free.setdefault((m, unit), {}), ((t, minus_one),)):
             del free[(m, unit)]
-    start = _linalg.rref(free.values())
-    closed = {t for t, row in start.items() if len(row) == 1}
+    closed = {t for row in free.values() if len(row) == 1 for t in row}
     open_cols = [t for t in range(len(ansatz)) if t not in closed]
     legs: dict = {}  # l -> {r: row}
     for (l, r), row in group.items():
         if not closed.issuperset(row):
             legs.setdefault(l, {})[r] = {t: c for t, c in row.items() if t not in closed}
-    return ansatz, {t: row for t, row in start.items() if t not in closed}, open_cols, legs
+    free_rows = [{t: c for t, c in row.items() if t not in closed}
+                 for row in free.values() if not closed.issuperset(row)]
+    return ansatz, free_rows, open_cols, legs
 
 
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
@@ -310,22 +311,24 @@ def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
     cached = built.primitive_rows.get((shape, x_window))
     if cached is None:
         cached = built.primitive_rows[(shape, x_window)] = _primitive_rows(shape, built, x_window)
-    ansatz, start, open_cols, legs = cached
-    # per weight, only the rows at the group-power legs are reduced, on top
-    # of ``start``: those at every leg but g as kept, and those at g with
-    # - g (x) m added where m = ansatz[t] on an open column t, each a new
-    # dict; where no row at (g, m) is kept, - g (x) m adds the row {t: -1}
+    ansatz, free_rows, open_cols, legs = cached
+    # per weight, the kept weight-free rows, then the rows at the group-power
+    # legs: those at every leg but g as kept, and those at g with - g (x) m
+    # added where m = ansatz[t] on an open column t, each a new dict, unless
+    # that cancels it; where no row at (g, m) is kept, - g (x) m adds the
+    # row {t: -1}
     g = built.group_monomial(g_exponent)
-    rows = [row for l, block in legs.items() if l != g for row in block.values()]
+    rows = free_rows + [row for l, block in legs.items() if l != g for row in block.values()]
     at_g = set()
     for r, row in legs.get(g, {}).items():
         t = r.w0 + x_window  # r = ansatz[t] if r lies in the ansatz
         if r.w == shape and t in open_cols:
             row = add_terms(dict(row), ((t, minus_one),))
             at_g.add(t)
-        rows.append(row)
+        if row:
+            rows.append(row)
     rows.extend({t: minus_one} for t in open_cols if t not in at_g)
-    basis = _linalg.nullspace(rows, open_cols, start)
+    basis = _linalg.nullspace(rows, open_cols)
     return [NCPoly({ansatz[t]: c for t, c in vec.items()}) for vec in basis]
 
 

@@ -259,7 +259,7 @@ class BuiltPresentation:
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
     # coproduct, counit and antipode of each basis-shaped word, and the
-    # ansatz, open columns and reduced rows of each nonzero shape's
+    # ansatz, open columns and kept rows of each nonzero shape's
     # skew-primitive system per (shape, x_window), filled on first use;
     # init=False keeps dataclasses.replace from copying them into a changed copy
     coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -10,11 +10,12 @@ from gkhopf.hopfops import (TensorPoly, _antipode_word, _coproduct_word, _counit
                             _counit_word, antipode, antipode_monomial, check_hopf_axioms, coproduct,
                             coproduct_monomial, counit, ext1_dimension, find_zero_divisors,
                             primitive_weight_scan, skew_primitives, tensor_of, weight_commutator)
-from gkhopf.ncpoly import NCPoly, multiply, normal_form
+from gkhopf.ncpoly import NCPoly, NFMonomial, multiply, normal_form
 from gkhopf.presentations import BParams, HopfPresentation, build, presentation_from_json
 from gkhopf.scalars import Cyclo, add_terms, make_root, qbinom
 
 from helpers import b_grid, built_b, ev, perfbench_workloads
+from test_linalg import reference_nullspace
 
 
 def _tensor(built, left_text, right_text):
@@ -204,14 +205,11 @@ def _primitive_report(rep):
              for entry in rep.entries])
 
 
-def _row_snapshot(rows):
-    return [(key, list(row.items())) for key, row in rows.items()]
-
-
 def _primitive_rows_snapshot(value):
-    ansatz, start, open_cols, legs = value
-    return (list(ansatz), _row_snapshot(start), list(open_cols),
-            [(leg, _row_snapshot(block)) for leg, block in legs.items()])
+    ansatz, free_rows, open_cols, legs = value
+    return (list(ansatz), [list(row.items()) for row in free_rows], list(open_cols),
+            [(leg, [(r, list(row.items())) for r, row in block.items()])
+             for leg, block in legs.items()])
 
 
 class _SnapshotOnFill(dict):
@@ -230,7 +228,7 @@ class _SnapshotOnFill(dict):
 def test_warm_primitive_solves_match_fresh_builds(request, name, cap, window):
     # one built presentation answers every weight from its cached rows; each
     # weight must get the answer of a presentation built afresh for it, and
-    # the cached ansatz, reduced rows and group-leg rows must come out of the
+    # the cached ansatz, weight-free rows and group-leg rows must come out of the
     # scan as they went in
     warm = build(request.getfixturevalue(name).presentation)
     warm.primitive_rows = cache = _SnapshotOnFill()
@@ -245,37 +243,71 @@ def test_warm_primitive_solves_match_fresh_builds(request, name, cap, window):
 
 def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     # deterministic work, pinned: the rows the scan feeds to rref, and the
-    # eliminations rref spends on them.  The zero shape is answered in
-    # closed form and solves nothing.  Each of the 5 other shapes reduces
-    # its weight-free rows once, unseeded; each weight reduces only the rows
-    # at the group-power legs, on the columns that reduction leaves open,
-    # seeded with its multi-entry pivot rows.  Here every shape has at most
-    # one open column and no multi-entry pivot row, so nearly all the rows
-    # are the weight-free ones, and none needs an elimination.  When every
-    # weight reduced all of its shape's rows, 46,977 rows of 46,852 entries
-    # went to rref here, and the plain reduction made 35,905 eliminations on
-    # them.
-    work = {"rows": 0, "entries": 0, "eliminations": 0, "unseeded": 0, "seeded": 0}
-    real_rref, real_eliminate = _linalg.rref, _linalg._eliminate
+    # row additions rref spends on them.  The zero shape is answered in
+    # closed form and solves nothing.  Each of the 5 other shapes closes the
+    # columns of its single-entry weight-free rows with no reduction, and
+    # each weight reduces only the rows at the group-power legs, on the
+    # columns left open.  Here every shape has at most one open column and
+    # no weight-free row with more entries, so every row has one entry and
+    # none needs a row addition.
+    work = {"calls": 0, "rows": 0, "entries": 0, "additions": 0}
+    real_rref, real_add_terms = _linalg.rref, _linalg.add_terms
 
-    def rref(rows, start=None):
+    def rref(rows):
         rows = list(rows)
+        work["calls"] += 1
         work["rows"] += len(rows)
         work["entries"] += sum(map(len, rows))
-        work["seeded" if start is not None else "unseeded"] += 1
-        return real_rref(rows, start)
+        return real_rref(rows)
 
-    def eliminate(*args):
-        work["eliminations"] += 1
-        return real_eliminate(*args)
+    def counted_add_terms(*args):
+        work["additions"] += 1
+        return real_add_terms(*args)
 
     monkeypatch.setattr(_linalg, "rref", rref)
-    monkeypatch.setattr(_linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(_linalg, "add_terms", counted_add_terms)
     built = build(b23.presentation)
     scan = primitive_weight_scan(built, range(-12, 13), 6)
     assert sum(scan.values()) == 3
     assert len(built.primitive_rows) == 5
-    assert work == {"rows": 1086, "entries": 1083, "eliminations": 0, "unseeded": 5, "seeded": 125}
+    assert work == {"calls": 125, "rows": 144, "entries": 144, "additions": 0}
+
+
+def test_multi_entry_weight_free_rows_are_kept(monkeypatch, b23):
+    # no presentation has a weight-free row with two entries, so one is made:
+    # Delta(y1) = y1 (x) 1 + x^3 (x) y1 gets the term 2 x y1 (x) x, the first
+    # term with both legs shifted by 1.  The row at (x y1, x) then holds the
+    # columns of y1 and x y1; the weight-free rows with one entry close every
+    # other column, and this row closes the column of y1, so y1 is no longer
+    # a skew primitive of weight x^3.  Every weight must get the basis of the
+    # whole system, built from the same Delta and reduced by the reference.
+    built = build(b23.presentation)
+    shape, window = (1, 0), 4
+    base = NFMonomial(0, shape)
+    real = hopfops.coproduct_monomial
+    delta = dict(real(base, built).terms)
+    (left, right), c = next(((l, r), c) for (l, r), c in delta.items() if not l.is_group_power())
+    delta[(left._replace(w0=left.w0 + 1), right._replace(w0=right.w0 + 1))] = c + c
+
+    def patched(m, built):
+        return TensorPoly(dict(delta)) if m == base else real(m, built)
+
+    monkeypatch.setattr(hopfops, "coproduct_monomial", patched)
+    ansatz = [base._replace(w0=a) for a in range(-window, window + 1)]
+    unit, minus_one = built.rs.unit_monomial(), Cyclo.from_rational(-1)
+    for g in range(-window, window + 1):
+        rows: dict = {}
+        for t, m in enumerate(ansatz):
+            defect = {(l._replace(w0=l.w0 + m.w0), r._replace(w0=r.w0 + m.w0)): v
+                      for (l, r), v in delta.items()}
+            add_terms(defect, (((m, unit), minus_one), ((built.group_monomial(g), m), minus_one)))
+            for pair, v in defect.items():
+                rows.setdefault(pair, {})[t] = v
+        want = [NCPoly({ansatz[t]: v for t, v in vec.items()})
+                for vec in reference_nullspace(list(rows.values()), list(range(len(ansatz))))]
+        assert hopfops._solve_primitive_shape(shape, g, built, window) == want, g
+    _, free_rows, open_cols, _ = built.primitive_rows[(shape, window)]
+    assert free_rows == [{window: c + c}] and open_cols == [window]
 
 
 def test_primitive_dimension_bound(b23, b235):

@@ -1,14 +1,14 @@
 """Differential test of ``_linalg`` against the plain row reduction.
 
-``reference_rref`` and ``reference_nullspace`` are the textbook reduction
-that ``_linalg`` started from, without its shortcuts for single-entry pivot
-rows.  The shortcuts must give the same pivots, the same rows and the same
-bases, in the same dict order.  Apart from dict order, ``rref`` must also
-not depend on the order of its input rows: it returns the unique reduced
-row echelon form, which keeps skew-primitive reports independent of the
-order in which their systems are assembled.  A reduction seeded with an
-earlier one (``start``) must give what the reference gives for the rows of
-both, and must leave the seed as it was.
+``reference_rref`` and ``reference_nullspace`` are the textbook reduction,
+without the rule of ``_linalg`` for single-entry rows (a new column's pivot
+row is written as ``{c: 1}``, and a row on the column of a pivot row
+``{c: 1}`` is skipped).  ``_linalg`` must give the same pivots, the same
+rows and the same bases, in the same dict order, and must leave its input
+rows as they were.  Apart from dict order, ``rref`` must also not depend on
+the order of its input rows: it returns the unique reduced row echelon
+form, which keeps skew-primitive reports independent of the order in which
+their systems are assembled.
 """
 
 from __future__ import annotations
@@ -89,27 +89,16 @@ def _ordered(pivots: dict) -> list:
     return [(piv, list(row.items())) for piv, row in pivots.items()]
 
 
-def assert_same_as_reference(rows: list[dict], columns: list, prefix: list[dict] = (),
-                             start: dict = None) -> bool:
-    """``rows`` reduced on top of ``start``, by default ``rref(prefix)``, must
-    give what the reference reduction of ``prefix + rows`` gives; ``rows``,
-    ``start`` and the rows of ``start`` must come out unchanged.  Returns
-    whether back-substitution reached a multi-entry row of ``start``."""
-    if start is None:
-        start = _linalg.rref(iter(prefix))
-    whole = list(prefix) + rows
+def assert_same_as_reference(rows: list[dict], columns: list) -> None:
+    """``rows``, reduced as one system, must give what the reference gives,
+    and must come out unchanged."""
     before = [list(r.items()) for r in rows]
-    seed = [(piv, row, list(row.items())) for piv, row in start.items()]
-    got = _linalg.rref(iter(rows), start)
-    assert _ordered(got) == _ordered(reference_rref(whole))
-    basis = _linalg.nullspace(iter(rows), columns, start)
-    want = reference_nullspace(whole, columns)
+    assert _ordered(_linalg.rref(iter(rows))) == _ordered(reference_rref(rows))
+    basis = _linalg.nullspace(iter(rows), columns)
+    want = reference_nullspace(rows, columns)
     assert [list(v.items()) for v in basis] == [list(v.items()) for v in want]
-    assert _linalg.rank(whole) == len(reference_rref(whole))
+    assert _linalg.rank(rows) == len(reference_rref(rows))
     assert [list(r.items()) for r in rows] == before, "rows must not be modified"
-    assert [(piv, row, list(row.items())) for piv, row in start.items()] == seed, \
-        "start must not be modified"
-    return any(len(row) > 1 and got[piv] != row for piv, row in start.items())
 
 
 # -- random systems -----------------------------------------------------------
@@ -182,20 +171,6 @@ def test_rref_does_not_depend_on_row_order(rng):
 
     assert printed(_linalg.rref(shuffled)) == printed(_linalg.rref(rows))
     assert _linalg.nullspace(shuffled, columns) == _linalg.nullspace(rows, columns)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_seeded_systems_match_reference(seed):
-    # each system split into a prefix, reduced first, and the rest, reduced
-    # on top of it
-    rng = random.Random(2000 + seed)
-    reached = 0
-    for _ in range(30):
-        for make in (random_system, singleton_heavy_system):
-            rows, columns = make(rng)
-            cut = rng.randint(0, len(rows))
-            reached += assert_same_as_reference(rows[cut:], columns, rows[:cut])
-    assert reached, "no multi-entry row of start was back-substituted into"
 
 
 def test_single_entry_rows_and_back_substitution():
@@ -277,15 +252,15 @@ def test_single_entry_rows_on_every_kind_of_pivot():
 # -- the systems the Hopf computations build ----------------------------------
 
 
-def _recorded_systems(monkeypatch, run) -> list[tuple[list[dict], list, dict]]:
-    """The rows, columns and seed pivots of every ``nullspace`` call of ``run``."""
+def _recorded_systems(monkeypatch, run) -> list[tuple[list[dict], list]]:
+    """The rows and columns of every ``nullspace`` call of ``run``."""
     systems = []
     real = _linalg.nullspace
 
-    def recording(rows, columns, start=None):
+    def recording(rows, columns):
         rows = [dict(r) for r in rows]
-        systems.append((rows, list(columns), start or {}))
-        return real(rows, columns, start)
+        systems.append((rows, list(columns)))
+        return real(rows, columns)
 
     monkeypatch.setattr(_linalg, "nullspace", recording)
     run()
@@ -303,16 +278,15 @@ def test_skew_primitive_systems_match_reference(monkeypatch, request):
                     skew_primitives(built, g, 6)
 
     systems = _recorded_systems(monkeypatch, run)
-    # each shape's weight-free rows reduce to single-entry pivot rows only,
-    # so every weight is solved on the columns they leave open, unseeded,
-    # and with no multi-entry row; rref's seeded and multi-entry paths are
-    # covered by the seeded random systems above and by the zero-divisor
-    # systems below
-    assert not any(len(r) > 1 for rows, _, _ in systems for r in rows)
-    assert not any(start for _, _, start in systems)
-    # the whole system: the seed's pivot rows, then the weight's rows
-    for rows, columns, start in systems:
-        assert_same_as_reference(rows, columns, list(start.values()), start)
+    # each shape's weight-free rows are single-entry only, so every weight is
+    # solved on the columns they leave open, with no multi-entry row and no
+    # empty one; rref's multi-entry path is covered by the random systems
+    # above and by the zero-divisor systems below, and the weight-free rows
+    # with more entries by test_multi_entry_weight_free_rows_are_kept in
+    # test_hopfops.py
+    assert not any(len(r) != 1 for rows, _ in systems for r in rows)
+    for rows, columns in systems:
+        assert_same_as_reference(rows, columns)
 
 
 def test_zero_divisor_systems_match_reference(monkeypatch, k22):
@@ -321,6 +295,5 @@ def test_zero_divisor_systems_match_reference(monkeypatch, k22):
     monkeypatch.setattr(hopfops, "_seeded_zero_divisors",
                         lambda built, notes: (None, seeded(built, notes)[1]))
     systems = _recorded_systems(monkeypatch, lambda: find_zero_divisors(k22, 4))
-    for rows, columns, start in systems:
-        assert not start
+    for rows, columns in systems:
         assert_same_as_reference(rows, columns)
