@@ -232,8 +232,11 @@ class SkewPrimitiveRecord:
 @dataclass
 class PrimitiveEntry:
     commutator: Cyclo
-    dimension: int
     records: list[SkewPrimitiveRecord]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.records)
 
 
 @dataclass
@@ -263,72 +266,59 @@ def zero_divisor_window(built: BuiltPresentation, degree_cap: int) -> int:
 
 def _primitive_rows(shape, built, x_window):
     """What the skew-primitive system of the nonzero ``shape`` keeps for
-    every weight.
+    every weight: ``(ansatz, rows, open_cols)``.
 
     The system has one row per pair (l, r) at which Delta(m) - m (x) 1 - g (x) m
     has terms, over the ansatz monomials m = x^a f^shape.  The group letter
     is grouplike and stands leftmost in every basis word, so Delta(m) is
-    Delta(f^shape) with both legs shifted by a.  The weight g touches only
-    the rows whose left leg l is the group monomial g.  The rows whose left
-    leg is no group power are the same for every weight.  A single-entry one
+    Delta(f^shape) with both legs shifted by a, and the weight g touches only
+    the rows at (g, m).  A single-entry row whose left leg is no group power
     forces its column to zero in every solution, with no reduction;
-    ``open_cols`` lists the other columns.  The other weight-free rows are
-    kept as a plain list, and the rows whose left leg is a group power are
-    kept by that leg, all cut down to the open columns, unless that leaves
-    them empty."""
+    ``open_cols`` lists the other columns.  ``rows`` maps each pair (l, r) to
+    its row of Delta(m) - m (x) 1 on the open columns, and holds no empty row."""
     minus_one = Cyclo.from_rational(-1)
     ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
     unit, zero = built.rs.unit_monomial(), (0,) * built.num_free
-    free: dict = {}   # (l, r) -> row, for the left legs l that are no group power
-    group: dict = {}  # (l, r) -> row, for the group-power left legs l
-    base = [(l.w0, l.w, r.w0, r.w, c, group if l.w == zero else free)
-            for (l, r), c in coproduct_monomial(NFMonomial(0, shape), built).terms.items()]
+    free, group = [], []  # the terms of Delta(f^shape) by their left leg
+    for (l, r), c in coproduct_monomial(NFMonomial(0, shape), built).terms.items():
+        (group if l.w == zero else free).append((l.w0, l.w, r.w0, r.w, c))
     new = tuple.__new__  # skips the argument parsing of NFMonomial's own __new__
-    for t, m in enumerate(ansatz):
-        a = m.w0
-        for lx, lw, rx, rw, c, part in base:
-            part.setdefault((new(NFMonomial, (lx + a, lw)), new(NFMonomial, (rx + a, rw))), {})[t] = c
-        # - m (x) 1, which can cancel the row at (m, 1) to nothing
-        if not add_terms(free.setdefault((m, unit), {}), ((t, minus_one),)):
-            del free[(m, unit)]
-    closed = {t for row in free.values() if len(row) == 1 for t in row}
+
+    def rows_on(columns, terms):
+        rows: dict = {}  # (l, r) -> {t: c}
+        for t in columns:
+            m = ansatz[t]
+            a = m.w0
+            for lx, lw, rx, rw, c in terms:
+                rows.setdefault((new(NFMonomial, (lx + a, lw)), new(NFMonomial, (rx + a, rw))), {})[t] = c
+            # - m (x) 1, which can cancel the row at (m, 1) to nothing
+            if not add_terms(rows.setdefault((m, unit), {}), ((t, minus_one),)):
+                del rows[(m, unit)]
+        return rows
+
+    closed = {t for row in rows_on(range(len(ansatz)), free).values() if len(row) == 1 for t in row}
     open_cols = [t for t in range(len(ansatz)) if t not in closed]
-    legs: dict = {}  # l -> {r: row}
-    for (l, r), row in group.items():
-        if not closed.issuperset(row):
-            legs.setdefault(l, {})[r] = {t: c for t, c in row.items() if t not in closed}
-    free_rows = [{t: c for t, c in row.items() if t not in closed}
-                 for row in free.values() if not closed.issuperset(row)]
-    return ansatz, free_rows, open_cols, legs
+    return ansatz, rows_on(open_cols, free + group), open_cols
 
 
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
     """A basis of the skew primitives of weight x^g in the ansatz of the
-    nonzero ``shape``, solved on the open columns of ``_primitive_rows``."""
+    nonzero ``shape``: the cached rows of ``_primitive_rows`` with - g (x) m
+    added at (g, m) for each ansatz monomial m on an open column, solved on
+    the open columns."""
     minus_one = Cyclo.from_rational(-1)
     # primitive_rows[(shape, window)]: see _primitive_rows; filled by the
     # first weight and never changed after
     cached = built.primitive_rows.get((shape, x_window))
     if cached is None:
         cached = built.primitive_rows[(shape, x_window)] = _primitive_rows(shape, built, x_window)
-    ansatz, free_rows, open_cols, legs = cached
-    # per weight, the kept weight-free rows, then the rows at the group-power
-    # legs: those at every leg but g as kept, and those at g with - g (x) m
-    # added where m = ansatz[t] on an open column t, each a new dict, unless
-    # that cancels it; where no row at (g, m) is kept, - g (x) m adds the
-    # row {t: -1}
+    ansatz, kept, open_cols = cached
     g = built.group_monomial(g_exponent)
-    rows = free_rows + [row for l, block in legs.items() if l != g for row in block.values()]
-    at_g = set()
-    for r, row in legs.get(g, {}).items():
-        t = r.w0 + x_window  # r = ansatz[t] if r lies in the ansatz
-        if r.w == shape and t in open_cols:
-            row = add_terms(dict(row), ((t, minus_one),))
-            at_g.add(t)
-        if row:
-            rows.append(row)
-    rows.extend({t: minus_one} for t in open_cols if t not in at_g)
-    basis = _linalg.nullspace(rows, open_cols)
+    rows = dict(kept)
+    for t in open_cols:  # into a copy: the cached row is shared by every weight
+        pair = (g, ansatz[t])
+        rows[pair] = add_terms(dict(rows.get(pair, ())), ((t, minus_one),))
+    basis = _linalg.nullspace([row for row in rows.values() if row], open_cols)
     return [NCPoly({ansatz[t]: c for t, c in vec.items()}) for vec in basis]
 
 
@@ -355,11 +345,7 @@ def skew_primitives(built: BuiltPresentation, g_exponent: int, degree_cap: int,
             if g_exp != g_exponent:
                 # a fault of the solver, not of the input: not a ValueError
                 raise RuntimeError(f"a solution for the weight x^{g_exponent} has weight x^{g_exp}")
-            entry = by_commutator.get(lam)
-            if entry is None:
-                entry = by_commutator.setdefault(lam, PrimitiveEntry(lam, 0, []))
-            entry.dimension += 1
-            entry.records.append(SkewPrimitiveRecord(
+            by_commutator.setdefault(lam, PrimitiveEntry(lam, [])).records.append(SkewPrimitiveRecord(
                 element=sol,
                 weight_exponent=g_exponent,
                 commutator=lam,

@@ -259,8 +259,9 @@ class BuiltPresentation:
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
     # coproduct, counit and antipode of each basis-shaped word, and the
-    # ansatz, open columns and kept rows of each nonzero shape's
-    # skew-primitive system per (shape, x_window), filled on first use;
+    # ansatz, the rows every weight shares (on the open columns) and the open
+    # columns of each nonzero shape's skew-primitive system per
+    # (shape, x_window), filled on first use;
     # init=False keeps dataclasses.replace from copying them into a changed copy
     coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     counit_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -351,6 +352,8 @@ def _skew_laurent(pres: HopfPresentation, ys: Sequence[str], weights: Sequence[i
 def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     params = pres.kparams
     s = params.s
+    if s == 0:
+        raise ValueError("p must be nonempty")
     if any(q.is_zero() for q in params.q):
         raise ValueError("q_i must be nonzero")
     if any(pi < 1 for pi in params.p):
@@ -493,6 +496,13 @@ def _int_list(data: dict, key: str) -> list[int]:
     return [_sized(f"{key}[{i}]", v) for i, v in enumerate(value)]
 
 
+def _scalar_list(data: dict, key: str) -> list[Cyclo]:
+    value = data[key]
+    if not isinstance(value, list):
+        raise ValueError(f"field {key!r} must be a list of scalars")
+    return [scalar_from_json(v) for v in value]
+
+
 def presentation_from_json(data: dict) -> HopfPresentation:
     if not isinstance(data, dict):
         raise ValueError("a presentation must be a JSON object")
@@ -501,15 +511,14 @@ def presentation_from_json(data: dict) -> HopfPresentation:
         p = _int_list(data, "p")
         if len(p) > LENGTH_LIMIT:
             raise ValueError(f"s={len(p)} exceeds LENGTH_LIMIT={LENGTH_LIMIT}")
-        q = [scalar_from_json(v) for v in data["q"]]
-        alpha = [scalar_from_json(v) for v in data["alpha"]]
+        q, alpha = _scalar_list(data, "q"), _scalar_list(data, "alpha")
         if "s" in data and int_from_json("s", data["s"]) != len(p):
             raise ValueError("field 's' disagrees with the length of 'p'")
         M = _sized("M", data["M"])
         return HopfPresentation.from_k(KParams.make(M, _int_list(data, "n"), p, q, alpha))
     if family == "B":
         q = scalar_from_json(data["q"])
-        alpha = [scalar_from_json(v) for v in data["alpha"]]
+        alpha = _scalar_list(data, "alpha")
         n, p = _sized("n", data["n"]), _int_list(data, "p")
         _sized("M = n*p_1*...*p_s", n * math.prod(p))
         return HopfPresentation.from_b(BParams.make(n, p, q, alpha))

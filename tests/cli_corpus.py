@@ -72,6 +72,10 @@ MALFORMED = {
     "k22-s-not-p": dict(K22, s=3),
     "b23-short-alpha": dict(B23, alpha=[0]),
     "a25-zero-q": dict(A25, q=0),
+    # a string or an object in place of a list: iterating it would read B23's
+    # alpha and K22's q
+    "b23-string-alpha": dict(B23, alpha="01"),
+    "k22-object-q": dict(K22, q={"-1": 0, "-1/1": 0}),
 }
 
 # expressions for every presentation, by the names of its generators

@@ -791,6 +791,19 @@ def test_cli_k_family_rejects_nonpositive_p(tmp_path, capsys, p):
         _check_error_report(code, capsys.readouterr())
 
 
+@pytest.mark.parametrize("doc", [dict(K22, s=0, n=[], p=[], q=[], alpha=[]),
+                                 dict(B23, p=[], q=1, alpha=[])], ids=["K", "B"])
+def test_cli_refuses_empty_p(tmp_path, capsys, doc):
+    # s = 0 fails the sizes condition, and no command builds on it
+    path = _write(tmp_path, "doc.json", doc)
+    code, report = _run(capsys, "validate", path)
+    assert code == 1 and report["verdicts"]["conditions"]["sizes"] is False
+    for command in (["pbw-check"], ["ext1"], ["primitives", "--weight", "1"]):
+        code = main([*command, path])
+        _check_error_report(code, captured := capsys.readouterr())
+        assert "p must be nonempty" in captured.err
+
+
 def _with(doc, path, value):
     """A copy of ``doc`` with the entry at ``path`` (keys and list indices) set to ``value``."""
     doc = json.loads(json.dumps(doc))

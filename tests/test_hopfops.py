@@ -8,8 +8,9 @@ import pytest
 from gkhopf import _linalg, hopfops
 from gkhopf.hopfops import (TensorPoly, _antipode_word, _coproduct_word, _counit_monomial,
                             _counit_word, antipode, antipode_monomial, check_hopf_axioms, coproduct,
-                            coproduct_monomial, counit, ext1_dimension, find_zero_divisors,
-                            primitive_weight_scan, skew_primitives, tensor_of, weight_commutator)
+                            coproduct_monomial, counit, default_window, ext1_dimension,
+                            find_zero_divisors, primitive_weight_scan, skew_primitives, tensor_of,
+                            weight_commutator)
 from gkhopf.ncpoly import NCPoly, NFMonomial, multiply, normal_form
 from gkhopf.presentations import BParams, HopfPresentation, build, presentation_from_json
 from gkhopf.scalars import Cyclo, add_terms, make_root, qbinom
@@ -206,10 +207,8 @@ def _primitive_report(rep):
 
 
 def _primitive_rows_snapshot(value):
-    ansatz, free_rows, open_cols, legs = value
-    return (list(ansatz), [list(row.items()) for row in free_rows], list(open_cols),
-            [(leg, [(r, list(row.items())) for r, row in block.items()])
-             for leg, block in legs.items()])
+    ansatz, rows, open_cols = value
+    return list(ansatz), [(pair, list(row.items())) for pair, row in rows.items()], list(open_cols)
 
 
 class _SnapshotOnFill(dict):
@@ -228,8 +227,8 @@ class _SnapshotOnFill(dict):
 def test_warm_primitive_solves_match_fresh_builds(request, name, cap, window):
     # one built presentation answers every weight from its cached rows; each
     # weight must get the answer of a presentation built afresh for it, and
-    # the cached ansatz, weight-free rows and group-leg rows must come out of the
-    # scan as they went in
+    # the cached ansatz, rows and open columns must come out of the scan as
+    # they went in
     warm = build(request.getfixturevalue(name).presentation)
     warm.primitive_rows = cache = _SnapshotOnFill()
     for g in range(-12, 13):
@@ -245,11 +244,10 @@ def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     # deterministic work, pinned: the rows the scan feeds to rref, and the
     # row additions rref spends on them.  The zero shape is answered in
     # closed form and solves nothing.  Each of the 5 other shapes closes the
-    # columns of its single-entry weight-free rows with no reduction, and
-    # each weight reduces only the rows at the group-power legs, on the
-    # columns left open.  Here every shape has at most one open column and
-    # no weight-free row with more entries, so every row has one entry and
-    # none needs a row addition.
+    # columns of its single-entry weight-free rows with no reduction and
+    # keeps its rows on the columns left open, and each weight reduces those
+    # rows with its own - g (x) m added.  Here every shape has at most one
+    # open column, so every row has one entry and none needs a row addition.
     work = {"calls": 0, "rows": 0, "entries": 0, "additions": 0}
     real_rref, real_add_terms = _linalg.rref, _linalg.add_terms
 
@@ -306,8 +304,22 @@ def test_multi_entry_weight_free_rows_are_kept(monkeypatch, b23):
         want = [NCPoly({ansatz[t]: v for t, v in vec.items()})
                 for vec in reference_nullspace(list(rows.values()), list(range(len(ansatz))))]
         assert hopfops._solve_primitive_shape(shape, g, built, window) == want, g
-    _, free_rows, open_cols, _ = built.primitive_rows[(shape, window)]
-    assert free_rows == [{window: c + c}] and open_cols == [window]
+    _, rows, open_cols = built.primitive_rows[(shape, window)]
+    assert [row for (l, _), row in rows.items() if not l.is_group_power()] == [{window: c + c}]
+    assert open_cols == [window]
+
+
+def test_cached_primitive_rows_lie_on_open_columns(request):
+    # every row a shape keeps for all weights is nonempty and has entries on
+    # the open columns only
+    for name in ("b23", "b235", "k22", "a15", "a25", "c3"):
+        built = build(request.getfixturevalue(name).presentation)
+        for g in range(-12, 13):
+            if abs(g) <= default_window(built, 6):
+                skew_primitives(built, g, 6)
+        assert built.primitive_rows, name
+        for key, (ansatz, rows, open_cols) in built.primitive_rows.items():
+            assert all(row and set(row) <= set(open_cols) for row in rows.values()), (name, key)
 
 
 def test_primitive_dimension_bound(b23, b235):

@@ -278,12 +278,12 @@ def test_skew_primitive_systems_match_reference(monkeypatch, request):
                     skew_primitives(built, g, 6)
 
     systems = _recorded_systems(monkeypatch, run)
-    # each shape's weight-free rows are single-entry only, so every weight is
-    # solved on the columns they leave open, with no multi-entry row and no
-    # empty one; rref's multi-entry path is covered by the random systems
-    # above and by the zero-divisor systems below, and the weight-free rows
-    # with more entries by test_multi_entry_weight_free_rows_are_kept in
-    # test_hopfops.py
+    # each shape's weight-free rows are single-entry only, and every weight's
+    # rows are built on the columns they leave open, so no row has more than
+    # one entry and none is empty; rref's multi-entry path is covered by the
+    # random systems above and by the zero-divisor systems below, and the
+    # weight-free rows with more entries by
+    # test_multi_entry_weight_free_rows_are_kept in test_hopfops.py
     assert not any(len(r) != 1 for rows, _ in systems for r in rows)
     for rows, columns in systems:
         assert_same_as_reference(rows, columns)
