@@ -16,8 +16,8 @@ _HOME = {
     "heckenberger": "BraidingMatrix DiagonalDatum NicholsVerdict lemma41_case omega_checks prop42_case"
                     " remark43_finite supplementary_type",
     "hopfops": "AxiomReport PrimitiveSpaceReport SkewPrimitiveRecord TensorPoly ZeroDivisorReport antipode"
-               " check_hopf_axioms coproduct counit ext1_dimension find_zero_divisors primitive_weight_scan"
-               " skew_primitives tensor_of weight_commutator",
+               " check_hopf_axioms coproduct counit ext1_dimension find_zero_divisors skew_primitives"
+               " tensor_of weight_commutator",
     "ncpoly": "Ambiguity ConfluenceReport NCPoly NFMonomial RewriteSystem Rule certify_confluence"
               " enumerate_ambiguities multiply normal_form power",
     "presentations": "AParams BFormResult BParams BuiltPresentation CParams HopfPresentation KParams"

@@ -147,7 +147,7 @@ def _cmd_primitives(args, pres):
             "records": [{
                 "element": built.rs.format_poly(r.element),
                 "level": r.level,
-                "is_major": r.is_major,
+                "is_major": entry.is_major,
             } for r in entry.records],
         })
     verdicts = {

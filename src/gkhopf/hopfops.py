@@ -223,10 +223,7 @@ def check_hopf_axioms(built: BuiltPresentation, degree_cap: int, x_window: int) 
 @dataclass
 class SkewPrimitiveRecord:
     element: NCPoly
-    weight_exponent: int
-    commutator: Cyclo
     level: int
-    is_major: bool
 
 
 @dataclass
@@ -237,6 +234,11 @@ class PrimitiveEntry:
     @property
     def dimension(self) -> int:
         return len(self.records)
+
+    @property
+    def is_major(self) -> bool:
+        order = order_of(self.commutator)
+        return order is None or order == 1
 
 
 @dataclass
@@ -264,62 +266,62 @@ def zero_divisor_window(built: BuiltPresentation, degree_cap: int) -> int:
     return min(degree_cap, built.central_exponent or degree_cap)
 
 
+_MINUS_ONE = Cyclo.from_rational(-1)
+
+
 def _primitive_rows(shape, built, x_window):
     """What the skew-primitive system of the nonzero ``shape`` keeps for
-    every weight: ``(ansatz, rows, open_cols)``.
+    every weight: ``(rows, open_cols)``.
 
-    The system has one row per pair (l, r) at which Delta(m) - m (x) 1 - g (x) m
-    has terms, over the ansatz monomials m = x^a f^shape.  The group letter
-    is grouplike and stands leftmost in every basis word, so Delta(m) is
-    Delta(f^shape) with both legs shifted by a, and the weight g touches only
-    the rows at (g, m).  A single-entry row whose left leg is no group power
-    forces its column to zero in every solution, with no reduction;
-    ``open_cols`` lists the other columns.  ``rows`` maps each pair (l, r) to
-    its row of Delta(m) - m (x) 1 on the open columns, and holds no empty row."""
-    minus_one = Cyclo.from_rational(-1)
-    ansatz = [NFMonomial(a, shape) for a in range(-x_window, x_window + 1)]
-    unit, zero = built.rs.unit_monomial(), (0,) * built.num_free
-    free, group = [], []  # the terms of Delta(f^shape) by their left leg
-    for (l, r), c in coproduct_monomial(NFMonomial(0, shape), built).terms.items():
-        (group if l.w == zero else free).append((l.w0, l.w, r.w0, r.w, c))
-    new = tuple.__new__  # skips the argument parsing of NFMonomial's own __new__
+    Column t stands for the ansatz monomial m = x^a f^shape with
+    a = t - x_window.  The system has one row per pair (l, r) at which
+    Delta(m) - m (x) 1 - g (x) m has terms.  The group letter is grouplike
+    and stands leftmost in every basis word, so Delta(m) is Delta(f^shape)
+    with both legs shifted by a, and the weight g touches only the rows at
+    (g, m).  A single-entry row whose left leg is no group power forces its
+    column to zero in every solution, with no reduction; ``open_cols`` lists
+    the other columns.  ``rows`` maps each pair ((lx, lw), (rx, rw)) to its
+    row of Delta(m) - m (x) 1 on the open columns, and holds no empty row."""
+    zero = (0,) * built.num_free
+    delta = [(l, r, c) for (l, r), c in coproduct_monomial(NFMonomial(0, shape), built).terms.items()]
+    free = [term for term in delta if term[0].w != zero]  # the terms whose left leg is no group power
 
     def rows_on(columns, terms):
         rows: dict = {}  # (l, r) -> {t: c}
         for t in columns:
-            m = ansatz[t]
-            a = m.w0
-            for lx, lw, rx, rw, c in terms:
-                rows.setdefault((new(NFMonomial, (lx + a, lw)), new(NFMonomial, (rx + a, rw))), {})[t] = c
+            a = t - x_window
+            for (lx, lw), (rx, rw), c in terms:
+                rows.setdefault(((lx + a, lw), (rx + a, rw)), {})[t] = c
             # - m (x) 1, which can cancel the row at (m, 1) to nothing
-            if not add_terms(rows.setdefault((m, unit), {}), ((t, minus_one),)):
-                del rows[(m, unit)]
+            pair = ((a, shape), (0, zero))
+            if not add_terms(rows.setdefault(pair, {}), ((t, _MINUS_ONE),)):
+                del rows[pair]
         return rows
 
-    closed = {t for row in rows_on(range(len(ansatz)), free).values() if len(row) == 1 for t in row}
-    open_cols = [t for t in range(len(ansatz)) if t not in closed]
-    return ansatz, rows_on(open_cols, free + group), open_cols
+    columns = range(2 * x_window + 1)
+    closed = {t for row in rows_on(columns, free).values() if len(row) == 1 for t in row}
+    open_cols = [t for t in columns if t not in closed]
+    return rows_on(open_cols, delta), open_cols
 
 
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:
     """A basis of the skew primitives of weight x^g in the ansatz of the
     nonzero ``shape``: the cached rows of ``_primitive_rows`` with - g (x) m
-    added at (g, m) for each ansatz monomial m on an open column, solved on
-    the open columns."""
-    minus_one = Cyclo.from_rational(-1)
+    added at (g, m) for the monomial m of each open column, solved on the
+    open columns."""
     # primitive_rows[(shape, window)]: see _primitive_rows; filled by the
     # first weight and never changed after
     cached = built.primitive_rows.get((shape, x_window))
     if cached is None:
         cached = built.primitive_rows[(shape, x_window)] = _primitive_rows(shape, built, x_window)
-    ansatz, kept, open_cols = cached
-    g = built.group_monomial(g_exponent)
+    kept, open_cols = cached
+    g = (g_exponent, (0,) * built.num_free)
     rows = dict(kept)
     for t in open_cols:  # into a copy: the cached row is shared by every weight
-        pair = (g, ansatz[t])
-        rows[pair] = add_terms(dict(rows.get(pair, ())), ((t, minus_one),))
+        pair = (g, (t - x_window, shape))
+        rows[pair] = add_terms(dict(rows.get(pair, ())), ((t, _MINUS_ONE),))
     basis = _linalg.nullspace([row for row in rows.values() if row], open_cols)
-    return [NCPoly({ansatz[t]: c for t, c in vec.items()}) for vec in basis]
+    return [NCPoly({NFMonomial(t - x_window, shape): c for t, c in vec.items()}) for vec in basis]
 
 
 def skew_primitives(built: BuiltPresentation, g_exponent: int, degree_cap: int,
@@ -345,29 +347,10 @@ def skew_primitives(built: BuiltPresentation, g_exponent: int, degree_cap: int,
             if g_exp != g_exponent:
                 # a fault of the solver, not of the input: not a ValueError
                 raise RuntimeError(f"a solution for the weight x^{g_exponent} has weight x^{g_exp}")
-            by_commutator.setdefault(lam, PrimitiveEntry(lam, [])).records.append(SkewPrimitiveRecord(
-                element=sol,
-                weight_exponent=g_exponent,
-                commutator=lam,
-                level=level,
-                is_major=_is_major(lam),
-            ))
+            by_commutator.setdefault(lam, PrimitiveEntry(lam, [])).records.append(
+                SkewPrimitiveRecord(sol, level))
     entries = sorted(by_commutator.values(), key=lambda e: str(e.commutator))
     return PrimitiveSpaceReport(g_exponent, entries, int(g_exponent != 0), degree_cap, x_window)
-
-
-def _is_major(lam: Cyclo) -> bool:
-    order = order_of(lam)
-    return order is None or order == 1
-
-
-def primitive_weight_scan(built: BuiltPresentation, g_range, degree_cap: int,
-                          x_window: Optional[int] = None) -> dict[int, int]:
-    """Nontrivial skew primitive dimension for every weight exponent in range."""
-    out = {}
-    for g in g_range:
-        out[g] = skew_primitives(built, g, degree_cap, x_window).total_dimension
-    return out
 
 
 # the highest commutator level weight_commutator looks for

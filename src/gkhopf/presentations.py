@@ -259,9 +259,8 @@ class BuiltPresentation:
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
     # coproduct, counit and antipode of each basis-shaped word, and the
-    # ansatz, the rows every weight shares (on the open columns) and the open
-    # columns of each nonzero shape's skew-primitive system per
-    # (shape, x_window), filled on first use;
+    # rows every weight shares and the open columns of each nonzero shape's
+    # skew-primitive system per (shape, x_window), filled on first use;
     # init=False keeps dataclasses.replace from copying them into a changed copy
     coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     counit_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -354,6 +353,8 @@ def _build_k(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
     s = params.s
     if s == 0:
         raise ValueError("p must be nonempty")
+    if params.M < 0:
+        raise ValueError(f"M must be nonnegative, got M={params.M}")
     if any(q.is_zero() for q in params.q):
         raise ValueError("q_i must be nonzero")
     if any(pi < 1 for pi in params.p):

@@ -2,8 +2,14 @@
 stdout and stderr each one gives.
 
 ``tests/test_cli_corpus.py`` replays every entry of ``cli_corpus.json`` in
-process and compares.  A change that alters a report on purpose regenerates
-the table in the same commit and names every changed entry:
+process and compares.  ``--check`` does the same replay with no pytest and
+no assert statement, so it also runs under ``python -O``; it prints how many
+entries match and exits 1 naming each entry that differs:
+
+    PYTHONPATH=src python3 -O tests/cli_corpus.py --check
+
+A change that alters a report on purpose regenerates the table in the same
+commit and names every changed entry:
 
     PYTHONPATH=src python3 tests/cli_corpus.py
 
@@ -14,12 +20,14 @@ name is the same wherever the corpus runs.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from gkhopf.cli import main
@@ -161,11 +169,25 @@ def run_all(directory: Path) -> list[dict]:
         os.chdir(cwd)
 
 
+def _check() -> int:
+    """Replay the table; print how many entries match, and return 1 naming
+    each entry that differs."""
+    want = json.loads(TABLE.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        got = run_all(Path(tmp))
+    if len(got) != len(want):
+        print(f"{len(got)} entries replayed, {len(want)} in the table")
+        return 1
+    differ = [" ".join(w["argv"]) for g, w in zip(got, want) if g != w]
+    print(f"{len(got) - len(differ)} of {len(got)} entries match")
+    for argv in differ:
+        print(f"differs: {argv}")
+    return 1 if differ else 0
+
+
 def _main() -> int:
     """Rewrite the table, and print each entry that is new, gone, or whose
     exit code or digests changed, with its old and new exit code."""
-    import tempfile
-
     old = {tuple(e["argv"]): e for e in json.loads(TABLE.read_text())} if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         entries = run_all(Path(tmp))
@@ -181,4 +203,7 @@ def _main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(_main())
+    parser = argparse.ArgumentParser(description="Rewrite or check the golden CLI corpus table.")
+    parser.add_argument("--check", action="store_true",
+                        help="replay the table and exit 1 if an entry differs, instead of rewriting it")
+    sys.exit(_check() if parser.parse_args().check else _main())

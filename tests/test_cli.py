@@ -804,6 +804,18 @@ def test_cli_refuses_empty_p(tmp_path, capsys, doc):
         assert "p must be nonempty" in captured.err
 
 
+def test_cli_refuses_negative_m(tmp_path, capsys):
+    # x^M with M < 0 is no word, and no command builds on it
+    path = _write(tmp_path, "doc.json", dict(K22, M=-4, n=[2, 2]))
+    code, report = _run(capsys, "validate", path)
+    assert code == 1 and report["verdicts"]["conditions"]["sizes"] is False
+    for argv in (["pbw-check", path], ["nf", path, "y2^2"],
+                 ["primitives", path, "--weight", "2", "--cap", "2"]):
+        code = main(argv)
+        _check_error_report(code, captured := capsys.readouterr())
+        assert "M must be nonnegative, got M=-4" in captured.err
+
+
 def _with(doc, path, value):
     """A copy of ``doc`` with the entry at ``path`` (keys and list indices) set to ``value``."""
     doc = json.loads(json.dumps(doc))

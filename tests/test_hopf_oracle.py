@@ -26,15 +26,18 @@ caches, on sound presentations and on corrupted ones.
 """
 
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkhopf import _linalg
 from gkhopf.hopfops import (AxiomReport, TensorPoly, _antipode_word, _coproduct_word,
                             _counit_monomial, _counit_word, antipode_monomial, check_hopf_axioms,
                             coproduct_monomial, default_window, skew_primitives, weight_commutator)
 from gkhopf.ncpoly import NCPoly, NFMonomial, _product_of_monomials, multiply
-from gkhopf.presentations import BuiltPresentation, HopfPresentation, KParams, build
+from gkhopf.presentations import BParams, BuiltPresentation, HopfPresentation, KParams, build
 from gkhopf.scalars import Cyclo, add_terms, make_root
 
 from helpers import built_b, corrupted_b23
@@ -388,3 +391,34 @@ def test_skew_primitives_match_reference(name, cap):
         assert _report_view(report) == want, g
         seen_nontrivial = seen_nontrivial or bool(report.entries)
     assert seen_nontrivial
+
+
+def _units(ell):
+    return [k for k in range(1, ell + 1) if math.gcd(k, ell) == 1]
+
+
+# pairwise coprime p_1 < p_2 with l = p_1 p_2 <= 15
+_SMALL_P = [(a, b) for a in range(2, 8) for b in range(a + 1, 8) if a * b <= 15 and math.gcd(a, b) == 1]
+_SMALL_B = st.sampled_from(_SMALL_P).flatmap(lambda p: st.builds(
+    lambda k, alpha: HopfPresentation.from_b(BParams.make(1, p, make_root(math.prod(p), k), alpha)),
+    st.sampled_from(_units(math.prod(p))), st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+_SMALL_A = st.integers(1, 12).flatmap(lambda L: st.builds(
+    lambda n, k: HopfPresentation.a_family(n, make_root(L, k)),
+    st.integers(-3, 3), st.sampled_from(_units(L))))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(pres=st.one_of(_SMALL_B, _SMALL_A), data=st.data())
+def test_skew_primitives_match_reference_on_drawn_parameters(pres, data):
+    # B with any unit k and A with any root q, where the fixed cases above
+    # all take k = 1; the weights are drawn from the multiples of the skew
+    # weights, where the nonzero solutions lie, and from the whole window
+    cap = 4
+    built = build(pres)
+    window = default_window(built, cap)
+    multiples = sorted({j * w for w in built.skew_weights for j in range(1, cap + 1) if abs(j * w) <= window})
+    weights = data.draw(st.lists(st.one_of(st.sampled_from(multiples), st.integers(-window, window)),
+                                 min_size=1, max_size=3, unique=True))
+    for g in weights:
+        want = reference_primitives(built, g, cap, window)
+        assert _report_view(skew_primitives(built, g, cap)) == want, g

@@ -9,8 +9,7 @@ from gkhopf import _linalg, hopfops
 from gkhopf.hopfops import (TensorPoly, _antipode_word, _coproduct_word, _counit_monomial,
                             _counit_word, antipode, antipode_monomial, check_hopf_axioms, coproduct,
                             coproduct_monomial, counit, default_window, ext1_dimension,
-                            find_zero_divisors, primitive_weight_scan, skew_primitives, tensor_of,
-                            weight_commutator)
+                            find_zero_divisors, skew_primitives, tensor_of, weight_commutator)
 from gkhopf.ncpoly import NCPoly, NFMonomial, multiply, normal_form
 from gkhopf.presentations import BParams, HopfPresentation, build, presentation_from_json
 from gkhopf.scalars import Cyclo, add_terms, make_root, qbinom
@@ -175,16 +174,16 @@ def test_skew_primitives_pins(b23):
     rep = skew_primitives(b23, 3, 6)
     assert rep.total_dimension == 1 and rep.trivial_dimension == 1
     entry = rep.entries[0]
-    assert entry.commutator == Cyclo.from_rational(-1)
+    assert entry.commutator == Cyclo.from_rational(-1) and not entry.is_major
     rec = entry.records[0]
-    assert rec.level == 1 and not rec.is_major
+    assert rec.level == 1
     assert rec.element == ev(b23, "y1")
 
     rep = skew_primitives(b23, 6, 6)
     assert rep.total_dimension == 1
-    rec = rep.entries[0].records[0]
-    assert rep.entries[0].commutator == Cyclo.one()
-    assert rec.is_major and rec.element == ev(b23, "y1^2")
+    entry = rep.entries[0]
+    assert entry.commutator == Cyclo.one() and entry.is_major
+    assert entry.records[0].element == ev(b23, "y1^2")
 
     rep = skew_primitives(b23, 2, 6)
     assert rep.total_dimension == 1
@@ -194,21 +193,20 @@ def test_skew_primitives_pins(b23):
 
 
 def test_primitive_weight_scan(b23):
-    scan = primitive_weight_scan(b23, range(-12, 13), 6)
-    assert sorted(g for g, d in scan.items() if d > 0) == [2, 3, 6]
+    found = [g for g in range(-12, 13) if skew_primitives(b23, g, 6).total_dimension]
+    assert found == [2, 3, 6]
 
 
 def _primitive_report(rep):
     return (rep.g_exponent, rep.trivial_dimension, rep.total_dimension, rep.x_window,
-            [(entry.commutator, entry.dimension,
-              [(list(rec.element.terms.items()), rec.level, rec.is_major, rec.commutator)
-               for rec in entry.records])
+            [(entry.commutator, entry.dimension, entry.is_major,
+              [(list(rec.element.terms.items()), rec.level) for rec in entry.records])
              for entry in rep.entries])
 
 
 def _primitive_rows_snapshot(value):
-    ansatz, rows, open_cols = value
-    return list(ansatz), [(pair, list(row.items())) for pair, row in rows.items()], list(open_cols)
+    rows, open_cols = value
+    return [(pair, list(row.items())) for pair, row in rows.items()], list(open_cols)
 
 
 class _SnapshotOnFill(dict):
@@ -227,7 +225,7 @@ class _SnapshotOnFill(dict):
 def test_warm_primitive_solves_match_fresh_builds(request, name, cap, window):
     # one built presentation answers every weight from its cached rows; each
     # weight must get the answer of a presentation built afresh for it, and
-    # the cached ansatz, rows and open columns must come out of the scan as
+    # the cached rows and open columns must come out of the scan as
     # they went in
     warm = build(request.getfixturevalue(name).presentation)
     warm.primitive_rows = cache = _SnapshotOnFill()
@@ -265,8 +263,7 @@ def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     monkeypatch.setattr(_linalg, "rref", rref)
     monkeypatch.setattr(_linalg, "add_terms", counted_add_terms)
     built = build(b23.presentation)
-    scan = primitive_weight_scan(built, range(-12, 13), 6)
-    assert sum(scan.values()) == 3
+    assert sum(skew_primitives(built, g, 6).total_dimension for g in range(-12, 13)) == 3
     assert len(built.primitive_rows) == 5
     assert work == {"calls": 125, "rows": 144, "entries": 144, "additions": 0}
 
@@ -304,8 +301,8 @@ def test_multi_entry_weight_free_rows_are_kept(monkeypatch, b23):
         want = [NCPoly({ansatz[t]: v for t, v in vec.items()})
                 for vec in reference_nullspace(list(rows.values()), list(range(len(ansatz))))]
         assert hopfops._solve_primitive_shape(shape, g, built, window) == want, g
-    _, rows, open_cols = built.primitive_rows[(shape, window)]
-    assert [row for (l, _), row in rows.items() if not l.is_group_power()] == [{window: c + c}]
+    rows, open_cols = built.primitive_rows[(shape, window)]
+    assert [row for ((_, lw), _), row in rows.items() if any(lw)] == [{window: c + c}]
     assert open_cols == [window]
 
 
@@ -318,7 +315,7 @@ def test_cached_primitive_rows_lie_on_open_columns(request):
             if abs(g) <= default_window(built, 6):
                 skew_primitives(built, g, 6)
         assert built.primitive_rows, name
-        for key, (ansatz, rows, open_cols) in built.primitive_rows.items():
+        for key, (rows, open_cols) in built.primitive_rows.items():
             assert all(row and set(row) <= set(open_cols) for row in rows.values()), (name, key)
 
 
@@ -441,13 +438,11 @@ def test_primitive_records_are_conjugation_eigenvectors(b23):
 
 
 def test_total_primitive_space_is_finite_at_truncation(b23):
-    scan = primitive_weight_scan(b23, range(-12, 13), 6)
-    assert sum(scan.values()) == 3
+    assert sum(skew_primitives(b23, g, 6).total_dimension for g in range(-12, 13)) == 3
 
 
 def test_weights_found_are_predicted_subset(b235):
-    scan = primitive_weight_scan(b235, range(-10, 11), 6, x_window=30)
     params = b235.presentation.kparams
     predicted = set(params.n) | {params.M}
-    found = {g for g, d in scan.items() if d > 0}
+    found = {g for g in range(-10, 11) if skew_primitives(b235, g, 6, x_window=30).total_dimension}
     assert found <= predicted
