@@ -32,14 +32,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkhopf import _linalg
+from gkhopf import _linalg, hopfops
 from gkhopf.hopfops import (AxiomReport, TensorPoly, _antipode_word, _coproduct_word,
                             _counit_monomial, _counit_word, antipode_monomial, check_hopf_axioms,
                             coproduct_monomial, default_window, skew_primitives, weight_commutator)
 from gkhopf.ncpoly import NCPoly, NFMonomial, _product_of_monomials, multiply
-from gkhopf.presentations import BParams, BuiltPresentation, HopfPresentation, KParams, build
+from gkhopf.presentations import (BParams, BuiltPresentation, HopfPresentation, KParams, build,
+                                  presentation_from_json)
 from gkhopf.scalars import Cyclo, add_terms, make_root
 
+from cli_corpus import PRESENTATIONS
 from helpers import built_b, corrupted_b23
 
 
@@ -175,6 +177,44 @@ def reference_primitives(built, g_exponent, degree_cap, x_window):
             by_commutator.setdefault(lam, []).append((sol.sorted_terms(), level))
     entries = sorted(by_commutator.items(), key=lambda kv: str(kv[0]))
     return len(trivial), [(str(lam), recs) for lam, recs in entries]
+
+
+_MINUS_ONE = Cyclo.from_rational(-1)
+
+
+def reference_primitive_rows(shape, built, x_window):
+    """What the skew-primitive system of the nonzero ``shape`` keeps for
+    every weight: ``(rows, open_cols)``.
+
+    Column t stands for the ansatz monomial m = x^a f^shape with
+    a = t - x_window.  The system has one row per pair (l, r) at which
+    Delta(m) - m (x) 1 - g (x) m has terms.  The group letter is grouplike
+    and stands leftmost in every basis word, so Delta(m) is Delta(f^shape)
+    with both legs shifted by a, and the weight g touches only the rows at
+    (g, m).  A single-entry row whose left leg is no group power forces its
+    column to zero in every solution, with no reduction; ``open_cols`` lists
+    the other columns.  ``rows`` maps each pair ((lx, lw), (rx, rw)) to its
+    row of Delta(m) - m (x) 1 on the open columns, and holds no empty row."""
+    zero = (0,) * built.num_free
+    delta = [(l, r, c) for (l, r), c in coproduct_monomial(NFMonomial(0, shape), built).terms.items()]
+    free = [term for term in delta if term[0].w != zero]  # the terms whose left leg is no group power
+
+    def rows_on(columns, terms):
+        rows: dict = {}  # (l, r) -> {t: c}
+        for t in columns:
+            a = t - x_window
+            for (lx, lw), (rx, rw), c in terms:
+                rows.setdefault(((lx + a, lw), (rx + a, rw)), {})[t] = c
+            # - m (x) 1, which can cancel the row at (m, 1) to nothing
+            pair = ((a, shape), (0, zero))
+            if not add_terms(rows.setdefault(pair, {}), ((t, _MINUS_ONE),)):
+                del rows[pair]
+        return rows
+
+    columns = range(2 * x_window + 1)
+    closed = {t for row in rows_on(columns, free).values() if len(row) == 1 for t in row}
+    open_cols = [t for t in columns if t not in closed]
+    return rows_on(open_cols, delta), open_cols
 
 
 # -- instances ----------------------------------------------------------------
@@ -422,3 +462,23 @@ def test_skew_primitives_match_reference_on_drawn_parameters(pres, data):
     for g in weights:
         want = reference_primitives(built, g, cap, window)
         assert _report_view(skew_primitives(built, g, cap)) == want, g
+
+
+def _rows_view(value):
+    rows, open_cols = value
+    return [(pair, list(row.items())) for pair, row in rows.items()], list(open_cols)
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_primitive_rows_match_reference(name):
+    # the rows and open columns each shape keeps for every weight: the same
+    # pairs, rows and columns in the same order, on every corpus
+    # presentation with its default window and with window 8
+    built = build(presentation_from_json(PRESENTATIONS[name]))
+    for cap in (4, 6, 8):
+        for window in (default_window(built, cap), 8):
+            for shape in built.free_shapes(cap):
+                if any(shape):
+                    want = _rows_view(reference_primitive_rows(shape, built, window))
+                    assert _rows_view(hopfops._primitive_rows(shape, built, window)) == want, \
+                        (cap, window, shape)
