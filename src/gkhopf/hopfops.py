@@ -11,6 +11,7 @@ the augmentation ideal, and a seeded zero-divisor search.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -269,6 +270,31 @@ def zero_divisor_window(built: BuiltPresentation, degree_cap: int) -> int:
 _MINUS_ONE = Cyclo.from_rational(-1)
 
 
+def _diagonal_open_cols(shape, free, x_window):
+    """The open columns of a diagonal system, read off the ``free`` terms
+    (l, r, c) of Delta(f^shape), those whose left leg is no group power;
+    None when the system is not diagonal.
+
+    The term (x^lx f^lw, x^rx f^rw) lands in column t on the row at
+    ((lx + a, lw), (rx + a, rw)), and the -m (x) 1 of column t on the row
+    at ((a, shape), (0, zero)).  Two free terms can share a row only when
+    they share the class (lw, rw, rx - lx), and a free term meets a
+    -m (x) 1 row only when (lw, rw) = (shape, zero).  So a free term
+    outside both cases puts a single-entry row in every column, and every
+    column is closed; so does every -m (x) 1 row when there is no free
+    term.  When the one free term is f^shape (x) x^c, it meets -m (x) 1 in
+    its own column a = -c, which stays open only if the two cancel: the
+    coefficient is 1."""
+    zero = (0,) * len(shape)
+    classes = Counter((lw, rw, rx - lx) for (lx, lw), (rx, rw), _ in free)
+    if not free or any(n == 1 and k[:2] != (shape, zero) for k, n in classes.items()):
+        return []
+    if len(free) == 1 and free[0][0][0] == 0:
+        _, (c, _), coef = free[0]
+        return [x_window - c] if coef == 1 and abs(c) <= x_window else []
+    return None
+
+
 def _primitive_rows(shape, built, x_window):
     """What the skew-primitive system of the nonzero ``shape`` keeps for
     every weight: ``(rows, open_cols)``.
@@ -279,29 +305,30 @@ def _primitive_rows(shape, built, x_window):
     and stands leftmost in every basis word, so Delta(m) is Delta(f^shape)
     with both legs shifted by a, and the weight g touches only the rows at
     (g, m).  A single-entry row whose left leg is no group power forces its
-    column to zero in every solution, with no reduction; ``open_cols`` lists
-    the other columns.  ``rows`` maps each pair ((lx, lw), (rx, rw)) to its
-    row of Delta(m) - m (x) 1 on the open columns, and holds no empty row."""
+    column to zero in every solution.  When no row of that kind has two
+    entries (the system is diagonal), ``_diagonal_open_cols`` reads the
+    columns it leaves open off Delta(f^shape), at most one.  Otherwise every
+    column stays open and the whole system is solved; that is exact too,
+    since a closed column is a pivot of its single-entry row for every
+    weight, and ``rref`` puts it in no solution.  ``rows`` maps each pair
+    ((lx, lw), (rx, rw)) to its row of Delta(m) - m (x) 1 on the open
+    columns, and holds no empty row."""
     zero = (0,) * built.num_free
     delta = [(l, r, c) for (l, r), c in coproduct_monomial(NFMonomial(0, shape), built).terms.items()]
     free = [term for term in delta if term[0].w != zero]  # the terms whose left leg is no group power
-
-    def rows_on(columns, terms):
-        rows: dict = {}  # (l, r) -> {t: c}
-        for t in columns:
-            a = t - x_window
-            for (lx, lw), (rx, rw), c in terms:
-                rows.setdefault(((lx + a, lw), (rx + a, rw)), {})[t] = c
-            # - m (x) 1, which can cancel the row at (m, 1) to nothing
-            pair = ((a, shape), (0, zero))
-            if not add_terms(rows.setdefault(pair, {}), ((t, _MINUS_ONE),)):
-                del rows[pair]
-        return rows
-
-    columns = range(2 * x_window + 1)
-    closed = {t for row in rows_on(columns, free).values() if len(row) == 1 for t in row}
-    open_cols = [t for t in columns if t not in closed]
-    return rows_on(open_cols, delta), open_cols
+    open_cols = _diagonal_open_cols(shape, free, x_window)
+    if open_cols is None:  # not diagonal: the whole plain system
+        open_cols = list(range(2 * x_window + 1))
+    rows: dict = {}  # (l, r) -> {t: c}
+    for t in open_cols:
+        a = t - x_window
+        for (lx, lw), (rx, rw), c in delta:
+            rows.setdefault(((lx + a, lw), (rx + a, rw)), {})[t] = c
+        # - m (x) 1, which can cancel the row at (m, 1) to nothing
+        pair = ((a, shape), (0, zero))
+        if not add_terms(rows.setdefault(pair, {}), ((t, _MINUS_ONE),)):
+            del rows[pair]
+    return rows, open_cols
 
 
 def _solve_primitive_shape(shape, g_exponent, built, x_window) -> list[NCPoly]:

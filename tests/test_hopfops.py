@@ -14,6 +14,7 @@ from gkhopf.ncpoly import NCPoly, NFMonomial, multiply, normal_form
 from gkhopf.presentations import BParams, HopfPresentation, build, presentation_from_json
 from gkhopf.scalars import Cyclo, add_terms, make_root, qbinom
 
+from cli_corpus import PRESENTATIONS
 from helpers import b_grid, built_b, ev, perfbench_workloads
 from test_linalg import reference_nullspace
 
@@ -268,21 +269,36 @@ def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     assert work == {"calls": 125, "rows": 144, "entries": 144, "additions": 0}
 
 
-def test_multi_entry_weight_free_rows_are_kept(monkeypatch, b23):
-    # no presentation has a weight-free row with two entries, so one is made:
-    # Delta(y1) = y1 (x) 1 + x^3 (x) y1 gets the term 2 x y1 (x) x, the first
-    # term with both legs shifted by 1.  The row at (x y1, x) then holds the
-    # columns of y1 and x y1; the weight-free rows with one entry close every
-    # other column, and this row closes the column of y1, so y1 is no longer
-    # a skew primitive of weight x^3.  Every weight must get the basis of the
-    # whole system, built from the same Delta and reduced by the reference.
+# patches of Delta(y1) = y1 (x) 1 + x^3 (x) y1 in b23, each given the weight-free
+# term y1 (x) 1 as (left, right, coefficient), and whether every column stays open
+_PATCHED_Y1 = {
+    # 2 x y1 (x) x: the first term with both legs shifted by 1, so the row
+    # at (x y1, x) holds the columns of y1 and x y1; not diagonal
+    "shifted-copy": (lambda l, r, c: {(l._replace(w0=l.w0 + 1), r._replace(w0=r.w0 + 1)): c + c}, True),
+    # x^2 y1 (x) x: in the column of x^-1 y1 it lands on the row at (x y1, 1),
+    # the - m (x) 1 row of the column of x y1; not diagonal
+    "meets-m-tensor-1": (lambda l, r, c: {(l._replace(w0=l.w0 + 2), r._replace(w0=r.w0 + 1)): c}, True),
+    # 2 y1 (x) 1: diagonal, and - m (x) 1 leaves y1 (x) 1 in the column of y1,
+    # which closes it, so y1 is no longer a skew primitive of weight x^3
+    "coefficient-2": (lambda l, r, c: {(l, r): c + c}, False),
+}
+
+
+@pytest.mark.parametrize("patch", _PATCHED_Y1)
+def test_multi_entry_weight_free_rows_are_kept(monkeypatch, b23, patch):
+    # no presentation has a weight-free row with two entries, so Delta(y1) is
+    # patched.  Every weight must get the basis of the whole system, built
+    # from the same Delta and reduced by the reference.  A system that is
+    # not diagonal keeps every column open and the rows of the whole system
+    # for every weight; the diagonal one keeps no column and no row.
     built = build(b23.presentation)
     shape, window = (1, 0), 4
     base = NFMonomial(0, shape)
     real = hopfops.coproduct_monomial
     delta = dict(real(base, built).terms)
     (left, right), c = next(((l, r), c) for (l, r), c in delta.items() if not l.is_group_power())
-    delta[(left._replace(w0=left.w0 + 1), right._replace(w0=right.w0 + 1))] = c + c
+    extra, all_open = _PATCHED_Y1[patch]
+    delta.update(extra(left, right, c))
 
     def patched(m, built):
         return TensorPoly(dict(delta)) if m == base else real(m, built)
@@ -290,20 +306,53 @@ def test_multi_entry_weight_free_rows_are_kept(monkeypatch, b23):
     monkeypatch.setattr(hopfops, "coproduct_monomial", patched)
     ansatz = [base._replace(w0=a) for a in range(-window, window + 1)]
     unit, minus_one = built.rs.unit_monomial(), Cyclo.from_rational(-1)
+    defects = []  # Delta(m) - m (x) 1 of each column
+    for m in ansatz:
+        defect = {(l._replace(w0=l.w0 + m.w0), r._replace(w0=r.w0 + m.w0)): v for (l, r), v in delta.items()}
+        defects.append(add_terms(defect, (((m, unit), minus_one),)))
     for g in range(-window, window + 1):
         rows: dict = {}
         for t, m in enumerate(ansatz):
-            defect = {(l._replace(w0=l.w0 + m.w0), r._replace(w0=r.w0 + m.w0)): v
-                      for (l, r), v in delta.items()}
-            add_terms(defect, (((m, unit), minus_one), ((built.group_monomial(g), m), minus_one)))
+            defect = add_terms(dict(defects[t]), (((built.group_monomial(g), m), minus_one),))
             for pair, v in defect.items():
                 rows.setdefault(pair, {})[t] = v
         want = [NCPoly({ansatz[t]: v for t, v in vec.items()})
                 for vec in reference_nullspace(list(rows.values()), list(range(len(ansatz))))]
         assert hopfops._solve_primitive_shape(shape, g, built, window) == want, g
     rows, open_cols = built.primitive_rows[(shape, window)]
-    assert [row for ((_, lw), _), row in rows.items() if any(lw)] == [{window: c + c}]
-    assert open_cols == [window]
+    whole: dict = {}
+    for t, defect in enumerate(defects):
+        for pair, v in defect.items():
+            whole.setdefault(pair, {})[t] = v
+    if all_open:
+        assert open_cols == list(range(len(ansatz))) and rows == whole
+    else:
+        assert open_cols == [] and rows == {}
+
+
+def test_corpus_primitive_systems_are_diagonal(monkeypatch):
+    # the whole-system fallback would bring back the cold cost of a shape's
+    # first weight: no corpus presentation takes it, at caps 4, 6 and 8 with
+    # the default window and with window 8, and no shape leaves more than
+    # one column open
+    taken = []
+    real = hopfops._diagonal_open_cols
+
+    def spy(shape, free, x_window):
+        open_cols = real(shape, free, x_window)
+        if open_cols is None:
+            taken.append((shape, x_window))
+        return open_cols
+
+    monkeypatch.setattr(hopfops, "_diagonal_open_cols", spy)
+    for name, doc in PRESENTATIONS.items():
+        built = build(presentation_from_json(doc))
+        for cap in (4, 6, 8):
+            for window in (default_window(built, cap), 8):
+                skew_primitives(built, 0, cap, window)
+        assert built.primitive_rows, name
+        assert not taken, (name, taken)
+        assert all(len(open_cols) <= 1 for _, open_cols in built.primitive_rows.values()), name
 
 
 def test_cached_primitive_rows_lie_on_open_columns(request):
