@@ -271,27 +271,26 @@ _MINUS_ONE = Cyclo.from_rational(-1)
 
 
 def _diagonal_open_cols(shape, free, x_window):
-    """The open columns of a diagonal system, read off the ``free`` terms
-    (l, r, c) of Delta(f^shape), those whose left leg is no group power;
-    None when the system is not diagonal.
+    """The columns that the single-entry rows whose left leg is no group
+    power leave open, read off the ``free`` terms (l, r, c) of
+    Delta(f^shape), those with such a leg; None when such a row can have
+    two entries (the system is not diagonal).
 
-    The term (x^lx f^lw, x^rx f^rw) lands in column t on the row at
-    ((lx + a, lw), (rx + a, rw)), and the -m (x) 1 of column t on the row
-    at ((a, shape), (0, zero)).  Two free terms can share a row only when
-    they share the class (lw, rw, rx - lx), and a free term meets a
-    -m (x) 1 row only when (lw, rw) = (shape, zero).  So a free term
-    outside both cases puts a single-entry row in every column, and every
-    column is closed; so does every -m (x) 1 row when there is no free
-    term.  When the one free term is f^shape (x) x^c, it meets -m (x) 1 in
-    its own column a = -c, which stays open only if the two cancel: the
-    coefficient is 1."""
+    In column t a free term lands on the row ((lx + a, lw), (rx + a, rw)),
+    and -m (x) 1 on ((a, shape), (0, zero)).  Free terms share a row only
+    within a class (lw, rw, rx - lx), and meet a -m (x) 1 row only when
+    (lw, rw) = (shape, zero).  A term outside both cases, or no free term,
+    leaves a single-entry row in every column.  A lone f^shape (x) x^c
+    meets -m (x) 1 in its own column a = -c, which stays open if the two
+    cancel."""
     zero = (0,) * len(shape)
     classes = Counter((lw, rw, rx - lx) for (lx, lw), (rx, rw), _ in free)
     if not free or any(n == 1 and k[:2] != (shape, zero) for k, n in classes.items()):
         return []
-    if len(free) == 1 and free[0][0][0] == 0:
-        _, (c, _), coef = free[0]
-        return [x_window - c] if coef == 1 and abs(c) <= x_window else []
+    if len(free) == 1:  # then x^lx f^shape (x) x^rx
+        ((lx, _), (rx, _), c), = free
+        if lx == 0:
+            return [x_window - rx] if c == 1 and abs(rx) <= x_window else []
     return None
 
 
@@ -305,14 +304,12 @@ def _primitive_rows(shape, built, x_window):
     and stands leftmost in every basis word, so Delta(m) is Delta(f^shape)
     with both legs shifted by a, and the weight g touches only the rows at
     (g, m).  A single-entry row whose left leg is no group power forces its
-    column to zero in every solution.  When no row of that kind has two
-    entries (the system is diagonal), ``_diagonal_open_cols`` reads the
-    columns it leaves open off Delta(f^shape), at most one.  Otherwise every
-    column stays open and the whole system is solved; that is exact too,
-    since a closed column is a pivot of its single-entry row for every
-    weight, and ``rref`` puts it in no solution.  ``rows`` maps each pair
-    ((lx, lw), (rx, rw)) to its row of Delta(m) - m (x) 1 on the open
-    columns, and holds no empty row."""
+    column to zero in every solution.  ``open_cols`` lists the other
+    columns as ``_diagonal_open_cols`` reads them off Delta(f^shape), or
+    every column when the system is not diagonal: the whole system has the
+    same solutions, and ``rref`` the same pivots on the open columns.
+    ``rows`` maps each pair ((lx, lw), (rx, rw)) to its row of
+    Delta(m) - m (x) 1 on the open columns, and holds no empty row."""
     zero = (0,) * built.num_free
     delta = [(l, r, c) for (l, r), c in coproduct_monomial(NFMonomial(0, shape), built).terms.items()]
     free = [term for term in delta if term[0].w != zero]  # the terms whose left leg is no group power

@@ -258,10 +258,11 @@ class BuiltPresentation:
     antipodes: tuple[NCPoly, ...]       # per letter
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
-    # coproduct, counit and antipode of each basis-shaped word, and the
-    # rows every weight shares and the open columns of each nonzero shape's
-    # skew-primitive system per (shape, x_window), filled on first use;
-    # init=False keeps dataclasses.replace from copying them into a changed copy
+    # coproduct, counit and antipode of each basis-shaped word, and per
+    # (shape, x_window) the rows every weight shares and the open columns
+    # (at most one, or all if the system is not diagonal) of each nonzero
+    # shape's skew-primitive system, filled on first use; init=False keeps
+    # dataclasses.replace from copying them into a changed copy
     coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     counit_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     antipode_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)

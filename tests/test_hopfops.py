@@ -269,18 +269,33 @@ def test_primitive_scan_linear_algebra_work(monkeypatch, b23):
     assert work == {"calls": 125, "rows": 144, "entries": 144, "additions": 0}
 
 
-# patches of Delta(y1) = y1 (x) 1 + x^3 (x) y1 in b23, each given the weight-free
-# term y1 (x) 1 as (left, right, coefficient), and whether every column stays open
+def _shift(m, k):
+    return m._replace(w0=m.w0 + k)
+
+
+# patches of Delta(y1) = y1 (x) 1 + x^3 (x) y1 in b23: each maps the weight-free
+# term y1 (x) 1, as (left, right, coefficient), to the terms that replace it,
+# and gives the open columns at window 4 (None: not diagonal, all open)
 _PATCHED_Y1 = {
-    # 2 x y1 (x) x: the first term with both legs shifted by 1, so the row
-    # at (x y1, x) holds the columns of y1 and x y1; not diagonal
-    "shifted-copy": (lambda l, r, c: {(l._replace(w0=l.w0 + 1), r._replace(w0=r.w0 + 1)): c + c}, True),
-    # x^2 y1 (x) x: in the column of x^-1 y1 it lands on the row at (x y1, 1),
-    # the - m (x) 1 row of the column of x y1; not diagonal
-    "meets-m-tensor-1": (lambda l, r, c: {(l._replace(w0=l.w0 + 2), r._replace(w0=r.w0 + 1)): c}, True),
-    # 2 y1 (x) 1: diagonal, and - m (x) 1 leaves y1 (x) 1 in the column of y1,
-    # which closes it, so y1 is no longer a skew primitive of weight x^3
-    "coefficient-2": (lambda l, r, c: {(l, r): c + c}, False),
+    # 2 x y1 (x) x, the first term with both legs shifted by 1: the row at
+    # (x y1, x) holds the columns of y1 and x y1
+    "shifted-copy": (lambda l, r, c: {(l, r): c, (_shift(l, 1), _shift(r, 1)): c + c}, None),
+    # x^2 y1 (x) x alone: in the column of x^-1 y1 it lands on the row at
+    # (x y1, 1), the - m (x) 1 row of the column of x y1
+    "meets-m-tensor-1": (lambda l, r, c: {(_shift(l, 2), _shift(r, 1)): c}, None),
+    # 2 y1 (x) 1: - m (x) 1 leaves y1 (x) 1 in the column of y1, which closes
+    # it, so y1 is no longer a skew primitive of weight x^3
+    "coefficient-2": (lambda l, r, c: {(l, r): c + c}, []),
+    # y1 (x) y1 and its shifted copy share rows; y1 (x) 1, alone in its class,
+    # meets - m (x) 1 and closes nothing
+    "shifted-copy-of-y1-y1": (lambda l, r, c: {(l, r): c, (l, l): c, (_shift(l, 1), _shift(l, 1)): c + c},
+                              None),
+    # y1 (x) x^2: x^-2 y1 stays open, a skew primitive of weight x
+    "right-leg-x^2": (lambda l, r, c: {(l, _shift(r, 2)): c}, [2]),
+    # y1 (x) x^5: the column it would leave open lies outside the window
+    "right-leg-x^5": (lambda l, r, c: {(l, _shift(r, 5)): c}, []),
+    # no weight-free term: every - m (x) 1 row closes its column
+    "no-free-term": (lambda l, r, c: {}, []),
 }
 
 
@@ -290,15 +305,16 @@ def test_multi_entry_weight_free_rows_are_kept(monkeypatch, b23, patch):
     # patched.  Every weight must get the basis of the whole system, built
     # from the same Delta and reduced by the reference.  A system that is
     # not diagonal keeps every column open and the rows of the whole system
-    # for every weight; the diagonal one keeps no column and no row.
+    # for every weight; a diagonal one keeps the rows on its open columns.
     built = build(b23.presentation)
     shape, window = (1, 0), 4
     base = NFMonomial(0, shape)
     real = hopfops.coproduct_monomial
     delta = dict(real(base, built).terms)
     (left, right), c = next(((l, r), c) for (l, r), c in delta.items() if not l.is_group_power())
-    extra, all_open = _PATCHED_Y1[patch]
-    delta.update(extra(left, right, c))
+    replace, want_open = _PATCHED_Y1[patch]
+    del delta[(left, right)]
+    delta.update(replace(left, right, c))
 
     def patched(m, built):
         return TensorPoly(dict(delta)) if m == base else real(m, built)
@@ -319,15 +335,13 @@ def test_multi_entry_weight_free_rows_are_kept(monkeypatch, b23, patch):
         want = [NCPoly({ansatz[t]: v for t, v in vec.items()})
                 for vec in reference_nullspace(list(rows.values()), list(range(len(ansatz))))]
         assert hopfops._solve_primitive_shape(shape, g, built, window) == want, g
-    rows, open_cols = built.primitive_rows[(shape, window)]
-    whole: dict = {}
-    for t, defect in enumerate(defects):
-        for pair, v in defect.items():
-            whole.setdefault(pair, {})[t] = v
-    if all_open:
-        assert open_cols == list(range(len(ansatz))) and rows == whole
-    else:
-        assert open_cols == [] and rows == {}
+    if want_open is None:
+        want_open = list(range(len(ansatz)))
+    want_rows: dict = {}
+    for t in want_open:
+        for pair, v in defects[t].items():
+            want_rows.setdefault(pair, {})[t] = v
+    assert built.primitive_rows[(shape, window)] == (want_rows, want_open)
 
 
 def test_corpus_primitive_systems_are_diagonal(monkeypatch):
