@@ -286,8 +286,9 @@ _PATCHED_Y1 = {
     # 2 y1 (x) 1: - m (x) 1 leaves y1 (x) 1 in the column of y1, which closes
     # it, so y1 is no longer a skew primitive of weight x^3
     "coefficient-2": (lambda l, r, c: {(l, r): c + c}, []),
-    # y1 (x) y1 and its shifted copy share rows; y1 (x) 1, alone in its class,
-    # meets - m (x) 1 and closes nothing
+    # y1 (x) y1 and its shifted copy share rows; y1 (x) 1 is alone in its
+    # class, but meets - m (x) 1 in the column of y1, so it cannot close
+    # every column by itself
     "shifted-copy-of-y1-y1": (lambda l, r, c: {(l, r): c, (l, l): c, (_shift(l, 1), _shift(l, 1)): c + c},
                               None),
     # y1 (x) x^2: x^-2 y1 stays open, a skew primitive of weight x
