@@ -38,6 +38,11 @@ class InputError(Exception):
     pass
 
 
+def encode_report(report) -> str:
+    """The text of a report: ``json.dumps(report, sort_keys=True, indent=2)``."""
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
 def _digest(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -318,7 +323,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         report["witnesses"] = witnesses
     if args.timing:
         report["timing_ms"] = round(1000 * (time.monotonic() - started), 3)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(encode_report(report))
     return code
 
 

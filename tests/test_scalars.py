@@ -255,6 +255,16 @@ def test_root_of_unity_canonical_pairs():
     assert RootOfUnity(4, 2) == RootOfUnity.minus_one()
 
 
+@pytest.mark.parametrize("name", ["order", "exponent", "other"])
+def test_root_of_unity_refuses_attribute_writes(name):
+    r = RootOfUnity(6, 1)
+    with pytest.raises(AttributeError):
+        setattr(r, name, 2)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(r, "__dict__")
+    assert (r.order, r.exponent) == (6, 1)
+
+
 def test_root_of_unity_arithmetic():
     a = RootOfUnity(6, 1)
     b = RootOfUnity(4, 1)
