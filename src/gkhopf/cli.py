@@ -5,7 +5,9 @@ JSON input, run the command, print the report.  A report has sorted keys,
 so identical inputs produce byte-identical output; timing is attached only
 on request.  Exit codes: 0 on success, 1 when a check command reaches a
 negative verdict, 2 on malformed input, 3 on an internal error (a fault of
-the program, never a verdict).  The expression language of ``nf`` lives in
+the program, never a verdict, such as a report that cannot be encoded).  A
+report is the text of ``json.dumps(report, sort_keys=True, indent=2)``,
+written by ``encode_report``.  The expression language of ``nf`` lives in
 ``gkhopf.expr``.  At import the module loads ``presentations``, ``ncpoly``
 and ``scalars``; ``expr`` loads in nf only; ``hopfops``
 and ``_linalg`` in hopf-check, primitives, ext1, classify and zerodiv;
@@ -39,8 +41,67 @@ class InputError(Exception):
 
 
 def encode_report(report) -> str:
-    """The text of a report: ``json.dumps(report, sort_keys=True, indent=2)``."""
-    return json.dumps(report, sort_keys=True, indent=2)
+    """The text of a report: exactly ``json.dumps(report, sort_keys=True,
+    indent=2)``.  With an indent, ``json.dumps`` runs CPython's pure-Python
+    encoder; ``_write`` covers what reports hold (dicts with ``str`` keys,
+    lists, tuples, strings, ints, finite floats, booleans and None) in one
+    recursion over the C string escaper, and any other report goes to
+    ``json.dumps`` whole, which also raises where it raises."""
+    parts: list[str] = []
+    try:
+        _write(report, parts, "\n")
+    except TypeError:
+        return json.dumps(report, sort_keys=True, indent=2)
+    return "".join(parts)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _write(value, parts: list[str], newline: str) -> None:
+    """Append the text of ``value`` to ``parts``, nested at ``newline`` (a
+    line break and the indent of the line that holds ``value``); raise
+    TypeError on a value outside the covered types."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):  # TypeError on keys that do not compare
+            if type(key) is not str:
+                raise TypeError(key)
+            parts.append(sep + _quote(key) + ": ")
+            _write(value[key], parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif value is None:
+        parts.append("null")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is float and -_INFINITY < value < _INFINITY:
+        parts.append(float.__repr__(value))
+    else:
+        raise TypeError(value)
 
 
 def _digest(data) -> str:
@@ -310,9 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        text = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"error: internal error: {text}", file=sys.stderr)
-        return 3
+        return _internal_error(exc)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -323,8 +382,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         report["witnesses"] = witnesses
     if args.timing:
         report["timing_ms"] = round(1000 * (time.monotonic() - started), 3)
-    print(encode_report(report))
+    try:
+        text = encode_report(report)
+    except Exception as exc:  # a report that cannot be encoded is a fault, never a verdict
+        return _internal_error(exc)
+    print(text)
     return code
+
+
+def _internal_error(exc: Exception) -> int:
+    text = " ".join(f"{type(exc).__name__}: {exc}".split())
+    print(f"error: internal error: {text}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -533,6 +533,30 @@ def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
                             "free letters out of order in (3, 2)\n")
 
 
+# a report that cannot be encoded is a fault of the program: exit 3 with one
+# error line and nothing on stdout, not a traceback (exit 1, "negative
+# verdict") and not exit 2 ("bad input") for a ValueError
+_UNENCODABLE_LABELS = [
+    (make_root(5, 1), "TypeError: Object of type Cyclo is not JSON serializable"),
+    pytest.param(10 ** 5000, "ValueError: Exceeds the limit (4300 digits) for integer string conversion",
+                 marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                          reason="no limit on int to str conversion")),
+]
+
+
+@pytest.mark.parametrize("label, message", _UNENCODABLE_LABELS, ids=["Cyclo", "long-int"])
+def test_cli_unencodable_report_exits_3(tmp_path, capsys, monkeypatch, label, message):
+    from gkhopf import heckenberger
+
+    monkeypatch.setattr(heckenberger, "lemma41_case",
+                        lambda q: heckenberger.NicholsVerdict(label, False, ()))
+    code = main(["nichols", _write(tmp_path, "n.json", N5)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"error: internal error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 # the two self-checks of the library, each broken by a patch of hopfops:
 # (argv, patch, message).  A solution of another weight than the one asked
 # for, and a seeded zero-divisor pair whose product is not zero, are faults
