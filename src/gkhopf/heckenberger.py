@@ -160,10 +160,11 @@ def _lemma41_matches(N: int, a: int, r: int, d: int) -> list[str]:
 def lemma41_case(q: BraidingMatrix) -> NicholsVerdict:
     """First matching sub-case of the rank-2 table, trying the identity
     ordering of the basis and then the swap."""
-    roots = (q.q11, q.q12, q.q21, q.q22)
-    N = math.lcm(2, *(z.order for z in roots))
-    a, e12, e21, d = (z.exponent * (N // z.order) for z in roots)
-    r = (e12 + e21) % N
+    q11, q12, q21, q22 = q.q11, q.q12, q.q21, q.q22
+    N = math.lcm(2, q11.order, q12.order, q21.order, q22.order)
+    a = q11.exponent * (N // q11.order)
+    r = (q12.exponent * (N // q12.order) + q21.exponent * (N // q21.order)) % N
+    d = q22.exponent * (N // q22.order)
     matches = _lemma41_matches(N, a, r, d)
     if matches:
         return NicholsVerdict(matches[0], False, tuple(matches))
@@ -182,8 +183,7 @@ def _prop42_hypotheses(d: DiagonalDatum, epsilon: int) -> bool:
             and d.q2.order == p2 and (d.q2 ** d.n2).order == p2)
 
 
-def _prop42_match(d: DiagonalDatum, epsilon: int) -> str:
-    n1, n2, q1, q2 = d.n1, d.n2, d.q1, d.q2
+def _prop42_match(n1: int, n2: int, q1: RootOfUnity, q2: RootOfUnity, epsilon: int) -> str:
     if ((q2 ** n1) * (q1 ** n2)).is_one():
         return "I"
     if n1 == 1 and n2 == 1 and q1.order == 3 and q2.order == 3:
@@ -206,14 +206,13 @@ def prop42_case(d: DiagonalDatum, epsilon: int) -> str:
     """Which of the six surviving parameter families matches, up to swap."""
     if not _prop42_hypotheses(d, epsilon):
         return "hypotheses-violated"
-    hit = _prop42_match(d, epsilon)
+    hit = _prop42_match(d.n1, d.n2, d.q1, d.q2, epsilon)
     if hit != "none":
         return hit
-    return _prop42_match(d.swapped(), epsilon)
+    return _prop42_match(d.n2, d.n1, d.q2, d.q1, epsilon)
 
 
-def _supplementary_match(d: DiagonalDatum) -> str:
-    n1, n2, q1, q2 = d.n1, d.n2, d.q1, d.q2
+def _supplementary_match(n1: int, n2: int, q1: RootOfUnity, q2: RootOfUnity) -> str:
     if (n1, n2) == (1, 1) and q1.order == 5 and q2.order == 5 and q2 == q1 ** 2:
         return "N5"
     if (n1, n2) == (1, 1) and q1.order == 7 and q2.order == 7 and q2 == q1 ** 3:
@@ -227,10 +226,10 @@ def _supplementary_match(d: DiagonalDatum) -> str:
 
 def supplementary_type(d: DiagonalDatum) -> str:
     """Which of the four exceptional patterns the datum realizes, if any."""
-    hit = _supplementary_match(d)
+    hit = _supplementary_match(d.n1, d.n2, d.q1, d.q2)
     if hit != "none":
         return hit
-    return _supplementary_match(d.swapped())
+    return _supplementary_match(d.n2, d.n1, d.q2, d.q1)
 
 
 def remark43_finite(d: DiagonalDatum) -> bool:

@@ -614,13 +614,9 @@ class RootOfUnity:
         if order < 1:
             raise ValueError("order must be positive")
         exponent %= order
-        g = math.gcd(order, exponent)
-        if exponent == 0:
-            order, exponent = 1, 0
-        else:
-            order, exponent = order // g, exponent // g
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "exponent", exponent)
+        g = math.gcd(order, exponent)  # order itself when exponent is 0, giving (1, 0)
+        _set_order(self, order // g)
+        _set_exponent(self, exponent // g)
 
     def __setattr__(self, *args):
         raise AttributeError("RootOfUnity is immutable")
@@ -669,3 +665,8 @@ class RootOfUnity:
 
     def __repr__(self) -> str:
         return f"RootOfUnity({self.order},{self.exponent})"
+
+
+# the slot descriptors' own setters, which ``__init__`` uses past the refusing ``__setattr__``
+_set_order = RootOfUnity.order.__set__
+_set_exponent = RootOfUnity.exponent.__set__
