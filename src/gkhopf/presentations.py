@@ -258,15 +258,17 @@ class BuiltPresentation:
     antipodes: tuple[NCPoly, ...]       # per letter
     skew_weights: tuple[int, ...]       # weight exponent of each free letter
     central_exponent: Optional[int]     # group-letter power that is central
-    # coproduct, counit and antipode of each basis-shaped word, and per
+    # coproduct, counit and antipode of each basis-shaped word, per
     # (shape, x_window) the rows every weight shares and the open columns
     # (at most one, or all if the system is not diagonal) of each nonzero
-    # shape's skew-primitive system, filled on first use; init=False keeps
-    # dataclasses.replace from copying them into a changed copy
+    # shape's skew-primitive system, and per degree cap the free shapes,
+    # filled on first use; init=False keeps dataclasses.replace from copying
+    # them into a changed copy
     coproduct_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     counit_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     antipode_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     primitive_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    shape_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def family(self) -> str:
@@ -297,21 +299,32 @@ class BuiltPresentation:
     def free_shapes(self, degree_cap: int) -> list[tuple[int, ...]]:
         """Exponent vectors of the free letters with weighted degree <= cap.
         A letter with a letter-power rule l^p -> ... has exponent < p in a
-        normal word; a letter without one is unbounded."""
-        weights = self.rs.letter_weights[2:]
-        powers = [self.rs.min_power.get(l + 2) for l in range(len(weights))]
-        shapes: list[tuple[int, ...]] = []
-
-        def rec(i: int, acc: list[int], left: int):
-            if i == len(weights):
-                shapes.append(tuple(acc))
-                return
-            e = 0
-            while e * weights[i] <= left and (powers[i] is None or e < powers[i]):
-                rec(i + 1, acc + [e], left - e * weights[i])
-                e += 1
-        rec(0, [], degree_cap)
+        normal word; a letter without one is unbounded.  The list is built
+        once per cap and shared by every caller, which must not change it."""
+        shapes = self.shape_cache.get(degree_cap)
+        if shapes is None:
+            weights = self.rs.letter_weights[2:]
+            powers = [self.rs.min_power.get(l + 2) for l in range(len(weights))]
+            shapes = self.shape_cache[degree_cap] = _exponent_vectors(weights, powers, degree_cap)
         return shapes
+
+
+def _exponent_vectors(weights: Sequence[int], powers: Sequence[Optional[int]],
+                      degree_cap: int) -> list[tuple[int, ...]]:
+    """Every (e_1, ..., e_k) with sum e_i * weights[i] <= cap and e_i below
+    powers[i] where that is not None, in lexicographic order."""
+    shapes: list[tuple[int, ...]] = []
+
+    def rec(i: int, acc: list[int], left: int):
+        if i == len(weights):
+            shapes.append(tuple(acc))
+            return
+        e = 0
+        while e * weights[i] <= left and (powers[i] is None or e < powers[i]):
+            rec(i + 1, acc + [e], left - e * weights[i])
+            e += 1
+    rec(0, [], degree_cap)
+    return shapes
 
 
 def build(pres: HopfPresentation, step_budget: int = STEP_BUDGET) -> BuiltPresentation:

@@ -9,7 +9,7 @@ from gkhopf.presentations import (BParams, HopfPresentation, KParams, build,
                                   to_b_form, validate)
 from gkhopf.scalars import CONDUCTOR_LIMIT, Cyclo, RootOfUnity, make_root
 
-from helpers import b_grid, k_grid, search_k_instances
+from helpers import b_grid, built_b, k_grid, search_k_instances
 
 
 def test_validate_good_instance():
@@ -218,3 +218,24 @@ def test_b_params_convention_enforced():
         BParams.make(1, (2, 3), make_root(6, 2), (0, 1))       # q not primitive
     with pytest.raises(ValueError):
         BParams.make(0, (2, 3), make_root(6, 1), (0, 1))       # n < 1
+
+
+def test_free_shapes_built_once_per_cap(monkeypatch):
+    from gkhopf import hopfops
+
+    caps = []
+    real = presentations._exponent_vectors
+
+    def spy(weights, powers, degree_cap):
+        caps.append(degree_cap)
+        return real(weights, powers, degree_cap)
+
+    monkeypatch.setattr(presentations, "_exponent_vectors", spy)
+    built = built_b(1, (2, 3), 1, (0, 1))
+    for g in range(-12, 13):
+        hopfops.skew_primitives(built, g, 6)
+    assert caps == [6]
+    hopfops.skew_primitives(built, 1, 4)
+    assert caps == [6, 4]
+    assert type(built.free_shapes(4)) is list and built.free_shapes(6) is built.free_shapes(6)
+    assert caps == [6, 4]
