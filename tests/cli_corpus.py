@@ -4,7 +4,10 @@ stdout and stderr each one gives.
 ``tests/test_cli_corpus.py`` replays every entry of ``cli_corpus.json`` in
 process and compares.  ``--check`` does the same replay with no pytest and
 no assert statement, so it also runs under ``python -O``; it prints how many
-entries match and exits 1 naming each entry that differs:
+entries match and exits 1 naming each entry that differs.  Before the replay
+it compares ``cli.encode_report`` with ``json.dumps(value, sort_keys=True,
+indent=2)`` on ``ENCODER_EDGES`` and exits 1 naming the first value on which
+they differ:
 
     PYTHONPATH=src python3 -O tests/cli_corpus.py --check
 
@@ -25,12 +28,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-from gkhopf.cli import main
+from gkhopf.cli import encode_report, main
 
 TABLE = Path(__file__).resolve().parent / "cli_corpus.json"
 
@@ -103,6 +107,28 @@ BUDGET_CASES = [
 ]
 
 
+# values on which ``--check`` compares ``encode_report`` with json.dumps:
+# strings that JSON escapes, ints and floats at the edges of their text (a
+# ``--timing`` float among them), and empty, nested and tuple containers
+EDGE_STRINGS = ["", "plain", "café", "☃", "\x00\x1f\x7f", '"', "\\", "a\nb\tc\r",
+                "\ud800", "\U0001f600", "</script>"]
+EDGE_NUMBERS = [0, -1, 10 ** 40, -(10 ** 40), 2 ** 63, 0.0, -0.0, 1e-7, 1e300, -1e300, 0.1, 5e-324,
+                1.0, 12.345, math.nan, math.inf, -math.inf]
+ENCODER_EDGES = [*EDGE_STRINGS, *EDGE_NUMBERS, None, True, False, [], {}, (), [[]], {"a": {}},
+                 [{}, [], ()], {"b": [1, (2, 3)], "a": {"z": None, "": -0.0}},
+                 {"timing_ms": 12.345, "verdicts": {"data": []}},
+                 {s: s for s in EDGE_STRINGS}, [[[[[[1]]]]]]]
+
+
+def first_encoder_mismatch():
+    """The repr of the first of ``ENCODER_EDGES``, then of the whole list,
+    that ``encode_report`` writes otherwise than json.dumps, or None."""
+    for value in [*ENCODER_EDGES, ENCODER_EDGES]:
+        if encode_report(value) != json.dumps(value, sort_keys=True, indent=2):
+            return repr(value)
+    return None
+
+
 def commands() -> list[list[str]]:
     """Every argument list of the corpus, in table order."""
     out = []
@@ -170,8 +196,14 @@ def run_all(directory: Path) -> list[dict]:
 
 
 def _check() -> int:
-    """Replay the table; print how many entries match, and return 1 naming
+    """Compare the encoder on the edge values, then replay the table; print
+    how many entries match, and return 1 naming the first edge value or
     each entry that differs."""
+    mismatch = first_encoder_mismatch()
+    if mismatch is not None:
+        print(f"encode_report differs from json.dumps on {mismatch}")
+        return 1
+    print(f"encode_report matches json.dumps on {len(ENCODER_EDGES) + 1} edge values")
     want = json.loads(TABLE.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         got = run_all(Path(tmp))
