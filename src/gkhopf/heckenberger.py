@@ -65,9 +65,6 @@ class DiagonalDatum:
             raise ValueError("exponents must be positive")
         return DiagonalDatum(n1, n2, _root(q1), _root(q2))
 
-    def swapped(self) -> "DiagonalDatum":
-        return DiagonalDatum(self.n2, self.n1, self.q2, self.q1)
-
     def braiding_matrix(self) -> BraidingMatrix:
         return BraidingMatrix(self.q1 ** self.n1, self.q2 ** self.n1,
                               self.q1 ** self.n2, self.q2 ** self.n2)

@@ -199,7 +199,7 @@ def test_criterion_8_supplementary_and_omega():
 
         def expected_tag(d):
             for tag, (n1, n2, o1, o2, e) in patterns.items():
-                for dd in (d, d.swapped()):
+                for dd in (d, DiagonalDatum(d.n2, d.n1, d.q2, d.q1)):
                     if (dd.n1, dd.n2) == (n1, n2) and dd.q1.order == o1 \
                             and dd.q2.order == o2 and dd.q2 == dd.q1 ** e:
                         return tag
