@@ -621,6 +621,8 @@ class RootOfUnity:
     def __setattr__(self, *args):
         raise AttributeError("RootOfUnity is immutable")
 
+    __delattr__ = __setattr__
+
     @staticmethod
     def one() -> "RootOfUnity":
         return RootOfUnity(1, 0)

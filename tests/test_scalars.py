@@ -261,6 +261,8 @@ def test_root_of_unity_refuses_attribute_writes(name):
     with pytest.raises(AttributeError):
         setattr(r, name, 2)
     with pytest.raises(AttributeError):
+        delattr(r, name)
+    with pytest.raises(AttributeError):
         object.__getattribute__(r, "__dict__")
     assert (r.order, r.exponent) == (6, 1)
 
