@@ -68,6 +68,33 @@ NICHOLS = {"data": [
         (1, 1, 1, 0, 0, {}),
     )]}
 
+# the forms the datum reader takes apart: roots at different conductors,
+# exponents below 0 and at least L, zeta_10^2 beside zeta_5^1, "-1", [-1, 1]
+# and coefficient lists, the N5/N7/N10/N21 patterns with the basis swapped,
+# and n1 = n2 = 1, q1 = q2 = zeta_5, epsilon = 5, where prop42_case reports
+# family "III" and neither lemma41_case nor remark43_finite finds a finite case
+NICHOLS_FORMS = {"data": [
+    {"n1": 1, "n2": 2, "q1": {"L": 6, "k": 1}, "q2": {"L": 10, "k": 3}, "epsilon": 3},
+    {"n1": 3, "n2": 1, "q1": {"L": 4, "k": 3}, "q2": {"L": 9, "k": 2}},
+    {"n1": 1, "n2": 1, "q1": {"L": 8, "k": 1}, "q2": {"L": 12, "k": -3}, "epsilon": 12},
+    {"n1": 2, "n2": 1, "q1": {"L": 16, "k": 18}, "q2": {"L": 24, "k": 7}, "epsilon": 8},
+    {"n1": 1, "n2": 2, "q1": {"L": 10, "k": 1}, "q2": {"L": 15, "k": 9}, "epsilon": 5},
+    {"n1": 2, "n2": 3, "q1": {"L": 8, "k": 1}, "q2": {"L": 6, "k": 3}},
+    {"n1": 2, "n2": 1, "q1": {"L": 6, "k": 1}, "q2": {"L": 30, "k": 41}},
+    {"n1": 1, "n2": 1, "q1": {"L": 5, "k": -4}, "q2": {"L": 5, "k": 12}, "epsilon": 5},
+    {"n1": 1, "n2": 1, "q1": {"L": 10, "k": 2}, "q2": {"L": 5, "k": 1}, "epsilon": 5},
+    {"n1": 1, "n2": 1, "q1": {"L": 5, "k": 1}, "q2": {"L": 10, "k": 2}},
+    {"n1": 2, "n2": 3, "q1": {"L": 3, "k": -1}, "q2": {"L": 2, "k": 7}, "epsilon": 1},
+    {"n1": 1, "n2": 1, "q1": {"L": 30, "k": 10 ** 12 + 7}, "q2": {"L": 24, "k": -25}},
+    {"n1": 1, "n2": 1, "q1": "-1", "q2": {"L": 3, "poly": [[-1, 1], [-1, 1]]}, "epsilon": 2},
+    {"n1": 2, "n2": 1, "q1": [-1, 1], "q2": {"L": 4, "poly": [[0, 1], [1, 1]]}},
+    {"n1": 1, "n2": 1, "q1": {"L": 5, "k": 2}, "q2": {"L": 5, "k": 1}, "epsilon": 5},
+    {"n1": 1, "n2": 1, "q1": {"L": 14, "k": 6}, "q2": {"L": 7, "k": -6}, "epsilon": 7},
+    {"n1": 2, "n2": 1, "q1": {"L": 5, "k": 3}, "q2": {"L": 10, "k": 11}, "epsilon": 5},
+    {"n1": 3, "n2": 1, "q1": {"L": 7, "k": 5}, "q2": {"L": 21, "k": -20}, "epsilon": 7},
+    {"n1": 1, "n2": 1, "q1": {"L": 5, "k": 1}, "q2": {"L": 5, "k": 1}, "epsilon": 5},
+]}
+
 # documents refused as input (exit 2): integer fields that are no JSON
 # integer, scalar coefficient lists that are no list of [num, den] pairs,
 # parameter lists of unequal length, and a zero q
@@ -88,6 +115,15 @@ MALFORMED = {
     # alpha and K22's q
     "b23-string-alpha": dict(B23, alpha="01"),
     "k22-object-q": dict(K22, q={"-1": 0, "-1/1": 0}),
+}
+
+# nichols data refused as input (exit 2): a zero n1, a q1 that is no root of
+# unity, and a q1 object with neither "k" nor "poly"
+N5 = NICHOLS["data"][0]
+MALFORMED_NICHOLS = {
+    "nichols-zero-n1": dict(N5, n1=0),
+    "nichols-non-root-q1": dict(N5, q1=2),
+    "nichols-no-k-q1": dict(N5, q1={"L": 5}),
 }
 
 # expressions for every presentation, by the names of its generators
@@ -162,13 +198,17 @@ def commands() -> list[list[str]]:
         for w in ("-8", "8"):
             out.append(["primitives", f"{name}.json", "--weight", w, "--cap", "4", "--window", "8"])
     out.append(["primitives", "b23.json", "--weight", "9", "--cap", "4", "--window", "8"])
+    out.append(["nichols", "nichols-forms.json"])
+    for name in MALFORMED_NICHOLS:
+        out.append(["nichols", f"{name}.json"])
     return out
 
 
 def write_inputs(directory: Path) -> None:
-    for name, doc in {**PRESENTATIONS, **MALFORMED}.items():
+    for name, doc in {**PRESENTATIONS, **MALFORMED, **MALFORMED_NICHOLS}.items():
         (directory / f"{name}.json").write_text(json.dumps(doc))
     (directory / "nichols.json").write_text(json.dumps(NICHOLS))
+    (directory / "nichols-forms.json").write_text(json.dumps(NICHOLS_FORMS))
 
 
 def _sha(text: str) -> str:

@@ -97,6 +97,20 @@ def test_prop42_pinned_examples():
     assert prop42_case(DiagonalDatum.make(2, 3, ONE, ONE), 1) == "hypotheses-violated"
 
 
+def test_prop42_family_is_no_finiteness_verdict():
+    """Family membership is the paper's necessary condition, finiteness is
+    Remark 4.3's verdict: with q1 = q2 = zeta_5 the datum lies in family III
+    while no sub-case of the table and no supplementary pattern matches."""
+    d = DiagonalDatum.make(1, 1, R(5, 1), R(5, 1))
+    assert prop42_case(d, 5) == "III"
+    assert lemma41_case(d.braiding_matrix()).case_label == "none"
+    assert not remark43_finite(d)
+    # and the other way round: the same family with q2 = q1^2 is finite
+    d = DiagonalDatum.make(1, 1, R(5, 1), R(5, 2))
+    assert prop42_case(d, 5) == "III"
+    assert lemma41_case(d.braiding_matrix()).case_label != "none" and remark43_finite(d)
+
+
 def _admissible_pairs(n1, n2, eps):
     p1, p2 = n2 * eps, n1 * eps
     if math.gcd(n1, p1) != 1 or math.gcd(n2, p2) != 1:
