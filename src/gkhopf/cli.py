@@ -26,7 +26,7 @@ from typing import Optional
 
 from .ncpoly import STEP_BUDGET, BudgetExceeded, certify_confluence
 from .presentations import (SIZE_LIMIT, HopfPresentation, build, int_from_json, presentation_from_json,
-                            root_from_json, to_b_form, validate_presentation)
+                            root_pair_from_json, to_b_form, validate_presentation)
 
 SCHEMA_VERSION = 1
 
@@ -273,7 +273,7 @@ def _cmd_iso(args, pres_a, pres_b):
 def _nichols_entry(hk, obj) -> dict:
     try:
         datum = hk.DiagonalDatum.make(int_from_json("n1", obj["n1"]), int_from_json("n2", obj["n2"]),
-                                      root_from_json(obj["q1"]), root_from_json(obj["q2"]))
+                                      root_pair_from_json(obj["q1"]), root_pair_from_json(obj["q2"]))
         epsilon = int_from_json("epsilon", obj["epsilon"]) if "epsilon" in obj else None
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad diagonal datum {obj!r}: {exc}") from exc

@@ -4,18 +4,19 @@
 braiding matrix of roots of unity: five case groups with 29 sub-cases in
 all, tried first in the given ordering of the basis and then with the two
 basis vectors swapped.  ``prop42_case`` specializes the table to braidings
-of the form q_{ij} = q_j^{n_i} and returns one of the six parameter
-families that survive.  ``supplementary_type`` and ``remark43_finite``
-detect the four exceptional parameter patterns, and ``omega_checks``
-evaluates both subalgebra hypotheses on a parameter record: the pair
-patterns among the visible rank-one subalgebras, and the orders of their
-commutators.
+of the form q_{ij} = q_j^{n_i} and reports which of the six parameter
+families that survive the datum lies in.  ``supplementary_type`` and
+``remark43_finite`` detect the four exceptional parameter patterns, and
+``omega_checks`` evaluates both subalgebra hypotheses on a parameter
+record: the pair patterns among the visible rank-one subalgebras, and the
+orders of their commutators.
 
-The case table runs in integer arithmetic.  With N the lcm of 2 and the
-four orders, each entry is zeta_N^x and is read as its exponent x mod N:
+Every table runs on integers.  A datum holds q_i = zeta_N^{x_i} with
+N = lcm(2, ord q1, ord q2), and each root is read as its exponent x mod N:
 a product is a sum, the k-th power is k*x, the negative is x + N/2, the
-order is N / gcd(x, N), and 1 is 0.  The swap exchanges the exponents of
-q11 and q22 and keeps that of rho = q12*q21.
+order is N / gcd(x, N), and 1 is 0.  The verdicts depend only on the roots,
+so any even common multiple of the orders gives the same answer.  The swap
+exchanges the exponents of q11 and q22 and keeps that of rho = q12*q21.
 
 No Nichols algebra is ever constructed; these are exact membership tests
 on root-of-unity data.
@@ -26,48 +27,65 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
+from typing import NamedTuple, Union
 
 from .presentations import KParams
 from .scalars import Cyclo, RootOfUnity
 
 RootLike = Union[RootOfUnity, Cyclo]
+RootOrPair = Union[RootOfUnity, Cyclo, tuple[int, int]]  # a pair (L, k) is zeta_L^k
 
 
-def _root(z: RootLike) -> RootOfUnity:
-    if isinstance(z, RootOfUnity):
+def _pair(z: RootOrPair) -> tuple[int, int]:
+    """(L, k) with z = zeta_L^k; ValueError for a ``Cyclo`` that is no root."""
+    if type(z) is tuple:
         return z
-    return RootOfUnity.from_cyclo(z)  # raises for non-roots
+    root = z if isinstance(z, RootOfUnity) else RootOfUnity.from_cyclo(z)
+    return root.order, root.exponent
 
 
-@dataclass(frozen=True)
-class BraidingMatrix:
-    q11: RootOfUnity
-    q12: RootOfUnity
-    q21: RootOfUnity
-    q22: RootOfUnity
+class BraidingMatrix(NamedTuple):
+    """(q_ij) as q_ij = zeta_N^{e_ij}, N an even common multiple of the four orders."""
+
+    N: int
+    e11: int
+    e12: int
+    e21: int
+    e22: int
 
     @staticmethod
     def make(q11: RootLike, q12: RootLike, q21: RootLike, q22: RootLike) -> "BraidingMatrix":
-        return BraidingMatrix(_root(q11), _root(q12), _root(q21), _root(q22))
+        pairs = [_pair(q) for q in (q11, q12, q21, q22)]
+        N = math.lcm(2, *(L // math.gcd(k, L) for L, k in pairs))
+        return BraidingMatrix(N, *(k * N // L % N for L, k in pairs))
+
+    q11, q12, q21, q22 = (property(lambda self, i=i: RootOfUnity(self.N, self[i])) for i in range(1, 5))
 
 
-@dataclass(frozen=True)
-class DiagonalDatum:
+class DiagonalDatum(NamedTuple):
+    """The braiding q_ij = q_j^{n_i}, q_i = zeta_N^{x_i} with N = lcm(2, ord q1, ord q2)."""
+
     n1: int
     n2: int
-    q1: RootOfUnity
-    q2: RootOfUnity
+    N: int
+    x1: int
+    x2: int
 
     @staticmethod
-    def make(n1: int, n2: int, q1: RootLike, q2: RootLike) -> "DiagonalDatum":
+    def make(n1: int, n2: int, q1: RootOrPair, q2: RootOrPair) -> "DiagonalDatum":
+        """A pair (L, k) builds no object; L / gcd(k, L) divides N, so k * N / L is an integer."""
         if n1 < 1 or n2 < 1:
             raise ValueError("exponents must be positive")
-        return DiagonalDatum(n1, n2, _root(q1), _root(q2))
+        (L1, k1), (L2, k2) = _pair(q1), _pair(q2)
+        N = math.lcm(2, L1 // math.gcd(k1, L1), L2 // math.gcd(k2, L2))
+        return DiagonalDatum(n1, n2, N, k1 * N // L1 % N, k2 * N // L2 % N)
+
+    q1 = property(lambda self: RootOfUnity(self.N, self.x1))
+    q2 = property(lambda self: RootOfUnity(self.N, self.x2))
 
     def braiding_matrix(self) -> BraidingMatrix:
-        return BraidingMatrix(self.q1 ** self.n1, self.q2 ** self.n1,
-                              self.q1 ** self.n2, self.q2 ** self.n2)
+        n1, n2, N, x1, x2 = self
+        return BraidingMatrix(N, n1 * x1 % N, n1 * x2 % N, n2 * x1 % N, n2 * x2 % N)
 
 
 @dataclass(frozen=True)
@@ -157,11 +175,8 @@ def _lemma41_matches(N: int, a: int, r: int, d: int) -> list[str]:
 def lemma41_case(q: BraidingMatrix) -> NicholsVerdict:
     """First matching sub-case of the rank-2 table, trying the identity
     ordering of the basis and then the swap."""
-    q11, q12, q21, q22 = q.q11, q.q12, q.q21, q.q22
-    N = math.lcm(2, q11.order, q12.order, q21.order, q22.order)
-    a = q11.exponent * (N // q11.order)
-    r = (q12.exponent * (N // q12.order) + q21.exponent * (N // q21.order)) % N
-    d = q22.exponent * (N // q22.order)
+    N, a, e12, e21, d = q
+    r = (e12 + e21) % N
     matches = _lemma41_matches(N, a, r, d)
     if matches:
         return NicholsVerdict(matches[0], False, tuple(matches))
@@ -172,61 +187,60 @@ def lemma41_case(q: BraidingMatrix) -> NicholsVerdict:
 
 
 def _prop42_hypotheses(d: DiagonalDatum, epsilon: int) -> bool:
-    if epsilon < 1 or math.gcd(d.n1, d.n2) != 1:
-        return False
-    p1 = d.n2 * epsilon
-    p2 = d.n1 * epsilon
-    return (d.q1.order == p1 and (d.q1 ** d.n1).order == p1
-            and d.q2.order == p2 and (d.q2 ** d.n2).order == p2)
+    n1, n2, N, x1, x2 = d
+    p1, p2 = n2 * epsilon, n1 * epsilon
+    return (epsilon >= 1 and math.gcd(n1, n2) == 1
+            and N // math.gcd(x1, N) == p1 == N // math.gcd(n1 * x1, N)
+            and N // math.gcd(x2, N) == p2 == N // math.gcd(n2 * x2, N))
 
 
-def _prop42_match(n1: int, n2: int, q1: RootOfUnity, q2: RootOfUnity, epsilon: int) -> str:
-    if ((q2 ** n1) * (q1 ** n2)).is_one():
+def _prop42_match(n1: int, n2: int, N: int, x1: int, x2: int, epsilon: int) -> str:
+    if (n1 * x2 + n2 * x1) % N == 0:  # q2^{n1} q1^{n2} = 1
         return "I"
-    if n1 == 1 and n2 == 1 and q1.order == 3 and q2.order == 3:
-        return "II"
-    if n1 == 1 and n2 == 1 and q1.order == 5 and q2.order == 5:
-        return "III"
+    o1, o2 = N // math.gcd(x1, N), N // math.gcd(x2, N)
+    if n1 == 1 and n2 == 1 and o1 == o2 and o1 in (3, 5):
+        return "II" if o1 == 3 else "III"
     if (n1, n2) == (1, 2) and epsilon == 5 \
-            and (q1 ** 4 * q2).is_one() and (q1 ** 2 * q2 ** 3).is_one():
+            and (4 * x1 + x2) % N == 0 and (2 * x1 + 3 * x2) % N == 0:
         return "IV"
-    if n1 == 1 and n2 == 1 and epsilon == 7 and q1.order == 7 and q2.order == 7 \
-            and (q1 * q2 ** 2).is_one() and (q1 ** 4 * q2).is_one():
+    if n1 == 1 and n2 == 1 and epsilon == 7 and o1 == 7 and o2 == 7 \
+            and (x1 + 2 * x2) % N == 0 and (4 * x1 + x2) % N == 0:
         return "V"
     if (n1, n2) == (1, 3) and epsilon == 7 \
-            and (q1 ** 3 * q2 ** 4).is_one() and (q1 ** 6 * q2).is_one():
+            and (3 * x1 + 4 * x2) % N == 0 and (6 * x1 + x2) % N == 0:
         return "VI"
     return "none"
 
 
 def prop42_case(d: DiagonalDatum, epsilon: int) -> str:
-    """Which of the six surviving parameter families matches, up to swap."""
+    """Which of the six surviving parameter families the datum lies in, up
+    to swap: the paper's necessary condition; finiteness is Remark 4.3's
+    verdict.  n1 = n2 = 1, q1 = q2 = zeta_5 lies in family III, not finite."""
     if not _prop42_hypotheses(d, epsilon):
         return "hypotheses-violated"
-    hit = _prop42_match(d.n1, d.n2, d.q1, d.q2, epsilon)
-    if hit != "none":
-        return hit
-    return _prop42_match(d.n2, d.n1, d.q2, d.q1, epsilon)
+    n1, n2, N, x1, x2 = d
+    hit = _prop42_match(n1, n2, N, x1, x2, epsilon)
+    return hit if hit != "none" else _prop42_match(n2, n1, N, x2, x1, epsilon)
 
 
-def _supplementary_match(n1: int, n2: int, q1: RootOfUnity, q2: RootOfUnity) -> str:
-    if (n1, n2) == (1, 1) and q1.order == 5 and q2.order == 5 and q2 == q1 ** 2:
-        return "N5"
-    if (n1, n2) == (1, 1) and q1.order == 7 and q2.order == 7 and q2 == q1 ** 3:
-        return "N7"
-    if (n1, n2) == (1, 2) and q1.order == 10 and q2.order == 5 and q2 == q1 ** 6:
-        return "N10"
-    if (n1, n2) == (1, 3) and q1.order == 21 and q2.order == 7 and q2 == q1 ** 15:
-        return "N21"
+# (tag, n1, n2, ord q1, ord q2, e): the datum realizes the pattern when q2 = q1^e
+_SUPPLEMENTARY = (("N5", 1, 1, 5, 5, 2), ("N7", 1, 1, 7, 7, 3),
+                  ("N10", 1, 2, 10, 5, 6), ("N21", 1, 3, 21, 7, 15))
+
+
+def _supplementary_match(n1: int, n2: int, N: int, x1: int, x2: int) -> str:
+    for tag, m1, m2, o1, o2, e in _SUPPLEMENTARY:
+        if n1 == m1 and n2 == m2 and (x2 - e * x1) % N == 0 \
+                and N // math.gcd(x1, N) == o1 and N // math.gcd(x2, N) == o2:
+            return tag
     return "none"
 
 
 def supplementary_type(d: DiagonalDatum) -> str:
     """Which of the four exceptional patterns the datum realizes, if any."""
-    hit = _supplementary_match(d.n1, d.n2, d.q1, d.q2)
-    if hit != "none":
-        return hit
-    return _supplementary_match(d.n2, d.n1, d.q2, d.q1)
+    n1, n2, N, x1, x2 = d
+    hit = _supplementary_match(n1, n2, N, x1, x2)
+    return hit if hit != "none" else _supplementary_match(n2, n1, N, x2, x1)
 
 
 def remark43_finite(d: DiagonalDatum) -> bool:
@@ -248,13 +262,11 @@ def omega_checks(params: KParams) -> tuple[bool, bool]:
     or 7, and omega fails when some pair (i, j) realizes a supplementary
     pattern after dividing out gcd(n_i, n_j).
     """
-    roots = [_root(q) for q in params.q]
-    lambdas = [roots[i] ** params.n[i] for i in range(params.s)]
-    omega_prime = all(lam.order not in (5, 7) for lam in lambdas)
+    pairs, n = [_pair(q) for q in params.q], params.n
+    omega_prime = all(L // math.gcd(k * m, L) not in (5, 7) for (L, k), m in zip(pairs, n))
     omega = True
     for i, j in combinations(range(params.s), 2):
-        g = math.gcd(params.n[i], params.n[j])
-        datum = DiagonalDatum(params.n[i] // g, params.n[j] // g, roots[i], roots[j])
-        if supplementary_type(datum) != "none":
+        g = math.gcd(n[i], n[j])
+        if supplementary_type(DiagonalDatum.make(n[i] // g, n[j] // g, pairs[i], pairs[j])) != "none":
             omega = False
     return omega, omega_prime

@@ -497,6 +497,14 @@ def root_from_json(obj) -> RootOfUnity:
     return RootOfUnity.from_cyclo(scalar_from_json(obj))
 
 
+def root_pair_from_json(obj) -> tuple[int, int]:
+    """(L, k) with zeta_L^k the root ``root_from_json`` reads; a {"L","k"} root builds no object."""
+    if isinstance(obj, dict) and "k" in obj and "poly" not in obj:
+        return _conductor_from_json(obj), int_from_json("k", obj["k"])
+    root = root_from_json(obj)
+    return root.order, root.exponent
+
+
 def _conductor_from_json(obj: dict) -> int:
     L = int_from_json("L", obj["L"])
     if not 1 <= L <= CONDUCTOR_LIMIT:

@@ -180,7 +180,7 @@ def test_criterion_7_case_machine():
         for n1, n2 in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
             for eps in range(1, 9):
                 for q1, q2 in _admissible_pairs(n1, n2, eps):
-                    d = DiagonalDatum(n1, n2, q1, q2)
+                    d = DiagonalDatum.make(n1, n2, q1, q2)
                     if lemma41_case(d.braiding_matrix()).case_label != "none":
                         assert prop42_case(d, eps) in ("I", "II", "III", "IV", "V", "VI")
         assert time.monotonic() - started <= 300.0
@@ -198,8 +198,9 @@ def test_criterion_8_supplementary_and_omega():
         }
 
         def expected_tag(d):
+            swapped = DiagonalDatum.make(d.n2, d.n1, d.q2, d.q1)
             for tag, (n1, n2, o1, o2, e) in patterns.items():
-                for dd in (d, DiagonalDatum(d.n2, d.n1, d.q2, d.q1)):
+                for dd in (d, swapped):
                     if (dd.n1, dd.n2) == (n1, n2) and dd.q1.order == o1 \
                             and dd.q2.order == o2 and dd.q2 == dd.q1 ** e:
                         return tag
@@ -210,7 +211,7 @@ def test_criterion_8_supplementary_and_omega():
             for n2 in range(1, 4):
                 for q1 in roots:
                     for q2 in roots:
-                        d = DiagonalDatum(n1, n2, q1, q2)
+                        d = DiagonalDatum.make(n1, n2, q1, q2)
                         tag = supplementary_type(d)
                         assert tag == expected_tag(d), (n1, n2, q1, q2)
                         if tag != "none":

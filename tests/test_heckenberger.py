@@ -79,7 +79,7 @@ def test_lemma41_swap_coherence():
     rng = random.Random(5)
     roots = [R(n, k) for n in range(1, 31) for k in range(n) if math.gcd(k, n) == 1 or n == 1]
     for _ in range(400):
-        q = BraidingMatrix(*(rng.choice(roots) for _ in range(4)))
+        q = BraidingMatrix.make(*(rng.choice(roots) for _ in range(4)))
         v1 = lemma41_case(q)
         v2 = lemma41_case(_swapped(q))
         assert (v1.case_label != "none") == (v2.case_label != "none")
@@ -128,7 +128,7 @@ def test_prop42_exhaustive_consistency():
     for n1, n2 in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
         for eps in range(1, 9):
             for q1, q2 in _admissible_pairs(n1, n2, eps):
-                d = DiagonalDatum(n1, n2, q1, q2)
+                d = DiagonalDatum.make(n1, n2, q1, q2)
                 checked += 1
                 if lemma41_case(d.braiding_matrix()).case_label != "none":
                     assert prop42_case(d, eps) in ("I", "II", "III", "IV", "V", "VI")
@@ -161,13 +161,13 @@ def test_supplementary_exhaustive_detection():
         for n2 in range(1, 4):
             for q1 in roots:
                 for q2 in roots:
-                    tag = supplementary_type(DiagonalDatum(n1, n2, q1, q2))
+                    tag = supplementary_type(DiagonalDatum.make(n1, n2, q1, q2))
                     if tag == "none":
                         continue
                     found[tag] += 1
-                    d = DiagonalDatum(n1, n2, q1, q2)
+                    d = DiagonalDatum.make(n1, n2, q1, q2)
                     forward = _supplementary_data_matches(tag, d)
-                    backward = _supplementary_data_matches(tag, DiagonalDatum(n2, n1, q2, q1))
+                    backward = _supplementary_data_matches(tag, DiagonalDatum.make(n2, n1, q2, q1))
                     assert forward or backward, (tag, n1, n2, q1, q2)
                     assert remark43_finite(d)
     assert all(found[tag] > 0 for tag in found)
@@ -301,7 +301,7 @@ def _lemma41_matches(q: BraidingMatrix) -> list[str]:
 
 
 def _swapped(q: BraidingMatrix) -> BraidingMatrix:
-    return BraidingMatrix(q.q22, q.q21, q.q12, q.q11)
+    return BraidingMatrix.make(q.q22, q.q21, q.q12, q.q11)
 
 
 def _oracle_case(q: BraidingMatrix) -> tuple[str, bool, tuple[str, ...]]:
@@ -329,7 +329,7 @@ def test_lemma41_agrees_with_oracle():
         for rho in TABLE_ROOTS:
             for q22 in (ONE, MINUS, *cube_roots, rho.inv(), rng.choice(TABLE_ROOTS)):
                 t = rng.choice(TABLE_ROOTS)
-                q = BraidingMatrix(q11, rho * t, t.inv(), q22)
+                q = BraidingMatrix.make(q11, rho * t, t.inv(), q22)
                 v = lemma41_case(q)
                 assert (v.case_label, v.permutation_applied, v.all_matches) == _oracle_case(q), q
                 seen.add(v.case_label)

@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-import pytest
-
 from gkhopf import heckenberger
 from gkhopf.cli import InputError, _nichols_entry
 from gkhopf.heckenberger import NicholsVerdict, _lemma41_matches
@@ -293,3 +291,15 @@ def test_entry_matches_oracle_on_other_scalar_forms():
     assert _mismatches(data) == []
     outcomes = [_outcome(_oracle_entry, obj) for obj in data]
     assert any(isinstance(o, tuple) for o in outcomes) and any(isinstance(o, dict) for o in outcomes)
+
+
+def test_exponent_roots_build_no_root_of_unity(monkeypatch):
+    """A datum of {"L","k"} roots goes from JSON to its verdicts on integers."""
+    data = cli_corpus.NICHOLS["data"] + _sweep()[:2000]
+    expected = [_oracle_entry(obj) for obj in data]
+
+    def refuse(*args):
+        raise AssertionError("a RootOfUnity was built")
+
+    monkeypatch.setattr(RootOfUnity, "__init__", refuse)
+    assert [_nichols_entry(heckenberger, obj) for obj in data] == expected

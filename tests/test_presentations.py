@@ -202,6 +202,23 @@ def test_root_from_json_refusals(obj):
         assert (type(exc), str(exc)) == (root_exc.type, str(root_exc.value))
     else:
         raise AssertionError(f"{obj!r} was read")
+    with pytest.raises(root_exc.type) as pair_exc:
+        presentations.root_pair_from_json(obj)
+    assert str(pair_exc.value) == str(root_exc.value)
+
+
+@pytest.mark.parametrize("obj", [1, -1, "-1", [-1, 1], {"L": 3, "poly": [[1, 1], [1, 1]]},
+                                 {"L": 4, "poly": [[0, 1], [1, 1]], "k": 3}])
+def test_root_pair_from_json_other_scalars(obj):
+    assert RootOfUnity(*presentations.root_pair_from_json(obj)) == root_from_json(obj)
+
+
+def test_root_pair_from_json_keeps_exponents():
+    for L in range(1, CONDUCTOR_LIMIT + 1):
+        for k in (-L - 1, -1, 0, 1, L - 1, L, 2 * L + 3):
+            obj = {"L": L, "k": k}
+            assert presentations.root_pair_from_json(obj) == (L, k)
+            assert RootOfUnity(L, k) == root_from_json(obj)
 
 
 def test_c_params_guard():
