@@ -25,7 +25,6 @@ on root-of-unity data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Union
 
@@ -88,8 +87,7 @@ class DiagonalDatum(NamedTuple):
         return BraidingMatrix(N, n1 * x1 % N, n1 * x2 % N, n2 * x1 % N, n2 * x2 % N)
 
 
-@dataclass(frozen=True)
-class NicholsVerdict:
+class NicholsVerdict(NamedTuple):
     case_label: str            # "1", "2.1".."5.5", or "none"
     permutation_applied: bool
     all_matches: tuple[str, ...]
