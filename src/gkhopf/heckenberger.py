@@ -31,7 +31,6 @@ from typing import NamedTuple, Union
 from .presentations import KParams
 from .scalars import Cyclo, RootOfUnity
 
-RootLike = Union[RootOfUnity, Cyclo]
 RootOrPair = Union[RootOfUnity, Cyclo, tuple[int, int]]  # a pair (L, k) is zeta_L^k
 
 
@@ -53,7 +52,7 @@ class BraidingMatrix(NamedTuple):
     e22: int
 
     @staticmethod
-    def make(q11: RootLike, q12: RootLike, q21: RootLike, q22: RootLike) -> "BraidingMatrix":
+    def make(q11: RootOrPair, q12: RootOrPair, q21: RootOrPair, q22: RootOrPair) -> "BraidingMatrix":
         pairs = [_pair(q) for q in (q11, q12, q21, q22)]
         N = math.lcm(2, *(L // math.gcd(k, L) for L, k in pairs))
         return BraidingMatrix(N, *(k * N // L % N for L, k in pairs))

@@ -180,15 +180,9 @@ def _mismatches(data) -> list:
             if _outcome(lambda o: _nichols_entry(heckenberger, o), obj) != _outcome(_oracle_entry, obj)]
 
 
-def _corpus_data() -> list:
-    batches = [value for name, value in vars(cli_corpus).items()
-               if name.startswith("NICHOLS") and isinstance(value, dict)]
-    assert batches
-    return [obj for batch in batches for obj in batch["data"]]
-
-
 def test_entry_matches_oracle_on_corpus_batches():
-    data = _corpus_data()
+    data = [*cli_corpus.NICHOLS["data"], *cli_corpus.NICHOLS_FORMS["data"],
+            *cli_corpus.MALFORMED_NICHOLS.values()]
     assert _mismatches(data) == []
 
 
