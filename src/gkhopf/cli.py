@@ -116,6 +116,8 @@ def _read_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:  # the message varies between Python versions
+        raise InputError(f"{path} nests its JSON too deeply to read") from None
 
 
 def _load(path: str) -> tuple[dict, HopfPresentation]:

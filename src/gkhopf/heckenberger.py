@@ -31,15 +31,12 @@ from typing import NamedTuple, Union
 from .presentations import KParams
 from .scalars import Cyclo, RootOfUnity
 
-RootOrPair = Union[RootOfUnity, Cyclo, tuple[int, int]]  # a pair (L, k) is zeta_L^k
+RootOrPair = Union[tuple[int, int], Cyclo]  # a pair (L, k), a RootOfUnity among them, is zeta_L^k
 
 
 def _pair(z: RootOrPair) -> tuple[int, int]:
     """(L, k) with z = zeta_L^k; ValueError for a ``Cyclo`` that is no root."""
-    if type(z) is tuple:
-        return z
-    root = z if isinstance(z, RootOfUnity) else RootOfUnity.from_cyclo(z)
-    return root.order, root.exponent
+    return z if isinstance(z, tuple) else RootOfUnity.from_cyclo(z)
 
 
 class BraidingMatrix(NamedTuple):
@@ -96,10 +93,7 @@ def _lemma41_matches(N: int, a: int, r: int, d: int) -> list[str]:
     """Sub-cases matched by q11 = zeta_N^a, rho = q12*q21 = zeta_N^r and
     q22 = zeta_N^d, for an even N and exponents in 0..N-1."""
     h = N // 2  # -1 = zeta_N^h
-
-    def order(x: int) -> int:
-        return N // math.gcd(x, N)
-
+    order_a, order_r = N // math.gcd(a, N), N // math.gcd(r, N)
     out = []
     if r == 0:
         out.append("1")
@@ -112,59 +106,59 @@ def _lemma41_matches(N: int, a: int, r: int, d: int) -> list[str]:
             out.append("2.3")
         if (3 * a + r) % N == 0 and 2 * a % N:
             out.append("2.4")
-        if order(a) == 3 and 3 * r % N:
+        if order_a == 3 and 3 * r % N:
             out.append("2.5")
-        if order(r) == 8 and a == 2 * r % N:
+        if order_r == 8 and a == 2 * r % N:
             out.append("2.6")
-        if order(r) == 24 and a == 6 * r % N:
+        if order_r == 24 and a == 6 * r % N:
             out.append("2.7")
-        if order(r) == 30 and a == 12 * r % N:
+        if order_r == 30 and a == 12 * r % N:
             out.append("2.8")
     shared = r and (a + r) % N and (r + d) % N
-    if shared and d == h and order(a) in (2, 3):
+    if shared and d == h and order_a in (2, 3):
         if a == h and 2 * r % N:
             out.append("3.1")
-        if order(a) == 3 and r in (a, (a + h) % N):
+        if order_a == 3 and r in (a, (a + h) % N):
             out.append("3.2")
         q0 = (a + r) % N
-        if order(q0) == 12 and a == 4 * q0 % N:
+        if N // math.gcd(q0, N) == 12 and a == 4 * q0 % N:
             out.append("3.3")
-        if order(r) == 12 and a == (2 * r + h) % N:
+        if order_r == 12 and a == (2 * r + h) % N:
             out.append("3.4")
-        if order(r) == 9 and a == -3 * r % N:
+        if order_r == 9 and a == -3 * r % N:
             out.append("3.5")
-        if order(r) == 24 and a == (4 * r + h) % N:
+        if order_r == 24 and a == (4 * r + h) % N:
             out.append("3.6")
-        if order(r) == 30 and a == (5 * r + h) % N:
+        if order_r == 30 and a == (5 * r + h) % N:
             out.append("3.7")
-    if shared and d == h and order(a) not in (2, 3):
+    if shared and d == h and order_a not in (2, 3):
         if r == -2 * a % N:
             out.append("4.1")
-        if order(a) in (5, 8, 12, 14, 20) and r == -3 * a % N:
+        if order_a in (5, 8, 12, 14, 20) and r == -3 * a % N:
             out.append("4.2")
-        if order(a) in (10, 18) and r == -4 * a % N:
+        if order_a in (10, 18) and r == -4 * a % N:
             out.append("4.3")
-        if order(a) in (14, 24) and r == -5 * a % N:
+        if order_a in (14, 24) and r == -5 * a % N:
             out.append("4.4")
-        if order(r) == 8 and a == -2 * r % N:
+        if order_r == 8 and a == -2 * r % N:
             out.append("4.5")
-        if order(r) == 12 and a == -3 * r % N:
+        if order_r == 12 and a == -3 * r % N:
             out.append("4.6")
-        if order(r) == 20 and a == -4 * r % N:
+        if order_r == 20 and a == -4 * r % N:
             out.append("4.7")
-        if order(r) == 30 and a == -6 * r % N:
+        if order_r == 30 and a == -6 * r % N:
             out.append("4.8")
-    if shared and a != h and order(d) == 3:
+    if shared and a != h and N // math.gcd(d, N) == 3:
         q0 = (a + r) % N
-        if order(q0) == 12 and a == 4 * q0 % N and d == (2 * q0 + h) % N:
+        if N // math.gcd(q0, N) == 12 and a == 4 * q0 % N and d == (2 * q0 + h) % N:
             out.append("5.1")
-        if order(r) == 12 and a == (2 * r + h) % N and d == (2 * r + h) % N:
+        if order_r == 12 and a == (2 * r + h) % N and d == (2 * r + h) % N:
             out.append("5.2")
-        if order(r) == 24 and a == -6 * r % N and d == -8 * r % N:
+        if order_r == 24 and a == -6 * r % N and d == -8 * r % N:
             out.append("5.3")
-        if order(a) == 18 and r == -2 * a % N and d == (3 * a + h) % N:
+        if order_a == 18 and r == -2 * a % N and d == (3 * a + h) % N:
             out.append("5.4")
-        if order(a) == 30 and r == -3 * a % N and d == (5 * a + h) % N:
+        if order_a == 30 and r == -3 * a % N and d == (5 * a + h) % N:
             out.append("5.5")
     return out
 

@@ -485,24 +485,17 @@ def scalar_from_json(obj) -> Cyclo:
         return Cyclo(L, {e: _fraction(*_pair_from_json(f"poly[{e}]", v))
                          for e, v in enumerate(obj["poly"])})
     if isinstance(obj, dict) and "k" in obj:
-        return root_from_json(obj).to_cyclo()
+        return make_root(*root_pair_from_json(obj))
     raise ValueError(f"cannot read a scalar from {obj!r}")
 
 
-def root_from_json(obj) -> RootOfUnity:
-    """A JSON scalar that must be a root of unity: a {"L","k"} root is read
-    as its exponent, any other form through ``scalar_from_json``."""
-    if isinstance(obj, dict) and "k" in obj and "poly" not in obj:
-        return RootOfUnity(_conductor_from_json(obj), int_from_json("k", obj["k"]))
-    return RootOfUnity.from_cyclo(scalar_from_json(obj))
-
-
 def root_pair_from_json(obj) -> tuple[int, int]:
-    """(L, k) with zeta_L^k the root ``root_from_json`` reads; a {"L","k"} root builds no object."""
+    """A JSON scalar that must be a root of unity, as a pair (L, k) with
+    zeta_L^k that root: a {"L","k"} root as written, any other form as its
+    ``RootOfUnity`` read through ``scalar_from_json``."""
     if isinstance(obj, dict) and "k" in obj and "poly" not in obj:
         return _conductor_from_json(obj), int_from_json("k", obj["k"])
-    root = root_from_json(obj)
-    return root.order, root.exponent
+    return RootOfUnity.from_cyclo(scalar_from_json(obj))
 
 
 def _conductor_from_json(obj: dict) -> int:

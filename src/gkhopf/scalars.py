@@ -10,6 +10,11 @@ Mixed-conductor arithmetic lifts both operands into Q(zeta_lcm) and reduces
 the result back down, so roots of unity of any order can be combined freely
 ("the field is enlarged on demand").
 
+A root of unity zeta_n^k also has an integer form, ``RootOfUnity``: the
+tuple (n, k) in lowest terms, whose products, powers and inverses act on
+the exponent.  ``RootOfUnity.from_cyclo`` reads it off a ``Cyclo`` and
+``make_root`` writes it back.
+
 The arithmetic skips work whose result is known in advance, which relies on
 these invariants:
 
@@ -41,6 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Union
 
 # All conductors in the intended workloads are small (orders <= 30 in the
@@ -480,8 +486,7 @@ def make_root(L: int, k: int) -> Cyclo:
     -zeta_{n/2}^{(k'+n/2)/2} of conductor n/2, so no descent is needed.
     Raises ValueError only when L < 1 or that conductor is past CONDUCTOR_LIMIT.
     """
-    root = RootOfUnity(L, k)
-    n, k = root.order, root.exponent
+    n, k = RootOfUnity(L, k)
     if n % 4 == 2:
         return -make_root(n // 2, (k + n // 2) // 2)
     if n > CONDUCTOR_LIMIT:
@@ -605,23 +610,26 @@ def nth_root_in_cyclotomics(value: ScalarLike, p: int) -> Optional[Cyclo]:
         return None
 
 
-class RootOfUnity:
-    """zeta_n^k in lowest terms: integer-only arithmetic for table sweeps."""
+class RootOfUnity(tuple):
+    """zeta_n^k as its lowest-terms pair (n, k), 0 <= k < n and gcd(n, k) = 1:
+    integer-only arithmetic for table sweeps.  A tuple, so it is immutable,
+    unpacks as ``n, k = root`` and equals and hashes as its pair:
+    ``RootOfUnity(10, 4) == (5, 2)``."""
 
-    __slots__ = ("order", "exponent")
+    __slots__ = ()
 
-    def __init__(self, order: int, exponent: int):
+    def __new__(cls, order: int, exponent: int) -> "RootOfUnity":
         if order < 1:
             raise ValueError("order must be positive")
         exponent %= order
         g = math.gcd(order, exponent)  # order itself when exponent is 0, giving (1, 0)
-        _set_order(self, order // g)
-        _set_exponent(self, exponent // g)
+        return tuple.__new__(cls, (order // g, exponent // g))
 
-    def __setattr__(self, *args):
-        raise AttributeError("RootOfUnity is immutable")
+    def __getnewargs__(self) -> tuple[int, int]:  # copy and pickle call __new__ with the pair
+        return tuple(self)
 
-    __delattr__ = __setattr__
+    order = property(itemgetter(0))
+    exponent = property(itemgetter(1))
 
     @staticmethod
     def one() -> "RootOfUnity":
@@ -639,17 +647,20 @@ class RootOfUnity:
         return root
 
     def to_cyclo(self) -> Cyclo:
-        return make_root(self.order, self.exponent)
+        return make_root(*self)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        n = math.lcm(self.order, other.order)
-        return RootOfUnity(n, self.exponent * (n // self.order) + other.exponent * (n // other.order))
+        (n, k), (m, j) = self, other
+        L = math.lcm(n, m)
+        return RootOfUnity(L, k * (L // n) + j * (L // m))
 
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.order, self.exponent * k)
+    def __pow__(self, e: int) -> "RootOfUnity":
+        n, k = self
+        return RootOfUnity(n, k * e)
 
     def inv(self) -> "RootOfUnity":
-        return RootOfUnity(self.order, -self.exponent)
+        n, k = self
+        return RootOfUnity(n, -k)
 
     def __neg__(self) -> "RootOfUnity":
         return self * RootOfUnity.minus_one()
@@ -657,18 +668,5 @@ class RootOfUnity:
     def is_one(self) -> bool:
         return self.order == 1
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RootOfUnity):
-            return NotImplemented
-        return self.order == other.order and self.exponent == other.exponent
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.exponent))
-
     def __repr__(self) -> str:
         return f"RootOfUnity({self.order},{self.exponent})"
-
-
-# the slot descriptors' own setters, which ``__init__`` uses past the refusing ``__setattr__``
-_set_order = RootOfUnity.order.__set__
-_set_exponent = RootOfUnity.exponent.__set__

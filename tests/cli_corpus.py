@@ -201,6 +201,8 @@ def commands() -> list[list[str]]:
     out.append(["nichols", "nichols-forms.json"])
     for name in MALFORMED_NICHOLS:
         out.append(["nichols", f"{name}.json"])
+    out.append(["validate", "deep-nesting.json"])
+    out.append(["nichols", "deep-nesting.json"])
     return out
 
 
@@ -209,6 +211,9 @@ def write_inputs(directory: Path) -> None:
         (directory / f"{name}.json").write_text(json.dumps(doc))
     (directory / "nichols.json").write_text(json.dumps(NICHOLS))
     (directory / "nichols-forms.json").write_text(json.dumps(NICHOLS_FORMS))
+    # nested past what json.load reads on any Python version, written as text
+    # because json.dumps cannot encode it either
+    (directory / "deep-nesting.json").write_text("[" * 100_000 + "]" * 100_000)
 
 
 def _sha(text: str) -> str:

@@ -799,6 +799,17 @@ def test_cli_rejects_malformed_json_documents(tmp_path, capsys, doc, command):
     _check_error_report(code, capsys.readouterr())
 
 
+@pytest.mark.parametrize("command", ["validate", "nichols"])
+def test_cli_refuses_deeply_nested_json(tmp_path, capsys, command):
+    # json.load raises RecursionError here, which is bad input, not a fault
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    _check_error_report(code, captured)
+    assert captured.err == f"error: {path} nests its JSON too deeply to read\n"
+
+
 @pytest.mark.parametrize("q1", ["1/0", [1, 0], {"L": 3, "poly": [[1, 0]]}], ids=json.dumps)
 def test_cli_nichols_rejects_zero_denominator(tmp_path, capsys, q1):
     code = main(["nichols", _write(tmp_path, "n.json", {"data": [dict(N5, q1=q1)]})])

@@ -23,6 +23,14 @@ def test_non_root_entry_rejected():
         BraidingMatrix.make(Cyclo.from_rational(2), ONE, ONE, ONE)
 
 
+
+def test_pair_takes_a_root_as_it_is():
+    from gkhopf.heckenberger import _pair
+
+    root = R(10, 4)
+    assert _pair(root) is root
+    assert _pair((10, 4)) == (10, 4) and _pair(make_root(10, 4)) == root
+
 def test_lemma41_pinned_examples():
     # q12*q21 = 1 regardless of the diagonal
     v = lemma41_case(BraidingMatrix.make(R(3, 1), R(5, 1), R(5, 4), R(7, 1)))

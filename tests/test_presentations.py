@@ -5,7 +5,7 @@ import pytest
 from gkhopf.ncpoly import NFMonomial
 from gkhopf import presentations
 from gkhopf.presentations import (BParams, HopfPresentation, KParams, build,
-                                  presentation_from_json, root_from_json, scalar_from_json,
+                                  presentation_from_json, root_pair_from_json, scalar_from_json,
                                   to_b_form, validate)
 from gkhopf.scalars import CONDUCTOR_LIMIT, Cyclo, RootOfUnity, make_root
 
@@ -164,6 +164,11 @@ def test_scalar_from_json_pins():
     assert scalar_from_json([1, 2]) == Cyclo.from_rational(Fraction(1, 2))
 
 
+def root_from_json(obj) -> RootOfUnity:
+    """The JSON root ``obj`` as a ``RootOfUnity``, through the one root reader."""
+    return RootOfUnity(*root_pair_from_json(obj))
+
+
 def test_root_from_json_reads_exponents():
     for L in range(1, CONDUCTOR_LIMIT + 1):
         for k in (-L - 1, -1, 0, 1, L - 1, L, 2 * L + 3):
@@ -203,22 +208,27 @@ def test_root_from_json_refusals(obj):
     else:
         raise AssertionError(f"{obj!r} was read")
     with pytest.raises(root_exc.type) as pair_exc:
-        presentations.root_pair_from_json(obj)
+        root_pair_from_json(obj)
     assert str(pair_exc.value) == str(root_exc.value)
 
 
 @pytest.mark.parametrize("obj", [1, -1, "-1", [-1, 1], {"L": 3, "poly": [[1, 1], [1, 1]]},
                                  {"L": 4, "poly": [[0, 1], [1, 1]], "k": 3}])
 def test_root_pair_from_json_other_scalars(obj):
-    assert RootOfUnity(*presentations.root_pair_from_json(obj)) == root_from_json(obj)
+    assert RootOfUnity(*root_pair_from_json(obj)) == RootOfUnity.from_cyclo(scalar_from_json(obj))
 
 
 def test_root_pair_from_json_keeps_exponents():
     for L in range(1, CONDUCTOR_LIMIT + 1):
         for k in (-L - 1, -1, 0, 1, L - 1, L, 2 * L + 3):
             obj = {"L": L, "k": k}
-            assert presentations.root_pair_from_json(obj) == (L, k)
-            assert RootOfUnity(L, k) == root_from_json(obj)
+            assert root_pair_from_json(obj) == (L, k)
+            assert RootOfUnity(L, k) == RootOfUnity.from_cyclo(scalar_from_json(obj))
+
+
+def test_root_pair_from_json_reads_other_forms_to_a_root():
+    root = root_pair_from_json("-1")
+    assert type(root) is RootOfUnity and root == RootOfUnity(2, 1) == (2, 1)
 
 
 def test_c_params_guard():
