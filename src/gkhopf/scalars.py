@@ -625,9 +625,6 @@ class RootOfUnity(tuple):
         g = math.gcd(order, exponent)  # order itself when exponent is 0, giving (1, 0)
         return tuple.__new__(cls, (order // g, exponent // g))
 
-    def __getnewargs__(self) -> tuple[int, int]:  # copy and pickle call __new__ with the pair
-        return tuple(self)
-
     order = property(itemgetter(0))
     exponent = property(itemgetter(1))
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gkhopf.heckenberger import (BraidingMatrix, DiagonalDatum, lemma41_case,
+from gkhopf.heckenberger import (BraidingMatrix, DiagonalDatum, _pair, lemma41_case,
                                  omega_checks, prop42_case, remark43_finite,
                                  supplementary_type)
 from gkhopf.presentations import BParams
@@ -23,13 +23,11 @@ def test_non_root_entry_rejected():
         BraidingMatrix.make(Cyclo.from_rational(2), ONE, ONE, ONE)
 
 
-
 def test_pair_takes_a_root_as_it_is():
-    from gkhopf.heckenberger import _pair
-
     root = R(10, 4)
     assert _pair(root) is root
     assert _pair((10, 4)) == (10, 4) and _pair(make_root(10, 4)) == root
+
 
 def test_lemma41_pinned_examples():
     # q12*q21 = 1 regardless of the diagonal

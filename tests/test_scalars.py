@@ -263,15 +263,6 @@ def test_root_of_unity_is_its_pair():
     assert RootOfUnity(10, 4) != RootOfUnity(10, 3) and RootOfUnity(3, 0) == (1, 0)
 
 
-def test_root_of_unity_copies_and_pickles():
-    import copy
-    import pickle
-
-    root = RootOfUnity(6, 5)
-    for twin in (copy.copy(root), copy.deepcopy(root), pickle.loads(pickle.dumps(root))):
-        assert type(twin) is RootOfUnity and twin == root
-
-
 @pytest.mark.parametrize("name", ["order", "exponent", "other"])
 def test_root_of_unity_refuses_attribute_writes(name):
     r = RootOfUnity(6, 1)
