@@ -141,6 +141,9 @@ BUDGET_CASES = [
     ("a25", "y*x", 0), ("c3", "x*y^3", 4), ("c3", "x*y^-2", 4), ("b235", "(x^-1*y3)^3", 0),
     ("b235", "x^-9*y3^4*y3^3", 1),
 ]
+# (file, the least budget at which ``hopf-check --cap 3 --window 4`` passes),
+# run as the BUDGET_CASES are
+HOPF_BUDGET_CASES = [("b23", 1), ("k22", 1), ("a25", 0), ("c3", 28344)]
 
 
 # values on which ``--check`` compares ``encode_report`` with json.dumps:
@@ -203,6 +206,10 @@ def commands() -> list[list[str]]:
         out.append(["nichols", f"{name}.json"])
     out.append(["validate", "deep-nesting.json"])
     out.append(["nichols", "deep-nesting.json"])
+    for name, least in HOPF_BUDGET_CASES:
+        for budget in range(max(least - 1, 0), least + 1):
+            out.append(["--budget", str(budget), "hopf-check", f"{name}.json", "--cap", "3", "--window", "4"])
+    out.append(["hopf-check", "b23.json", "--cap", "6", "--window", "12"])  # the hopf-window benchmark's window
     return out
 
 

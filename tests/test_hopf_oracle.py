@@ -245,7 +245,7 @@ BUILDERS = {
 
 @pytest.mark.parametrize("name, cap, window", [
     ("b23", 6, 6), ("b25", 6, 6), ("b34", 6, 6), ("b235", 16, 6), ("k22", 6, 6), ("a25", 6, 6),
-    ("c3", 3, 3),
+    ("c3", 3, 3), ("b23", 6, 12),
 ])
 def test_coproduct_monomial_matches_reference(name, cap, window):
     built = BUILDERS[name]()
@@ -281,16 +281,36 @@ def test_coproduct_is_shifted_by_the_group_power(name):
 # -- antipode -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("longest_first", [True, False])
-@pytest.mark.parametrize("name", ["b23", "b235", "k22", "a25", "c3"])
-def test_antipode_monomial_matches_reference(name, longest_first):
-    built = BUILDERS[name]()
+# cap 3, window 4 on every shape of system, and the hopf-window benchmark's
+# cap 6, window 12 on B, K and A
+MAP_WINDOWS = [("b23", 3, 4), ("b235", 3, 4), ("k22", 3, 4), ("a25", 3, 4), ("c3", 3, 4),
+               ("b23", 6, 12), ("k22", 6, 12), ("a25", 6, 12)]
+
+
+def _window_by_length(built, cap, window, longest_first):
     rs = built.rs
-    window_monomials = sorted(built.nf_monomials(3, 4), key=lambda m: len(rs.word_of_monomial(m)),
-                              reverse=longest_first)
-    for m in window_monomials:
-        want = reference_antipode_word(rs.word_of_monomial(m), built)
+    return sorted(built.nf_monomials(cap, window), key=lambda m: len(rs.word_of_monomial(m)),
+                  reverse=longest_first)
+
+
+@pytest.mark.parametrize("longest_first", [True, False])
+@pytest.mark.parametrize("name, cap, window", MAP_WINDOWS)
+def test_antipode_monomial_matches_reference(name, cap, window, longest_first):
+    built = BUILDERS[name]()
+    for m in _window_by_length(built, cap, window, longest_first):
+        want = reference_antipode_word(built.rs.word_of_monomial(m), built)
         assert list(antipode_monomial(m, built).terms.items()) == list(want.terms.items()), m
+
+
+# -- counit -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("longest_first", [True, False])
+@pytest.mark.parametrize("name, cap, window", MAP_WINDOWS)
+def test_counit_monomial_matches_reference(name, cap, window, longest_first):
+    built = BUILDERS[name]()
+    for m in _window_by_length(built, cap, window, longest_first):
+        assert _counit_monomial(m, built) == reference_counit_word(built.rs.word_of_monomial(m), built), m
 
 
 # -- words --------------------------------------------------------------------
@@ -375,6 +395,21 @@ def _extra_coproduct_y1(*extra):
     return corrupt
 
 
+def _group_letter(table, value):
+    """The built presentation with entry 1 (the group letter x) of the
+    generator table ``table`` set to ``value(built)``."""
+    def corrupt(built):
+        entries = list(getattr(built, table))
+        entries[1] = value(built)
+        return dataclasses.replace(built, **{table: tuple(entries)})
+    return corrupt
+
+
+_MINUS_X_X = _group_letter("coproducts", lambda b: ((_MINUS_ONE, b.group_monomial(1), b.group_monomial(1)),))
+_MINUS_ONE_COUNIT_X = _group_letter("counits", lambda b: _MINUS_ONE)
+_MINUS_X_INV = _group_letter("antipodes", lambda b: NCPoly.monomial(b.group_monomial(-1), -1))
+
+
 # corruptions of B{2,3} and a failure each must report.  An extra y1 (x) 1
 # makes Delta(y1) = 2 y1 (x) 1 + x^3 (x) y1.  The last four break one side of
 # one axiom on y1 and keep the other: y1 (x) x^3 adds y1 to l eps(r) alone,
@@ -392,6 +427,12 @@ CORRUPTIONS = {
                        "antipode axiom fails on y1"),
     "antipode_left": (_extra_coproduct_y1((1, -3, (0, 0), -3, (1, 0)), (1, 0, (0, 0), 0, (1, 0))),
                       "antipode axiom fails on y1"),
+    # the group letter's own tables: Delta(x) = -x (x) x, eps(x) = -1 and
+    # S(x) = -x^-1.  Its maps on x^a f^w are then no longer those on f^w
+    # shifted, so these name failures on the powers of x
+    "coproduct_x": (_MINUS_X_X, "counit axiom fails on x"),
+    "counit_x": (_MINUS_ONE_COUNIT_X, "counit axiom fails on x"),
+    "antipode_x": (_MINUS_X_INV, "antipode axiom fails on x"),
 }
 
 
@@ -402,6 +443,20 @@ def test_axiom_sweep_matches_reference_on_corrupted_b23(name):
     want = reference_check_hopf_axioms(corrupt(BUILDERS["b23"]()), 3, 4)
     assert failure in got.failures
     assert _sweep_view(got) == _sweep_view(want)
+
+
+@pytest.mark.parametrize("name", ["coproduct_x", "counit_x", "antipode_x"])
+def test_maps_match_reference_on_corrupted_group_letter(name):
+    # the sweep compares the maps with themselves; here each map meets the
+    # letter-by-letter references, which read the corrupted tables directly
+    built = CORRUPTIONS[name][0](BUILDERS["b23"]())
+    rs = built.rs
+    for m in _window_by_length(built, 3, 4, True):
+        word = rs.word_of_monomial(m)
+        assert coproduct_monomial(m, built) == reference_coproduct_word(word, built), m
+        want = reference_antipode_word(word, built)
+        assert list(antipode_monomial(m, built).terms.items()) == list(want.terms.items()), m
+        assert _counit_monomial(m, built) == reference_counit_word(word, built), m
 
 
 # -- skew primitives ----------------------------------------------------------
