@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _linalg
-from .ncpoly import NCPoly, NFMonomial, SparseTerms, _product_of_monomials, multiply
+from .ncpoly import NCPoly, NFMonomial, SparseTerms, _product_of_monomials, _swap_factor, multiply
 from .presentations import BuiltPresentation
 from .scalars import CONDUCTOR_LIMIT, Cyclo, add_terms, make_root, nth_root_in_cyclotomics, order_of
 
@@ -44,7 +44,7 @@ def _left_times(table, d: dict, rs) -> dict:
     return out
 
 
-def _walk(m: NFMonomial, built: BuiltPresentation, cache: dict, word_map):
+def _walk(m: NFMonomial, built: BuiltPresentation, cache: dict, word_map, shift):
     """The value of the basis monomial ``m`` under a map fixed on the letters
     and extended from the right: ``word_map(word, built, rest)`` is the value
     of ``word`` followed by a word of value ``rest``.  Each suffix of a basis
@@ -52,7 +52,19 @@ def _walk(m: NFMonomial, built: BuiltPresentation, cache: dict, word_map):
     dropped letter lowered.  The walk starts at the longest suffix in
     ``cache`` (or the empty word) and caches each suffix on the way back, so
     every key is a basis monomial.  Rule words, which need not be basis
-    words, are folded by ``word_map`` alone, without a cache."""
+    words, are folded by ``word_map`` alone, without a cache.
+
+    Where ``built.group_shifts`` holds, the group letter is grouplike and
+    stands leftmost, so the value at x^a f^w (a != 0) is that at f^w shifted
+    by a: ``shift(value, a, built)``, the same terms in the same order as the
+    walk gives.  The walk then runs over the free letters only."""
+    if m.w0 and built.group_shifts:
+        base = NFMonomial(0, m.w)
+        value = cache.get(base)
+        if value is None:
+            value = _walk(base, built, cache, word_map, shift)
+        value = cache[m] = shift(value, m.w0, built)
+        return value
     word = built.rs.word_of_monomial(m)
     chain = [m]
     # chain[k] is the monomial of word[k:]; only the last may be cached
@@ -83,10 +95,18 @@ def _coproduct_word(word, built: BuiltPresentation, rest: Optional[TensorPoly] =
     return rest
 
 
+def _shift_coproduct(d: TensorPoly, a: int, built: BuiltPresentation) -> TensorPoly:
+    """Delta(x^a f^w) from d = Delta(f^w): Delta(x^a) = x^a (x) x^a shifts both legs."""
+    new = tuple.__new__  # skips the argument parsing of NFMonomial's own __new__
+    return TensorPoly({(new(NFMonomial, (l.w0 + a, l.w)), new(NFMonomial, (r.w0 + a, r.w))): c
+                       for (l, r), c in d.terms.items()})
+
+
 def coproduct_monomial(m: NFMonomial, built: BuiltPresentation) -> TensorPoly:
     """Delta(m), cached per monomial."""
     hit = built.coproduct_cache.get(m)
-    return hit if hit is not None else _walk(m, built, built.coproduct_cache, _coproduct_word)
+    return hit if hit is not None else _walk(m, built, built.coproduct_cache, _coproduct_word,
+                                             _shift_coproduct)
 
 
 def coproduct(p: NCPoly, built: BuiltPresentation) -> TensorPoly:
@@ -106,9 +126,14 @@ def _counit_word(word, built: BuiltPresentation, rest: Cyclo = Cyclo.one()) -> C
     return rest
 
 
+def _shift_counit(e: Cyclo, a: int, built: BuiltPresentation) -> Cyclo:
+    """epsilon(x^a f^w) from e = epsilon(f^w): epsilon(x^a) = 1."""
+    return e
+
+
 def _counit_monomial(m: NFMonomial, built: BuiltPresentation) -> Cyclo:
     hit = built.counit_cache.get(m)
-    return hit if hit is not None else _walk(m, built, built.counit_cache, _counit_word)
+    return hit if hit is not None else _walk(m, built, built.counit_cache, _counit_word, _shift_counit)
 
 
 def counit(p: NCPoly, built: BuiltPresentation) -> Cyclo:
@@ -127,10 +152,19 @@ def _antipode_word(word, built: BuiltPresentation, rest: Optional[NCPoly] = None
     return rest
 
 
+def _shift_antipode(s: NCPoly, a: int, built: BuiltPresentation) -> NCPoly:
+    """S(x^a f^w) from s = S(f^w): S(f^w) x^-a, each term c x^b y^v becoming
+    c _swap_factor(v, -a) x^(b-a) y^v."""
+    new, rs = tuple.__new__, built.rs
+    return NCPoly({new(NFMonomial, (m.w0 - a, m.w)): c * _swap_factor(m.w, -a, rs)
+                   for m, c in s.terms.items()})
+
+
 def antipode_monomial(m: NFMonomial, built: BuiltPresentation) -> NCPoly:
     """S(m), cached per monomial."""
     hit = built.antipode_cache.get(m)
-    return hit if hit is not None else _walk(m, built, built.antipode_cache, _antipode_word)
+    return hit if hit is not None else _walk(m, built, built.antipode_cache, _antipode_word,
+                                             _shift_antipode)
 
 
 def antipode(p: NCPoly, built: BuiltPresentation) -> NCPoly:

@@ -285,8 +285,8 @@ class RewriteSystem:
         # the terms of y^u * y^v per shape pair (u, v); None if y^u is not
         # irreducible
         self._shape_products: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple]] = {}
-        # prod_i c_i^(u_i |b|) per (u, b): the swap constants that x^b picks
-        # up in crossing y^u
+        # ``_swap_factor`` per (u, b): the swap constants that x^b picks up
+        # in crossing y^u
         self._swap_factors: dict[tuple[tuple[int, ...], int], Cyclo] = {}
 
     # -- order -----------------------------------------------------------
@@ -471,11 +471,24 @@ def _shape_product(u: tuple[int, ...], v: tuple[int, ...], rs: RewriteSystem):
     return terms
 
 
+def _swap_factor(u: tuple[int, ...], b: int, rs: RewriteSystem) -> Cyclo:
+    """prod_i c_i^(u_i |b|), c_i the constant of the swap of y_i with the
+    letter of x^b: y^u x^b = factor x^b y^u.  Cached per (u, b); the singleton
+    1 where x^b crosses no swap."""
+    factor = rs._swap_factors.get((u, b))
+    if factor is None:
+        factor = _ONE
+        for letter, e in enumerate(u, start=2):
+            if e and b:
+                factor = factor * rs.rules[rs._swaps[(letter, 1 if b > 0 else 0)]].rhs[0][0] ** (e * abs(b))
+        rs._swap_factors[(u, b)] = factor
+    return factor
+
+
 def _ore_product(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
     """m1 * m2 by x^a y^u * x^b y^v = (prod_i c_i^(u_i |b|)) x^(a+b) (y^u * y^v),
-    c_i the constant of the swap of y_i with the letter of x^b; None if y^u
-    is not irreducible.  Only y^u * y^v is rewritten, so only its steps count
-    against the budget.
+    the factor ``_swap_factor(u, b)``; None if y^u is not irreducible.  Only
+    y^u * y^v is rewritten, so only its steps count against the budget.
 
     Leftmost rewriting of the joined word moves each letter of x^b across
     y^u and cancels it against x^a while it can, then rewrites y^u y^v
@@ -484,15 +497,8 @@ def _ore_product(m1: NFMonomial, m2: NFMonomial, rs: RewriteSystem):
     terms = _shape_product(m1.w, m2.w, rs)
     if terms is None:
         return None
-    b = m2.w0
-    k = m1.w0 + b
-    factor = rs._swap_factors.get((m1.w, b))
-    if factor is None:
-        factor = _ONE
-        for letter, e in enumerate(m1.w, start=2):
-            if e and b:
-                factor = factor * rs.rules[rs._swaps[(letter, 1 if b > 0 else 0)]].rhs[0][0] ** (e * abs(b))
-        rs._swap_factors[(m1.w, b)] = factor
+    k = m1.w0 + m2.w0
+    factor = _swap_factor(m1.w, m2.w0, rs)
     if k == 0 and factor is _ONE:
         return terms
     # tuple.__new__ skips the argument parsing of NFMonomial's own __new__
