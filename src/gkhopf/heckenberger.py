@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import NamedTuple, Union
 
 from .presentations import KParams
-from .scalars import Cyclo, RootOfUnity
+from .scalars import Cyclo, RootOfUnity, _no_tuple_arithmetic
 
 RootOrPair = Union[tuple[int, int], Cyclo]  # a pair (L, k), a RootOfUnity among them, is zeta_L^k
 
@@ -48,6 +48,8 @@ class BraidingMatrix(NamedTuple):
     e21: int
     e22: int
 
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
+
     @staticmethod
     def make(q11: RootOrPair, q12: RootOrPair, q21: RootOrPair, q22: RootOrPair) -> "BraidingMatrix":
         pairs = [_pair(q) for q in (q11, q12, q21, q22)]
@@ -65,6 +67,8 @@ class DiagonalDatum(NamedTuple):
     N: int
     x1: int
     x2: int
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
     @staticmethod
     def make(n1: int, n2: int, q1: RootOrPair, q2: RootOrPair) -> "DiagonalDatum":

@@ -1,8 +1,19 @@
 """Hopf-structure computations on a built presentation.
 
 The coproduct, counit and antipode extend the generator tables
-(anti)multiplicatively through the rewrite engine.  On top of those this
-module provides exhaustive axiom verification on a finite monomial window,
+(anti)multiplicatively through the rewrite engine.  In K, B and A the group
+letter x is grouplike (Delta(x) = x (x) x, eps(x) = 1, S(x) = x^-1) and
+stands leftmost in every basis word x^a f^w, so the maps there are read off
+those of f^w, which is the shift fact:
+
+    Delta(x^a f^w) = Delta(f^w) with both legs shifted by a,
+    eps(x^a f^w) = eps(f^w),
+    S(x^a f^w) = S(f^w) x^-a, each term c x^b y^v as c phi(v, -a) x^(b-a) y^v,
+
+phi the swap factor of ``ncpoly._swap_factor``.  ``_walk`` applies it where
+``BuiltPresentation.group_shifts`` holds, and ``_primitive_rows`` builds the
+skew-primitive systems by the shift of Delta.  On top of those this module
+provides exhaustive axiom verification on a finite monomial window,
 an exact linear solver for skew primitive elements of a prescribed weight,
 weight/commutator extraction, the dimension of the degree-one cohomology of
 the augmentation ideal, and a seeded zero-divisor search.
@@ -54,10 +65,10 @@ def _walk(m: NFMonomial, built: BuiltPresentation, cache: dict, word_map, shift)
     every key is a basis monomial.  Rule words, which need not be basis
     words, are folded by ``word_map`` alone, without a cache.
 
-    Where ``built.group_shifts`` holds, the group letter is grouplike and
-    stands leftmost, so the value at x^a f^w (a != 0) is that at f^w shifted
-    by a: ``shift(value, a, built)``, the same terms in the same order as the
-    walk gives.  The walk then runs over the free letters only."""
+    Where ``built.group_shifts`` holds, the value at x^a f^w (a != 0) is
+    ``shift(value at f^w, a, built)`` by the shift fact of the module
+    docstring, the same terms in the same order as the walk gives.  The walk
+    then runs over the free letters only."""
     if m.w0 and built.group_shifts:
         base = NFMonomial(0, m.w)
         value = cache.get(base)
@@ -334,10 +345,9 @@ def _primitive_rows(shape, built, x_window):
 
     Column t stands for the ansatz monomial m = x^a f^shape with
     a = t - x_window.  The system has one row per pair (l, r) at which
-    Delta(m) - m (x) 1 - g (x) m has terms.  The group letter is grouplike
-    and stands leftmost in every basis word, so Delta(m) is Delta(f^shape)
-    with both legs shifted by a, and the weight g touches only the rows at
-    (g, m).  A single-entry row whose left leg is no group power forces its
+    Delta(m) - m (x) 1 - g (x) m has terms.  By the shift fact of the module
+    docstring Delta(m) is Delta(f^shape) with both legs shifted by a, and
+    the weight g touches only the rows at (g, m).  A single-entry row whose left leg is no group power forces its
     column to zero in every solution.  ``open_cols`` lists the other
     columns as ``_diagonal_open_cols`` reads them off Delta(f^shape), or
     every column when the system is not diagonal: the whole system has the

@@ -497,7 +497,7 @@ def scalar_from_json(obj) -> Cyclo:
         return Cyclo(L, {e: _fraction(*_pair_from_json(f"poly[{e}]", v))
                          for e, v in enumerate(obj["poly"])})
     if isinstance(obj, dict) and "k" in obj:
-        return RootOfUnity(*root_pair_from_json(obj)).to_cyclo()  # lowest terms: one make_root entry a root
+        return make_root(*root_pair_from_json(obj))
     raise ValueError(f"cannot read a scalar from {obj!r}")
 
 

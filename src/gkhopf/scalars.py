@@ -477,7 +477,6 @@ def _product(x: Cyclo, y: Cyclo) -> Cyclo:
     return _scalar(*_canonicalize(L, _reduce_mod_phi(L, raw)))
 
 
-@lru_cache(maxsize=None)
 def make_root(L: int, k: int) -> Cyclo:
     """The root of unity zeta_L^k as a canonical field scalar.
 
@@ -485,8 +484,14 @@ def make_root(L: int, k: int) -> Cyclo:
     and zeta_n^k' has conductor n, except that for n = 2 mod 4 it is
     -zeta_{n/2}^{(k'+n/2)/2} of conductor n/2, so no descent is needed.
     Raises ValueError only when L < 1 or that conductor is past CONDUCTOR_LIMIT.
+    The memo is keyed by (n, k'), so every spelling of a root shares one entry.
     """
-    n, k = RootOfUnity(L, k)
+    return _lowest_root(*RootOfUnity(L, k))
+
+
+@lru_cache(maxsize=None)
+def _lowest_root(n: int, k: int) -> Cyclo:
+    """``make_root`` of the lowest-terms pair (n, k)."""
     if n % 4 == 2:
         return -make_root(n // 2, (k + n // 2) // 2)
     if n > CONDUCTOR_LIMIT:
@@ -610,13 +615,22 @@ def nth_root_in_cyclotomics(value: ScalarLike, p: int) -> Optional[Cyclo]:
         return None
 
 
+def _no_tuple_arithmetic(self, other):
+    """Tuple concatenation and repetition, refused on a value that is a
+    tuple: ``3 * root`` or ``root + root`` would give a longer tuple, not a
+    wrong-looking error."""
+    raise TypeError(f"{type(self).__name__} takes no tuple + and no * by an int")
+
+
 class RootOfUnity(tuple):
     """zeta_n^k as its lowest-terms pair (n, k), 0 <= k < n and gcd(n, k) = 1:
     integer-only arithmetic for table sweeps.  A tuple, so it is immutable,
     unpacks as ``n, k = root`` and equals and hashes as its pair:
-    ``RootOfUnity(10, 4) == (5, 2)``."""
+    ``RootOfUnity(10, 4) == (5, 2)``.  ``*`` is the product of roots; tuple
+    ``+`` and ``int * root`` raise TypeError."""
 
     __slots__ = ()
+    __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
 
     def __new__(cls, order: int, exponent: int) -> "RootOfUnity":
         if order < 1:
@@ -644,7 +658,7 @@ class RootOfUnity(tuple):
         return root
 
     def to_cyclo(self) -> Cyclo:
-        return make_root(*self)
+        return _lowest_root(*self)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         (n, k), (m, j) = self, other

@@ -12,6 +12,7 @@ from gkhopf.presentations import BParams
 from gkhopf.scalars import Cyclo, RootOfUnity, make_root
 
 from helpers import b_grid
+from test_scalars import TUPLE_SLIPS
 
 R = RootOfUnity
 ONE = R.one()
@@ -27,6 +28,16 @@ def test_pair_takes_a_root_as_it_is():
     root = R(10, 4)
     assert _pair(root) is root
     assert _pair((10, 4)) == (10, 4) and _pair(make_root(10, 4)) == root
+
+
+@pytest.mark.parametrize("slip", TUPLE_SLIPS)
+def test_datum_and_matrix_refuse_tuple_arithmetic(slip):
+    datum = DiagonalDatum.make(1, 2, (5, 2), (3, 1))
+    for value in (datum, datum.braiding_matrix()):
+        with pytest.raises(TypeError):
+            TUPLE_SLIPS[slip](value)
+    n1, n2, N, x1, x2 = datum
+    assert (n1, n2, N) == (1, 2, 30) and datum.q1 == R(5, 2)
 
 
 def test_lemma41_pinned_examples():

@@ -275,6 +275,35 @@ def test_root_of_unity_refuses_attribute_writes(name):
     assert (r.order, r.exponent) == (6, 1)
 
 
+# the slips that tuple arithmetic would let pass: a repeated or concatenated
+# pair, and a reversed product by an int
+TUPLE_SLIPS = {"int_times": lambda v: 3 * v, "times_int": lambda v: v * 3, "plus_self": lambda v: v + v,
+               "plus_tuple": lambda v: v + (1, 2), "tuple_plus": lambda v: (1, 2) + v}
+
+
+@pytest.mark.parametrize("slip", TUPLE_SLIPS)
+def test_root_of_unity_refuses_tuple_arithmetic(slip):
+    root = RootOfUnity(5, 2)
+    with pytest.raises(TypeError):
+        TUPLE_SLIPS[slip](root)
+    assert root * RootOfUnity(5, 1) == RootOfUnity(5, 3) and root == (5, 2)
+
+
+def test_make_root_memo_keeps_one_entry_per_root():
+    # 5,000 spellings zeta(5, k) of the five fifth roots, parsed as the nf
+    # expression parser reads them
+    from gkhopf.expr import parse_expression
+
+    from helpers import built_b
+
+    b23 = built_b(1, (2, 3), 1, (0, 1))
+    before = scalars._lowest_root.cache_info().currsize
+    for k in range(5000):
+        parse_expression(f"zeta(5,{k})*y1", b23)
+    assert scalars._lowest_root.cache_info().currsize - before <= 5
+    assert make_root(10, 4) is make_root(5, 2) is make_root(5, -3)
+
+
 def test_root_of_unity_arithmetic():
     a = RootOfUnity(6, 1)
     b = RootOfUnity(4, 1)
