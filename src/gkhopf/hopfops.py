@@ -347,11 +347,12 @@ def _primitive_rows(shape, built, x_window):
     a = t - x_window.  The system has one row per pair (l, r) at which
     Delta(m) - m (x) 1 - g (x) m has terms.  By the shift fact of the module
     docstring Delta(m) is Delta(f^shape) with both legs shifted by a, and
-    the weight g touches only the rows at (g, m).  A single-entry row whose left leg is no group power forces its
-    column to zero in every solution.  ``open_cols`` lists the other
-    columns as ``_diagonal_open_cols`` reads them off Delta(f^shape), or
-    every column when the system is not diagonal: the whole system has the
-    same solutions, and ``rref`` the same pivots on the open columns.
+    the weight g touches only the rows at (g, m).  A single-entry row whose
+    left leg is no group power forces its column to zero in every solution.
+    ``open_cols`` lists the other columns as ``_diagonal_open_cols`` reads
+    them off Delta(f^shape), or every column when the system is not
+    diagonal: the whole system has the same solutions, and ``rref`` the same
+    pivots on the open columns.
     ``rows`` maps each pair ((lx, lw), (rx, rw)) to its row of
     Delta(m) - m (x) 1 on the open columns, and holds no empty row."""
     zero = (0,) * built.num_free

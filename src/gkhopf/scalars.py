@@ -616,9 +616,9 @@ def nth_root_in_cyclotomics(value: ScalarLike, p: int) -> Optional[Cyclo]:
 
 
 def _no_tuple_arithmetic(self, other):
-    """Tuple concatenation and repetition, refused on a value that is a
-    tuple: ``3 * root`` or ``root + root`` would give a longer tuple, not a
-    wrong-looking error."""
+    """Refuses tuple concatenation and repetition on a value that is a
+    tuple, where ``3 * root`` or ``root + root`` would silently give a
+    longer plain tuple."""
     raise TypeError(f"{type(self).__name__} takes no tuple + and no * by an int")
 
 
