@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -269,18 +270,18 @@ class BuiltPresentation:
     antipode_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     primitive_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     shape_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # whether the maps on x^a f^w are those on f^w shifted by a: products
-    # follow the Ore-extension formula and the group letter's tables are
-    # Delta(x^+-1) = x^+-1 (x) x^+-1, eps(x^+-1) = 1 and S(x^+-1) = x^-+1
-    group_shifts: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    @cached_property
+    def group_shifts(self) -> bool:
+        """Whether the Hopf maps on x^a f^w are those on f^w shifted by a:
+        products follow the Ore-extension formula and the group letter's
+        tables are Delta(x^+-1) = x^+-1 (x) x^+-1, eps(x^+-1) = 1 and
+        S(x^+-1) = x^-+1.  Read once per build, on first use."""
         one = Cyclo.one()
         xm1, x1 = self.group_monomial(-1), self.group_monomial(1)  # letters 0 and 1
-        self.group_shifts = (self.rs._ore
-                             and self.coproducts[:2] == (((one, xm1, xm1),), ((one, x1, x1),))
-                             and self.counits[:2] == (one, one)
-                             and self.antipodes[:2] == (NCPoly.monomial(x1), NCPoly.monomial(xm1)))
+        return (self.rs._ore
+                and self.coproducts[:2] == (((one, xm1, xm1),), ((one, x1, x1),))
+                and self.counits[:2] == (one, one)
+                and self.antipodes[:2] == (NCPoly.monomial(x1), NCPoly.monomial(xm1)))
 
     @property
     def family(self) -> str:
