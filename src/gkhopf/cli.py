@@ -8,9 +8,10 @@ negative verdict, 2 on malformed input, 3 on an internal error (a fault of
 the program, never a verdict, such as a report that cannot be encoded).  A
 report is the text of ``json.dumps(report, sort_keys=True, indent=2)``,
 written by ``encode_report``.  The expression language of ``nf`` lives in
-``gkhopf.expr``.  At import the module loads ``presentations``, ``ncpoly``
-and ``scalars``; ``expr`` loads in nf only; ``hopfops``
-and ``_linalg`` in hopf-check, primitives, ext1, classify and zerodiv;
+``gkhopf.expr``.  At import the module loads ``scalars`` only, for the
+limits and the JSON scalar readers; ``presentations`` and ``ncpoly`` load in
+every subcommand but nichols; ``expr`` in nf only; ``hopfops`` and
+``_linalg`` in hopf-check, primitives, ext1, classify and zerodiv;
 ``classify`` in classify and iso; ``heckenberger`` in classify and nichols.
 """
 
@@ -22,11 +23,12 @@ import hashlib
 import json
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .ncpoly import STEP_BUDGET, BudgetExceeded, certify_confluence
-from .presentations import (SIZE_LIMIT, HopfPresentation, build, int_from_json, presentation_from_json,
-                            root_pair_from_json, to_b_form, validate_presentation)
+from .scalars import SIZE_LIMIT, STEP_BUDGET, BudgetExceeded, int_from_json, root_pair_from_json
+
+if TYPE_CHECKING:
+    from .presentations import HopfPresentation
 
 SCHEMA_VERSION = 1
 
@@ -118,12 +120,17 @@ def _read_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:  # the message varies between Python versions
         raise InputError(f"{path} nests its JSON too deeply to read") from None
+    except UnicodeError:  # a file that is no text stays the ValueError that main reports
+        raise
+    except ValueError:  # an integer literal past int's digit limit; the message varies too
+        raise InputError(f"{path} holds an integer too long to read") from None
 
 
 def _load(path: str) -> tuple[dict, HopfPresentation]:
+    from . import presentations
     data = _read_json(path)
     try:
-        return data, presentation_from_json(data)
+        return data, presentations.presentation_from_json(data)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -148,21 +155,24 @@ def _parameterized(command: str, *presentations: HopfPresentation):
 
 
 def _cmd_validate(args, pres):
-    report = validate_presentation(pres)
+    from . import presentations
+    report = presentations.validate_presentation(pres)
     verdicts = {"ok": report.ok, "conditions": report.flags, "messages": report.messages}
     return verdicts, 0 if report.ok else 1, None
 
 
 def _cmd_nf(args, pres):
     from .expr import evaluate, parse_expression
-    built = build(pres, args.budget)
+    from . import presentations
+    built = presentations.build(pres, args.budget)
     node = parse_expression(" ".join(args.expression), built)
     return {"normal_form": built.rs.format_poly(evaluate(node, built))}, 0, None
 
 
 def _cmd_pbw_check(args, pres):
-    rs = build(pres, args.budget).rs
-    report = certify_confluence(rs)
+    from . import ncpoly, presentations
+    rs = presentations.build(pres, args.budget).rs
+    report = ncpoly.certify_confluence(rs)
     failures = []
     for res in report.failures:
         amb = res.ambiguity
@@ -187,8 +197,8 @@ def _require_monomials(built, cap: int, window: int, what: str, limit_name: str,
 
 
 def _cmd_hopf_check(args, pres):
-    from . import hopfops
-    built = build(pres, args.budget)
+    from . import hopfops, presentations
+    built = presentations.build(pres, args.budget)
     window = args.cap if args.window is None else args.window
     _require_monomials(built, args.cap, window, "a window", "WINDOW_LIMIT", WINDOW_LIMIT)
     report = hopfops.check_hopf_axioms(built, args.cap, window)
@@ -202,8 +212,8 @@ def _cmd_hopf_check(args, pres):
 
 
 def _cmd_primitives(args, pres):
-    from . import hopfops
-    built = build(pres, args.budget)
+    from . import hopfops, presentations
+    built = presentations.build(pres, args.budget)
     window = hopfops.default_window(built, args.cap) if args.window is None else args.window
     _require_monomials(built, args.cap, window, "an ansatz", "ANSATZ_LIMIT", ANSATZ_LIMIT)
     report = hopfops.skew_primitives(built, args.weight, args.cap, window)
@@ -230,15 +240,15 @@ def _cmd_primitives(args, pres):
 
 
 def _cmd_ext1(args, pres):
-    from . import hopfops
-    return {"ext1": hopfops.ext1_dimension(build(pres, args.budget))}, 0, None
+    from . import hopfops, presentations
+    return {"ext1": hopfops.ext1_dimension(presentations.build(pres, args.budget))}, 0, None
 
 
 def _cmd_classify(args, pres):
-    from . import classify as classify_mod, heckenberger, hopfops
+    from . import classify as classify_mod, heckenberger, hopfops, presentations
     [params] = _parameterized("classify", pres)
-    built = build(pres, args.budget)
-    bform = to_b_form(params)
+    built = presentations.build(pres, args.budget)
+    bform = presentations.to_b_form(params)
     omega, omega_prime = heckenberger.omega_checks(params)
     verdicts = {
         "domain": classify_mod.is_domain(params),
@@ -299,8 +309,8 @@ def _cmd_nichols(args, items):
 
 
 def _cmd_zerodiv(args, pres):
-    from . import hopfops
-    built = build(pres, args.budget)
+    from . import hopfops, presentations
+    built = presentations.build(pres, args.budget)
     window = hopfops.zero_divisor_window(built, args.cap)
     _require_monomials(built, args.cap, window, "a candidate pool", "WINDOW_LIMIT", WINDOW_LIMIT)
     report = hopfops.find_zero_divisors(built, args.cap)

@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Union
 
 from .ncpoly import NCPoly, multiply, normal_form, power
-from .presentations import EXPONENT_LIMIT, BuiltPresentation
-from .scalars import CONDUCTOR_LIMIT, Cyclo, make_root
+from .presentations import BuiltPresentation
+from .scalars import CONDUCTOR_LIMIT, EXPONENT_LIMIT, Cyclo, make_root
 
 # The parser and ``evaluate`` recurse a few frames per parenthesis level;
 # this bound keeps both well inside the interpreter's recursion limit.

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .presentations import KParams
 from .scalars import Cyclo, RootOfUnity, _no_tuple_arithmetic
+
+if TYPE_CHECKING:
+    from .presentations import KParams
 
 RootOrPair = Union[tuple[int, int], Cyclo]  # a pair (L, k), a RootOfUnity among them, is zeta_L^k
 

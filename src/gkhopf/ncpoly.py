@@ -79,23 +79,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .scalars import MEMO_SIZE, Cyclo, ScalarLike, add_terms
+from .scalars import MEMO_SIZE, STEP_BUDGET, BudgetExceeded, Cyclo, ScalarLike, add_terms
 
 Word = tuple[int, ...]
-
-# the default step budget of a rewrite system, the CLI's --budget
-STEP_BUDGET = 1_000_000
-
-
-class BudgetExceeded(Exception):
-    """The step budget ran out while ``word`` was being rewritten."""
-
-    def __init__(self, steps: int, word: Word, text: str):
-        if len(text) > 80:
-            text = text[:77] + "..."
-        super().__init__(f"rewriting exceeded {steps} steps at {text}")
-        self.steps = steps
-        self.word = word
 
 
 class StructureError(Exception):

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .ncpoly import STEP_BUDGET, NCPoly, NFMonomial, RewriteSystem, Rule, normal_form
-from .scalars import (CONDUCTOR_LIMIT, Cyclo, RootOfUnity, ScalarLike, is_primitive_pth_root,
-                      make_root)
+from .ncpoly import NCPoly, NFMonomial, RewriteSystem, Rule, normal_form
+from .scalars import (LENGTH_LIMIT, SIZE_LIMIT, STEP_BUDGET, Cyclo, RootOfUnity, ScalarLike,
+                      _conductor_from_json, int_from_json, is_primitive_pth_root, make_root,
+                      root_pair_from_json, scalar_from_json)
 
 # validation flags, in reporting order; the starred ones are informational
 CONDITION_NAMES = (
@@ -441,81 +441,12 @@ def _build_c(pres: HopfPresentation, step_budget: int) -> BuiltPresentation:
 # JSON parameter schema (consumed by the CLI)
 # ---------------------------------------------------------------------------
 
-# The input limits, checked before any work: by ``presentation_from_json``
-# and ``scalar_from_json`` here, by the ``nf`` parser in ``gkhopf.expr``.
-# CONDUCTOR_LIMIT (``gkhopf.scalars``) bounds every root order.
-SIZE_LIMIT = CONDUCTOR_LIMIT  # |M| (n * p_1 * ... * p_s for B), each |n_i| and |p_i|, A and C |n|
-LENGTH_LIMIT = 16  # K-family s: about s^2/2 rules, every pair of them compared for ambiguities
-EXPONENT_LIMIT = 1000  # |N| of a power e^N in an nf expression
-SCALAR_TEXT_LIMIT = 100  # characters of a scalar written as a string
-
-
-def int_from_json(name: str, value) -> int:
-    """The JSON integer field ``name``: an ``int`` and no ``bool``, else ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _pair_from_json(name: str, value) -> tuple[int, int]:
-    """The JSON pair ``[num, den]`` of integers ``name``, else ValueError."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"field {name!r} must be a pair [num, den] of integers")
-    return int_from_json(name, value[0]), int_from_json(name, value[1])
-
 
 def _sized(name: str, value) -> int:
     value = int_from_json(name, value)
     if abs(value) > SIZE_LIMIT:
         raise ValueError(f"{name}={value} exceeds SIZE_LIMIT={SIZE_LIMIT}")
     return value
-
-
-def _fraction(*args) -> Fraction:
-    try:
-        return Fraction(*args)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in the scalar {args!r}") from None
-
-
-def scalar_from_json(obj) -> Cyclo:
-    """Scalars appear as ints, "a/b" strings, [num, den], {"L","k"} roots,
-    or {"L","poly": [[num,den],...]} coefficient lists."""
-    if type(obj) is int:
-        return Cyclo.from_rational(obj)
-    if isinstance(obj, str):
-        if len(obj) > SCALAR_TEXT_LIMIT:
-            raise ValueError(f"scalar text longer than SCALAR_TEXT_LIMIT={SCALAR_TEXT_LIMIT} characters")
-        if "e" in obj or "E" in obj:
-            raise ValueError(f"scalar {obj!r} uses exponent notation")
-        return Cyclo.from_rational(_fraction(obj))
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(type(v) is int for v in obj):
-        return Cyclo.from_rational(_fraction(obj[0], obj[1]))
-    if isinstance(obj, dict) and "poly" in obj:
-        L = _conductor_from_json(obj)
-        if not isinstance(obj["poly"], list):
-            raise ValueError("field 'poly' must be a list of [num, den] pairs")
-        return Cyclo(L, {e: _fraction(*_pair_from_json(f"poly[{e}]", v))
-                         for e, v in enumerate(obj["poly"])})
-    if isinstance(obj, dict) and "k" in obj:
-        return make_root(*root_pair_from_json(obj))
-    raise ValueError(f"cannot read a scalar from {obj!r}")
-
-
-def root_pair_from_json(obj) -> tuple[int, int]:
-    """A JSON scalar that must be a root of unity, as a pair (L, k) with
-    zeta_L^k that root: a {"L","k"} root as written, any other form as its
-    ``RootOfUnity`` read through ``scalar_from_json``."""
-    if isinstance(obj, dict) and "k" in obj and "poly" not in obj:
-        return _conductor_from_json(obj), int_from_json("k", obj["k"])
-    return RootOfUnity.from_cyclo(scalar_from_json(obj))
-
-
-def _conductor_from_json(obj: dict) -> int:
-    L = int_from_json("L", obj["L"])
-    if not 1 <= L <= CONDUCTOR_LIMIT:
-        raise ValueError(f"conductor L={L} outside 1..{CONDUCTOR_LIMIT}")
-    return L
 
 
 def _int_list(data: dict, key: str) -> list[int]:

@@ -53,6 +53,29 @@ from typing import Optional, Union
 # classification tables); the bound only guards against runaway lcm growth.
 CONDUCTOR_LIMIT = 256
 
+# The input limits, checked before any work: by the JSON readers at the end
+# of this module and ``presentations.presentation_from_json``, by the ``nf``
+# parser in ``gkhopf.expr``.  CONDUCTOR_LIMIT bounds every root order.
+SIZE_LIMIT = CONDUCTOR_LIMIT  # |M| (n * p_1 * ... * p_s for B), each |n_i| and |p_i|, A and C |n|
+LENGTH_LIMIT = 16  # K-family s: about s^2/2 rules, every pair of them compared for ambiguities
+EXPONENT_LIMIT = 1000  # |N| of a power e^N in an nf expression
+SCALAR_TEXT_LIMIT = 100  # characters of a scalar written as a string
+
+# the default step budget of a rewrite system, the CLI's --budget
+STEP_BUDGET = 1_000_000
+
+
+class BudgetExceeded(Exception):
+    """The step budget ran out while ``word`` was being rewritten."""
+
+    def __init__(self, steps: int, word: tuple[int, ...], text: str):
+        if len(text) > 80:
+            text = text[:77] + "..."
+        super().__init__(f"rewriting exceeded {steps} steps at {text}")
+        self.steps = steps
+        self.word = word
+
+
 # entries that each value memo keeps: ``_sum``, ``_product``, ``Cyclo.__neg__``
 # and ``Cyclo.__pow__``
 MEMO_SIZE = 4096
@@ -681,3 +704,65 @@ class RootOfUnity(tuple):
 
     def __repr__(self) -> str:
         return f"RootOfUnity({self.order},{self.exponent})"
+
+
+# the JSON readers of scalars and integers, for presentations and the nichols batch
+def int_from_json(name: str, value) -> int:
+    """The JSON integer field ``name``: an ``int`` and no ``bool``, else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _pair_from_json(name: str, value) -> tuple[int, int]:
+    """The JSON pair ``[num, den]`` of integers ``name``, else ValueError."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"field {name!r} must be a pair [num, den] of integers")
+    return int_from_json(name, value[0]), int_from_json(name, value[1])
+
+
+def _fraction(*args) -> Fraction:
+    try:
+        return Fraction(*args)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in the scalar {args!r}") from None
+
+
+def scalar_from_json(obj) -> Cyclo:
+    """Scalars appear as ints, "a/b" strings, [num, den], {"L","k"} roots,
+    or {"L","poly": [[num,den],...]} coefficient lists."""
+    if type(obj) is int:
+        return Cyclo.from_rational(obj)
+    if isinstance(obj, str):
+        if len(obj) > SCALAR_TEXT_LIMIT:
+            raise ValueError(f"scalar text longer than SCALAR_TEXT_LIMIT={SCALAR_TEXT_LIMIT} characters")
+        if "e" in obj or "E" in obj:
+            raise ValueError(f"scalar {obj!r} uses exponent notation")
+        return Cyclo.from_rational(_fraction(obj))
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(type(v) is int for v in obj):
+        return Cyclo.from_rational(_fraction(obj[0], obj[1]))
+    if isinstance(obj, dict) and "poly" in obj:
+        L = _conductor_from_json(obj)
+        if not isinstance(obj["poly"], list):
+            raise ValueError("field 'poly' must be a list of [num, den] pairs")
+        return Cyclo(L, {e: _fraction(*_pair_from_json(f"poly[{e}]", v))
+                         for e, v in enumerate(obj["poly"])})
+    if isinstance(obj, dict) and "k" in obj:
+        return make_root(*root_pair_from_json(obj))
+    raise ValueError(f"cannot read a scalar from {obj!r}")
+
+
+def root_pair_from_json(obj) -> tuple[int, int]:
+    """A JSON scalar that must be a root of unity, as a pair (L, k) with
+    zeta_L^k that root: a {"L","k"} root as written, any other form as its
+    ``RootOfUnity`` read through ``scalar_from_json``."""
+    if isinstance(obj, dict) and "k" in obj and "poly" not in obj:
+        return _conductor_from_json(obj), int_from_json("k", obj["k"])
+    return RootOfUnity.from_cyclo(scalar_from_json(obj))
+
+
+def _conductor_from_json(obj: dict) -> int:
+    L = int_from_json("L", obj["L"])
+    if not 1 <= L <= CONDUCTOR_LIMIT:
+        raise ValueError(f"conductor L={L} outside 1..{CONDUCTOR_LIMIT}")
+    return L

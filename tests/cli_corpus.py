@@ -210,6 +210,8 @@ def commands() -> list[list[str]]:
         for budget in range(max(least - 1, 0), least + 1):
             out.append(["--budget", str(budget), "hopf-check", f"{name}.json", "--cap", "3", "--window", "4"])
     out.append(["hopf-check", "b23.json", "--cap", "6", "--window", "12"])  # the hopf-window benchmark's window
+    out.append(["validate", "long-integer.json"])
+    out.append(["nichols", "long-integer.json"])
     return out
 
 
@@ -221,6 +223,9 @@ def write_inputs(directory: Path) -> None:
     # nested past what json.load reads on any Python version, written as text
     # because json.dumps cannot encode it either
     (directory / "deep-nesting.json").write_text("[" * 100_000 + "]" * 100_000)
+    # an integer literal past the 4,300 digits that int() reads from text by
+    # default (3.10.7 and later), whose ValueError text differs between versions
+    (directory / "long-integer.json").write_text('{"n1": ' + "1" * 5000 + "}")
 
 
 def _sha(text: str) -> str:

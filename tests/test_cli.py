@@ -810,6 +810,30 @@ def test_cli_refuses_deeply_nested_json(tmp_path, capsys, command):
     assert captured.err == f"error: {path} nests its JSON too deeply to read\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "nichols"])
+@pytest.mark.parametrize("literal", ["1" * 5000, "-" + "9" * 4301], ids=["5000-digits", "minus-4301-digits"])
+def test_cli_refuses_over_long_integer_literals(tmp_path, capsys, command, literal):
+    # json.load raises a plain ValueError past int's digit limit (4,300 by
+    # default), whose text names no file and differs between Python versions
+    path = tmp_path / "long.json"
+    path.write_text('{"data": [{"n1": ' + literal + ', "n2": 1}]}')
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    _check_error_report(code, captured)
+    assert captured.err == f"error: {path} holds an integer too long to read\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "nichols"])
+def test_cli_reports_a_file_that_is_no_utf8_text_as_before(tmp_path, capsys, command):
+    # a UnicodeDecodeError is a ValueError too, but no over-long integer
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n1": "\xff"}')
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    _check_error_report(code, captured)
+    assert "codec can't decode byte 0xff" in captured.err and "too long" not in captured.err
+
+
 @pytest.mark.parametrize("q1", ["1/0", [1, 0], {"L": 3, "poly": [[1, 0]]}], ids=json.dumps)
 def test_cli_nichols_rejects_zero_denominator(tmp_path, capsys, q1):
     code = main(["nichols", _write(tmp_path, "n.json", {"data": [dict(N5, q1=q1)]})])

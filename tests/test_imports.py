@@ -35,6 +35,8 @@ PUBLIC = {
                 "order_of", "qbinom"],
 }
 BASE = {"gkhopf", "gkhopf.cli", "gkhopf.presentations", "gkhopf.ncpoly", "gkhopf.scalars"}
+# what nichols runs on: the JSON scalar readers and the integer case tables, no rewriting
+NICHOLS_PATH = {"gkhopf", "gkhopf.cli", "gkhopf.scalars", "gkhopf.heckenberger"}
 B25 = {"family": "B", "n": 1, "p": [2, 5], "q": {"L": 10, "k": 3}, "alpha": [0, 2]}
 NICHOLS = {"data": [{"n1": 1, "n2": 1, "q1": {"L": 5, "k": 1}, "q2": {"L": 5, "k": 4}, "epsilon": 5}]}
 
@@ -64,11 +66,23 @@ def test_every_public_name_imports_in_a_fresh_interpreter():
         "gkhopf", "gkhopf._linalg", *(f"gkhopf.{module}" for module in PUBLIC)}
 
 
+def test_import_cli_loads_scalars_only():
+    assert _modules_after("import gkhopf.cli") == {"gkhopf", "gkhopf.cli", "gkhopf.scalars"}
+
+
 def test_nichols_loads_heckenberger_only(tmp_path):
     path = tmp_path / "batch.json"
     path.write_text(json.dumps(NICHOLS))
     loaded = _modules_after(f"from gkhopf import cli; assert cli.main({['nichols', str(path)]!r}) == 0")
-    assert loaded == BASE | {"gkhopf.heckenberger"}
+    assert loaded == NICHOLS_PATH
+
+
+def test_nichols_refusing_a_datum_loads_no_ncpoly(tmp_path):
+    # q1 = 2 takes the scalar route through Cyclo before it is refused as no root of unity
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"data": [dict(NICHOLS["data"][0], q1=2)]}))
+    loaded = _modules_after(f"from gkhopf import cli; assert cli.main({['nichols', str(path)]!r}) == 2")
+    assert "gkhopf.ncpoly" not in loaded and loaded == NICHOLS_PATH
 
 
 def test_hopf_check_loads_hopfops_and_linalg_only(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from gkhopf.ncpoly import NFMonomial
-from gkhopf import presentations
+from gkhopf import presentations, scalars
 from gkhopf.presentations import (BParams, HopfPresentation, KParams, build,
                                   presentation_from_json, root_pair_from_json, scalar_from_json,
                                   to_b_form, validate)
@@ -185,13 +185,13 @@ def test_root_from_json_other_scalars_take_the_scalar_route(monkeypatch, obj):
         seen.append(value)
         return scalar_from_json(value)
 
-    monkeypatch.setattr(presentations, "scalar_from_json", spy)
+    monkeypatch.setattr(scalars, "scalar_from_json", spy)
     assert root_from_json(obj) == RootOfUnity.from_cyclo(scalar_from_json(obj))
     assert seen == [obj]
 
 
 def test_root_from_json_no_scalar_route_for_exponents(monkeypatch):
-    monkeypatch.setattr(presentations, "scalar_from_json", None)
+    monkeypatch.setattr(scalars, "scalar_from_json", None)
     assert root_from_json({"L": 12, "k": 9}) == RootOfUnity(4, 3)
 
 
