@@ -162,8 +162,8 @@ def _cmd_validate(args, pres):
 
 
 def _cmd_nf(args, pres):
-    from .expr import evaluate, parse_expression
     from . import presentations
+    from .expr import evaluate, parse_expression
     built = presentations.build(pres, args.budget)
     node = parse_expression(" ".join(args.expression), built)
     return {"normal_form": built.rs.format_poly(evaluate(node, built))}, 0, None

@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 from .ncpoly import NCPoly, NFMonomial, RewriteSystem, Rule, normal_form
 from .scalars import (LENGTH_LIMIT, SIZE_LIMIT, STEP_BUDGET, Cyclo, RootOfUnity, ScalarLike,
-                      _conductor_from_json, int_from_json, is_primitive_pth_root, make_root,
-                      root_pair_from_json, scalar_from_json)
+                      int_from_json, is_primitive_pth_root, make_root, scalar_from_json)
+from .scalars import _conductor_from_json, root_pair_from_json  # noqa: F401, re-exported root readers
 
 # validation flags, in reporting order; the starred ones are informational
 CONDITION_NAMES = (

@@ -15,6 +15,10 @@ tuple (n, k) in lowest terms, whose products, powers and inverses act on
 the exponent.  ``RootOfUnity.from_cyclo`` reads it off a ``Cyclo`` and
 ``make_root`` writes it back.
 
+The input limits, ``STEP_BUDGET`` with ``BudgetExceeded`` and the JSON
+readers ``int_from_json``, ``scalar_from_json`` and ``root_pair_from_json``
+live here too, so ``gkhopf nichols`` reads its data with no rewriting layer.
+
 The arithmetic skips work whose result is known in advance, which relies on
 these invariants:
 
@@ -53,9 +57,7 @@ from typing import Optional, Union
 # classification tables); the bound only guards against runaway lcm growth.
 CONDUCTOR_LIMIT = 256
 
-# The input limits, checked before any work: by the JSON readers at the end
-# of this module and ``presentations.presentation_from_json``, by the ``nf``
-# parser in ``gkhopf.expr``.  CONDUCTOR_LIMIT bounds every root order.
+# the input limits, checked before any work by the readers below, presentations and expr
 SIZE_LIMIT = CONDUCTOR_LIMIT  # |M| (n * p_1 * ... * p_s for B), each |n_i| and |p_i|, A and C |n|
 LENGTH_LIMIT = 16  # K-family s: about s^2/2 rules, every pair of them compared for ambiguities
 EXPONENT_LIMIT = 1000  # |N| of a power e^N in an nf expression
@@ -706,7 +708,6 @@ class RootOfUnity(tuple):
         return f"RootOfUnity({self.order},{self.exponent})"
 
 
-# the JSON readers of scalars and integers, for presentations and the nichols batch
 def int_from_json(name: str, value) -> int:
     """The JSON integer field ``name``: an ``int`` and no ``bool``, else ValueError."""
     if type(value) is not int:
